@@ -378,18 +378,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         window_frames=window_frames,
         lookback=args.lookback,
     )
-    print(f"listening on {server.host}:{server.port}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-    for s in server.sessions:
-        log.info(
-            "session %s: %d frames, %d predictions, %d dropped",
-            s.peer, s.frames_received, s.predictions_sent, s.frames_dropped,
-        )
+    server.serve_forever(on_ready=lambda: print(
+        f"listening on {server.host}:{server.port}", flush=True))
     return EXIT_OK
 
 

@@ -12,22 +12,26 @@ Wire format (all little-endian, fixed-size, magic "GZF1"):
                 (0 = end session, 1 = reset session state)      (14 bytes)
 
 Validation (and its float32 feature quantization) happens on the producer
-side; the server ingests wire features as-is. Every feature value is
-exactly representable in f32, so a session fed over TCP and the same
-session fed in process see bit-identical inputs and produce identical
-predictions.
+side; the server ingests wire features as-is, rejecting only non-finite
+ones. Every feature value is exactly representable in f32, so a session fed
+over TCP and the same session fed in process see bit-identical inputs and
+produce identical predictions.
+
+The server is one `selectors` loop on one thread that feeds each session's
+frames to its pipeline in arrival order; backpressure is TCP flow control.
 """
 from __future__ import annotations
 
 import enum
 import logging
-import queue
+import math
+import selectors
 import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -71,8 +75,8 @@ CONTROL_END = 0
 CONTROL_RESET = 1
 
 DEFAULT_PORT = 48200
+ACCEPT_RETRY_S = 0.1  # pause after a failed accept(), e.g. out of fds
 ASSOCIATION_WINDOW_NS = 100_000_000
-DEFAULT_QUEUE_DEPTH = 4096
 
 WARMUP_POLICIES = ("voluntary", "suppress")
 
@@ -87,6 +91,14 @@ class TruncatedMessage(BlinkPipeError):
 
 class UnknownType(BlinkPipeError):
     """Unrecognized message type or enumeration byte."""
+
+
+class NonFiniteFeature(BlinkPipeError):
+    """A gaze frame carries a NaN or infinite feature."""
+
+
+class ClientNotReading(BlinkPipeError):
+    """The client stopped reading and its socket's send buffer is full."""
 
 
 @dataclass(frozen=True)
@@ -133,21 +145,6 @@ def encode(msg: Message) -> bytes:
     raise TypeError(f"not a protocol message: {type(msg).__name__}")
 
 
-def _decode_body(msg_type: int, body: bytes) -> Message:
-    if msg_type == MSG_GAZE:
-        vals = struct.unpack("<Q10f", body)
-        return GazeFrameMsg(vals[0], tuple(float(v) for v in vals[1:]))
-    if msg_type == MSG_PREDICTION:
-        ts, blink_end, cls, conf = struct.unpack("<QQBf", body)
-        if cls not in (0, 1):
-            raise UnknownType(f"prediction class byte {cls}")
-        return PredictionMsg(ts, blink_end, BlinkLabel(cls), float(conf))
-    ts, command = struct.unpack("<QB", body)
-    if command not in (CONTROL_END, CONTROL_RESET):
-        raise UnknownType(f"control command byte {command}")
-    return ControlMsg(ts, command)
-
-
 def decode(data: bytes, offset: int = 0) -> Tuple[Message, int]:
     """Parse one message starting at `offset`; returns (message, next offset)."""
     if len(data) - offset < _HEADER_SIZE:
@@ -156,7 +153,7 @@ def decode(data: bytes, offset: int = 0) -> Tuple[Message, int]:
         )
     magic = data[offset:offset + 4]
     if magic != MAGIC:
-        raise BadMagic(f"expected {MAGIC!r}, got {magic!r}")
+        raise BadMagic(f"expected {MAGIC!r}, got {bytes(magic)!r}")
     msg_type = data[offset + 4]
     size = MESSAGE_SIZES.get(msg_type)
     if size is None:
@@ -165,40 +162,32 @@ def decode(data: bytes, offset: int = 0) -> Tuple[Message, int]:
         raise TruncatedMessage(
             f"type {msg_type} needs {size} bytes, got {len(data) - offset}"
         )
-    msg = _decode_body(msg_type, data[offset + _HEADER_SIZE:offset + size])
-    return msg, offset + size
-
-
-def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
-    """Read exactly n bytes; None on clean EOF at a message boundary."""
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            if not buf:
-                return None
-            raise TruncatedMessage(
-                f"connection closed after {len(buf)} of {n} bytes"
-            )
-        buf += chunk
-    return bytes(buf)
+    body, end = data[offset + _HEADER_SIZE:offset + size], offset + size
+    if msg_type == MSG_GAZE:
+        vals = struct.unpack("<Q10f", body)
+        return GazeFrameMsg(vals[0], tuple(float(v) for v in vals[1:])), end
+    if msg_type == MSG_PREDICTION:
+        ts, blink_end, cls, conf = struct.unpack("<QQBf", body)
+        if cls not in (0, 1):
+            raise UnknownType(f"prediction class byte {cls}")
+        return PredictionMsg(ts, blink_end, BlinkLabel(cls), float(conf)), end
+    ts, command = struct.unpack("<QB", body)
+    if command not in (CONTROL_END, CONTROL_RESET):
+        raise UnknownType(f"control command byte {command}")
+    return ControlMsg(ts, command), end
 
 
 def read_message(sock: socket.socket) -> Optional[Message]:
-    """Read one whole message from a socket; None on clean EOF."""
-    head = _recv_exact(sock, _HEADER_SIZE)
-    if head is None:
-        return None
-    magic, msg_type = struct.unpack("<4sB", head)
-    if magic != MAGIC:
-        raise BadMagic(f"expected {MAGIC!r}, got {magic!r}")
-    size = MESSAGE_SIZES.get(msg_type)
-    if size is None:
-        raise UnknownType(f"message type byte {msg_type}")
-    body = _recv_exact(sock, size - _HEADER_SIZE)
-    if body is None:
-        raise TruncatedMessage("connection closed between header and body")
-    return _decode_body(msg_type, body)
+    """Read one whole message from a blocking socket; None on clean EOF."""
+    data, need = b"", _HEADER_SIZE
+    while len(data) < need:
+        chunk = sock.recv(need - len(data))
+        if not chunk:
+            break  # decode() reports the message as truncated
+        data += chunk
+        if len(data) == _HEADER_SIZE:  # decode() rejects an unknown type
+            need = MESSAGE_SIZES.get(data[4], _HEADER_SIZE)
+    return decode(data)[0] if data else None
 
 
 def gaze_msg_from_frame(frame: ValidatedFrame) -> GazeFrameMsg:
@@ -208,6 +197,8 @@ def gaze_msg_from_frame(frame: ValidatedFrame) -> GazeFrameMsg:
 def validated_frame_from_msg(msg: GazeFrameMsg) -> ValidatedFrame:
     """Rebuild a validated frame from wire features without re-normalizing."""
     f = msg.features
+    if not all(map(math.isfinite, f)):
+        raise NonFiniteFeature(f"frame {msg.timestamp_ns} features {f}")
     return ValidatedFrame(
         timestamp_ns=msg.timestamp_ns,
         left_pupil_mm=f[0],
@@ -295,20 +286,29 @@ def predictions_for_frames(
 class SessionStats:
     peer: str = ""
     frames_received: int = 0
-    frames_dropped: int = 0
+    frames_dropped: int = 0  # always 0: backpressure is TCP flow control
     predictions_sent: int = 0
-    max_queue_depth: int = 0
+    max_queue_depth: int = 0  # most whole frames decoded from one read
     error: Optional[str] = None
 
 
-class BlinkServer:
-    """Threaded TCP prediction server.
+@dataclass
+class _Connection:
+    sock: socket.socket
+    stats: SessionStats
+    pipeline: SessionPipeline
+    buf: bytearray = field(default_factory=bytearray)
 
-    One reader thread and one inference worker per connection, joined by a
-    bounded queue so ingestion keeps pace with 200 Hz input regardless of
-    inference latency; a full queue drops frames (counted in SessionStats)
-    rather than blocking the socket. Model parameters are shared read-only
-    across sessions; all per-stream state lives in the session.
+
+class BlinkServer:
+    """TCP prediction server: one `selectors` loop serves every connection.
+
+    Whole messages are handled in arrival order, and a prediction goes back
+    with a non-blocking send. Backpressure is TCP flow control, so no frame
+    is dropped. A bad client, or one that stops reading until its send buffer
+    fills, ends only its own session, with the error in its SessionStats.
+    serve_forever() runs the loop on the calling thread; start() (or `with`)
+    runs it on one background thread until stop().
     """
 
     def __init__(self, model: Union[BlinkNet, ModelCheckpoint],
@@ -316,8 +316,7 @@ class BlinkServer:
                  warmup_policy: str = "voluntary",
                  profile: Optional[CalibrationProfile] = None,
                  window_frames: int = DEFAULT_WINDOW_FRAMES,
-                 lookback: int = DEFAULT_LOOKBACK_FRAMES,
-                 queue_depth: int = DEFAULT_QUEUE_DEPTH):
+                 lookback: int = DEFAULT_LOOKBACK_FRAMES):
         if warmup_policy not in WARMUP_POLICIES:
             raise ValueError(f"warmup_policy must be one of {WARMUP_POLICIES}")
         self.net = model.build_net() if isinstance(model, ModelCheckpoint) else model
@@ -325,15 +324,16 @@ class BlinkServer:
         self.profile = profile
         self.window_frames = window_frames
         self.lookback = lookback
-        self.queue_depth = queue_depth
         self._listener = socket.create_server((host, port))
-        # A blocking accept() is not reliably interrupted by close() from
-        # another thread; poll with a short timeout so stop() can land.
-        self._listener.settimeout(0.2)
+        self._listener.setblocking(False)
         self.host, self.port = self._listener.getsockname()[:2]
-        self._shutdown = threading.Event()
-        self._accept_thread: Optional[threading.Thread] = None
-        self._conn_threads: List[threading.Thread] = []
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._stopping = False
+        self._closed = False
+        self._close_lock = threading.Lock()
+        self._accept_resume_at = math.inf  # set while accepting is paused
+        self._thread: Optional[threading.Thread] = None
         self.sessions: List[SessionStats] = []
 
     @property
@@ -345,104 +345,117 @@ class BlinkServer:
                                self.lookback, self.warmup_policy)
 
     def start(self) -> None:
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="blinkpipe-accept", daemon=True
-        )
-        self._accept_thread.start()
-        _log.info("listening on %s:%d", self.host, self.port)
+        self._thread = threading.Thread(target=self.serve_forever,
+                                        name="blinkpipe-server", daemon=True)
+        self._thread.start()
 
-    def serve_forever(self) -> None:
-        self.start()
+    def serve_forever(self, on_ready: Optional[Callable] = None) -> None:
+        """Call on_ready(), then serve until stop() or Ctrl-C (also one that
+        lands during on_ready()), then close every connection."""
         try:
-            while not self._shutdown.is_set():
-                time.sleep(0.2)
+            if on_ready is not None:
+                on_ready()
+            while not self._stopping:
+                if time.monotonic() >= self._accept_resume_at:
+                    self._accept_resume_at = math.inf
+                    self._selector.register(self._listener, selectors.EVENT_READ)
+                # The timeout lets a loop started by start() notice stop().
+                for key, _ in self._selector.select(0.1):
+                    if key.data is None:
+                        self._accept()
+                    else:
+                        self._read(key.data)
         except KeyboardInterrupt:
             pass
         finally:
-            self.stop()
+            self._close()
 
-    def stop(self, join_timeout: float = 5.0) -> None:
-        self._shutdown.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(join_timeout)
-        for t in self._conn_threads:
-            t.join(join_timeout)
+    def stop(self) -> None:
+        """Stop serving; safe before start() and safe to call twice."""
+        self._stopping = True
+        # A thread not yet alive will see _stopping before its first select.
+        if self._thread is not None and self._thread.is_alive():
+            self._thread.join()
+        self._close()
 
-    def _accept_loop(self) -> None:
-        while not self._shutdown.is_set():
-            try:
-                conn, addr = self._listener.accept()
-            except TimeoutError:
-                continue
-            except OSError:
+    def _close(self) -> None:
+        with self._close_lock:
+            if self._closed:
                 return
-            conn.settimeout(None)
-            t = threading.Thread(target=self._handle_connection,
-                                 args=(conn, addr), daemon=True)
-            t.start()
-            self._conn_threads.append(t)
+            self._closed = True
+            for key in list(self._selector.get_map().values()):
+                if key.data is not None:
+                    self._end(key.data)
+            self._selector.close()
+            self._listener.close()
 
-    def _handle_connection(self, conn: socket.socket, addr) -> None:
+    def _accept(self) -> None:
+        try:
+            sock, addr = self._listener.accept()
+        except (BlockingIOError, ConnectionError):
+            return  # the client gave up before we got to it
+        except OSError as e:  # out of fds, say: pause rather than spin
+            _log.warning("accept failed, pausing: %s", e)
+            self._selector.unregister(self._listener)
+            self._accept_resume_at = time.monotonic() + ACCEPT_RETRY_S
+            return
+        sock.setblocking(False)
         stats = SessionStats(peer=f"{addr[0]}:{addr[1]}")
         self.sessions.append(stats)
-        frames: "queue.Queue[Optional[Message]]" = queue.Queue(self.queue_depth)
+        self._selector.register(sock, selectors.EVENT_READ,
+                                _Connection(sock, stats, self._new_pipeline()))
 
-        def worker() -> None:
-            pipeline = self._new_pipeline()
-            while True:
-                item = frames.get()
-                if item is None:
-                    return
-                if isinstance(item, ControlMsg):
-                    if item.command == CONTROL_RESET:
-                        pipeline = self._new_pipeline()
-                    continue
-                pred = pipeline.ingest(validated_frame_from_msg(item))
-                if pred is not None:
-                    try:
-                        conn.sendall(encode(pred))
-                        stats.predictions_sent += 1
-                    except OSError as e:
-                        stats.error = f"send failed: {e}"
-                        return
-
-        worker_thread = threading.Thread(target=worker, daemon=True)
-        worker_thread.start()
+    def _read(self, conn: _Connection) -> None:
+        """Handle every whole message that has arrived on `conn`."""
+        stats = conn.stats
+        before = stats.frames_received
         try:
+            data = conn.sock.recv(65536)
+            if not data:
+                if conn.buf:
+                    raise TruncatedMessage(f"EOF {len(conn.buf)} bytes into a message")
+                self._end(conn)
+                return
+            buf, off = conn.buf, 0
+            buf += data
             while True:
-                msg = read_message(conn)
-                if msg is None:
-                    break
-                if isinstance(msg, ControlMsg) and msg.command == CONTROL_END:
-                    break
-                if isinstance(msg, PredictionMsg):
-                    continue  # clients do not send predictions; ignore
+                try:
+                    msg, off = decode(buf, off)
+                except TruncatedMessage:
+                    break  # the rest of this message has not arrived yet
                 if isinstance(msg, GazeFrameMsg):
                     stats.frames_received += 1
-                try:
-                    frames.put_nowait(msg)
-                    stats.max_queue_depth = max(stats.max_queue_depth,
-                                                frames.qsize())
-                except queue.Full:
-                    stats.frames_dropped += 1
-        except (BadMagic, TruncatedMessage, UnknownType, OSError) as e:
+                    pred = conn.pipeline.ingest(validated_frame_from_msg(msg))
+                    if pred is not None:
+                        try:
+                            conn.sock.sendall(encode(pred))
+                        except BlockingIOError:
+                            raise ClientNotReading("send buffer full") from None
+                        stats.predictions_sent += 1
+                elif isinstance(msg, ControlMsg):
+                    if msg.command == CONTROL_END:
+                        self._end(conn)
+                        return
+                    conn.pipeline = self._new_pipeline()
+                # clients do not send predictions; ignore them
+            del buf[:off]
+        except BlockingIOError:
+            pass  # spurious wake-up: nothing to read after all
+        except Exception as e:  # any fault ends only this session
             stats.error = f"{type(e).__name__}: {e}"
-            _log.warning("session %s terminated: %s", stats.peer, stats.error)
+            _log.warning("session %s terminated: %s", stats.peer, stats.error,
+                         exc_info=not isinstance(e, (BlinkPipeError, OSError)))
+            self._end(conn)
         finally:
-            frames.put(None)
-            worker_thread.join()
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            conn.close()
-            _log.info("session %s closed: %d frames, %d predictions, %d dropped",
-                      stats.peer, stats.frames_received, stats.predictions_sent,
-                      stats.frames_dropped)
+            stats.max_queue_depth = max(stats.max_queue_depth,
+                                        stats.frames_received - before)
+
+    def _end(self, conn: _Connection) -> None:
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
+        _log.info("session %s closed: %d frames, %d predictions",
+                  conn.stats.peer, conn.stats.frames_received,
+                  conn.stats.predictions_sent)
 
     def __enter__(self) -> "BlinkServer":
         self.start()
@@ -467,8 +480,6 @@ def replay_over_tcp(address: Tuple[str, int],
     """
     preds: List[PredictionMsg] = []
     with socket.create_connection(address, timeout=timeout) as sock:
-        done = threading.Event()
-
         def reader() -> None:
             try:
                 while True:
@@ -479,8 +490,6 @@ def replay_over_tcp(address: Tuple[str, int],
                         preds.append(msg)
             except (BlinkPipeError, OSError) as e:
                 _log.warning("prediction reader stopped: %s", e)
-            finally:
-                done.set()
 
         t = threading.Thread(target=reader, daemon=True)
         t.start()
@@ -495,7 +504,7 @@ def replay_over_tcp(address: Tuple[str, int],
             sock.sendall(encode(gaze_msg_from_frame(vf)))
         last_ts = frames[-1].timestamp_ns if frames else 0
         sock.sendall(encode(ControlMsg(last_ts, CONTROL_END)))
-        done.wait(timeout)
+        t.join(timeout)
     return preds
 
 

@@ -640,10 +640,7 @@ def test_c08_tcp_session_matches_in_process_at_rate():
 
     local = predictions_for_frames(frames, net, window_frames=SURROGATE_WINDOW)
 
-    # Queue sized for an unpaced blast: frames arrive far faster than the
-    # 200 Hz the capacity bound asks for.
-    with BlinkServer(net, port=0, window_frames=SURROGATE_WINDOW,
-                     queue_depth=len(frames)) as server:
+    with BlinkServer(net, port=0, window_frames=SURROGATE_WINDOW) as server:
         t0 = time.monotonic()
         remote = replay_over_tcp(server.address, frames, speed_multiplier=0.0)
         elapsed = time.monotonic() - t0

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from blinkpipe import cli
 from blinkpipe.cli import (
     EXIT_DATA,
     EXIT_IO,
@@ -142,6 +143,20 @@ class TestExitCodes:
         ModelCheckpoint.from_net(tiny_net(20), 1, 0.5).save(ckpt)
         assert run("serve", "--checkpoint", ckpt,
                    "--listen", "no-port-here") == EXIT_USAGE
+
+    def test_ctrl_c_right_after_the_address_stops_serve(self, tmp_path,
+                                                       monkeypatch, capsys):
+        ckpt = str(tmp_path / "m.bnet")
+        ModelCheckpoint.from_net(tiny_net(20), 1, 0.5).save(ckpt)
+
+        def print_then_interrupt(*args, **kwargs):
+            print(*args, **kwargs)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "print", print_then_interrupt, raising=False)
+        assert run("serve", "--checkpoint", ckpt,
+                   "--listen", "127.0.0.1:0") == EXIT_OK
+        assert capsys.readouterr().out.startswith("listening on 127.0.0.1:")
 
     def test_out_of_range_band_is_usage(self, tmp_path):
         rec = tmp_path / "rec.csv"

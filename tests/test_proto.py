@@ -1,7 +1,13 @@
 """Wire format, session pipeline, TCP server, and the client gate."""
 from __future__ import annotations
 
+import _thread
+import errno
+import math
+import os
 import socket
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +15,7 @@ import pytest
 from blinkpipe.core import BlinkLabel
 from blinkpipe.net import BlinkNet
 from blinkpipe.proto import (
+    ACCEPT_RETRY_S,
     ASSOCIATION_WINDOW_NS,
     CONTROL_END,
     CONTROL_RESET,
@@ -22,6 +29,7 @@ from blinkpipe.proto import (
     ClientPredictionGate,
     ControlMsg,
     GazeFrameMsg,
+    NonFiniteFeature,
     PredictionMsg,
     SessionPipeline,
     TruncatedMessage,
@@ -310,6 +318,234 @@ class TestServer:
             got = replay_over_tcp(srv.address, frames)
         assert len(got) == 1
         assert any(s.error and "BadMagic" in s.error for s in srv.sessions)
+
+
+def read_to_eof(sock: socket.socket) -> list:
+    msgs = []
+    while True:
+        m = read_message(sock)
+        if m is None:
+            return msgs
+        msgs.append(m)
+
+
+def frame_payload(frames) -> bytes:
+    return b"".join(encode(gaze_msg_from_frame(vf)) for vf in frames)
+
+
+def end_payload(frames) -> bytes:
+    return encode(ControlMsg(frames[-1].timestamp_ns, CONTROL_END))
+
+
+class TestServerFaults:
+    """A bad client ends only its own session, with a typed error."""
+
+    def run_beside_healthy(self, bad_payload: bytes):
+        net = tiny_net(30, seed=3)
+        rec = square_blink_recording([50, 120, 200], closed_frames=12,
+                                     n_frames=300)
+        frames = validate_frames(rec.frames)
+        want = predictions_for_frames(frames, net, window_frames=30, lookback=8)
+        payload = frame_payload(frames)
+        half = len(payload) // 2 + 7  # mid-message, so the server must buffer
+        with BlinkServer(net, port=0, window_frames=30, lookback=8) as srv:
+            with socket.create_connection(srv.address, timeout=5) as good, \
+                    socket.create_connection(srv.address, timeout=5) as bad:
+                good.sendall(payload[:half])
+                bad.sendall(bad_payload)
+                # The server must close the bad connection; a hang times out.
+                assert bad.recv(1024) == b""
+                good.sendall(payload[half:] + end_payload(frames))
+                assert read_to_eof(good) == want
+        errors = [s.error for s in srv.sessions]
+        assert len(errors) == 2 and errors.count(None) == 1
+        healthy = srv.sessions[errors.index(None)]
+        assert healthy.frames_received == len(frames)
+        assert healthy.predictions_sent == len(want)
+        return next(e for e in errors if e is not None)
+
+    def frame_msgs(self, n: int):
+        feats = validate_frames([make_frame(0)])[0].features()
+        return [GazeFrameMsg(i * 5_000_000, feats) for i in range(n)]
+
+    def test_duplicate_timestamp_ends_only_its_session(self):
+        msgs = self.frame_msgs(6)
+        msgs.insert(3, msgs[2])
+        error = self.run_beside_healthy(b"".join(map(encode, msgs)))
+        assert error.startswith("NonMonotonicTimestamp: ")
+
+    @pytest.mark.parametrize("bad_value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_feature_ends_only_its_session(self, bad_value):
+        msgs = self.frame_msgs(6)
+        msgs[3] = GazeFrameMsg(msgs[3].timestamp_ns,
+                               (bad_value,) + msgs[3].features[1:])
+        error = self.run_beside_healthy(b"".join(map(encode, msgs)))
+        assert error.startswith("NonFiniteFeature: ")
+
+    def test_timestamp_beyond_int64_ends_only_its_session(self):
+        # The wire timestamp is u64; the history buffer stores int64.
+        msgs = self.frame_msgs(6)
+        msgs[3] = GazeFrameMsg(2**63, msgs[3].features)
+        error = self.run_beside_healthy(b"".join(map(encode, msgs)))
+        assert error.startswith("OverflowError: ")
+
+    def test_full_send_buffer_ends_the_session(self, monkeypatch):
+        sendall = socket.socket.sendall
+
+        def full_on_server(sock, data, *args):
+            if sock.gettimeout() == 0.0:  # the server's non-blocking sockets
+                raise BlockingIOError
+            return sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", full_on_server)
+        net = tiny_net(20, seed=5)
+        rec = square_blink_recording([40], closed_frames=10, n_frames=90)
+        frames = validate_frames(rec.frames)
+        with BlinkServer(net, port=0, window_frames=20, lookback=8) as srv:
+            with socket.create_connection(srv.address, timeout=5) as sock:
+                sock.sendall(frame_payload(frames) + end_payload(frames))
+                assert sock.recv(1024) == b""
+        (stats,) = srv.sessions
+        assert stats.error.startswith("ClientNotReading: ")
+        assert stats.predictions_sent == 0
+
+    def test_non_finite_wire_feature_is_rejected(self):
+        msg = self.frame_msgs(1)[0]
+        for i in range(10):
+            bad = msg.features[:i] + (math.nan,) + msg.features[i + 1:]
+            back, _ = decode(encode(GazeFrameMsg(1, bad)))  # decode keeps it
+            with pytest.raises(NonFiniteFeature):
+                validated_frame_from_msg(back)
+
+
+class TestServerLoop:
+    def test_sixteen_sessions_share_one_server_thread(self):
+        net = tiny_net(30, seed=6)
+        rec = square_blink_recording([50, 120], closed_frames=12, n_frames=200)
+        frames = validate_frames(rec.frames)
+        want = predictions_for_frames(frames, net, window_frames=30, lookback=8)
+        before = threading.active_count()
+        with BlinkServer(net, port=0, window_frames=30, lookback=8) as srv:
+            socks = [socket.create_connection(srv.address, timeout=5)
+                     for _ in range(16)]
+            for sock in socks:
+                sock.sendall(frame_payload(frames))
+            deadline = time.monotonic() + 5
+            while len(srv.sessions) < 16 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(srv.sessions) == 16
+            assert threading.active_count() == before + 1
+            for sock in socks:
+                sock.sendall(end_payload(frames))
+            got = [read_to_eof(sock) for sock in socks]
+            for sock in socks:
+                sock.close()
+        assert threading.active_count() == before
+        assert got == [want] * 16
+        for s in srv.sessions:
+            assert s.error is None and s.frames_dropped == 0
+            assert 1 <= s.max_queue_depth <= len(frames)
+
+    def test_failed_accept_pauses_then_serves(self, monkeypatch):
+        accept = socket.socket.accept
+        calls = []
+
+        def out_of_fds_once(sock):
+            calls.append(time.monotonic())
+            if len(calls) == 1:
+                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+            return accept(sock)
+
+        monkeypatch.setattr(socket.socket, "accept", out_of_fds_once)
+        net = tiny_net(20, seed=8)
+        rec = square_blink_recording([40], closed_frames=10, n_frames=90)
+        frames = validate_frames(rec.frames)
+        want = predictions_for_frames(frames, net, window_frames=20, lookback=8)
+        with BlinkServer(net, port=0, window_frames=20, lookback=8) as srv:
+            with socket.create_connection(srv.address, timeout=5) as sock:
+                sock.sendall(frame_payload(frames) + end_payload(frames))
+                assert read_to_eof(sock) == want
+        # One failure, then one retry after the pause: no busy loop.
+        assert len(calls) == 2
+        assert calls[1] - calls[0] >= ACCEPT_RETRY_S
+        (stats,) = srv.sessions
+        assert stats.error is None
+
+    def test_stop_before_start_twice(self):
+        srv = BlinkServer(tiny_net(20), port=0, window_frames=20, lookback=8)
+        srv.stop()
+        srv.stop()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(srv.address, timeout=5)
+
+    def test_stop_after_start_interrupted_before_the_thread_ran(self,
+                                                                 monkeypatch):
+        srv = BlinkServer(tiny_net(20), port=0, window_frames=20, lookback=8)
+
+        def interrupted(thread):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(threading.Thread, "start", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            srv.start()
+        monkeypatch.undo()
+        srv.stop()
+        srv.stop()
+
+    def test_stop_twice_after_serving(self):
+        with BlinkServer(tiny_net(20), port=0, window_frames=20,
+                         lookback=8) as srv:
+            pass
+        srv.stop()
+
+    def test_ctrl_c_ends_serve_forever_on_the_calling_thread(self):
+        srv = BlinkServer(tiny_net(20), port=0, window_frames=20, lookback=8)
+        timer = threading.Timer(0.3, _thread.interrupt_main)
+        timer.start()
+        srv.serve_forever()  # returns once the interrupt lands
+        timer.join()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(srv.address, timeout=5)
+
+    def test_ctrl_c_as_the_server_is_announced_stops_cleanly(self):
+        srv = BlinkServer(tiny_net(20), port=0, window_frames=20, lookback=8)
+
+        def announce():
+            raise KeyboardInterrupt  # lands just after the address is shown
+
+        srv.serve_forever(on_ready=announce)
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(srv.address, timeout=5)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd to count open files")
+    def test_thousand_sessions_leak_no_threads_or_fds(self):
+        net = tiny_net(10, seed=7)
+        rec = square_blink_recording([20], closed_frames=5, n_frames=40)
+        frames = validate_frames(rec.frames)
+        payload = frame_payload(frames) + end_payload(frames)
+
+        def fds() -> int:
+            return len(os.listdir("/proc/self/fd"))
+
+        with BlinkServer(net, port=0, window_frames=10, lookback=4) as srv:
+            threads, files = threading.active_count(), fds()
+            t0 = time.monotonic()
+            for _ in range(1000):
+                with socket.create_connection(srv.address, timeout=5) as sock:
+                    sock.sendall(payload)
+                    while sock.recv(4096):
+                        pass
+                assert time.monotonic() - t0 < 120
+            # The server may still be between shutdown() and close().
+            deadline = time.monotonic() + 5
+            while fds() != files and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert fds() == files
+            assert threading.active_count() == threads
+        assert len(srv.sessions) == 1000
+        assert all(s.error is None and s.frames_received == len(frames)
+                   for s in srv.sessions)
 
 
 class TestClientGate:
