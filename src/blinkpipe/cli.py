@@ -44,7 +44,7 @@ from .core import (
     NonMonotonicTimestamp,
 )
 from .segmenter import BlinkSegmenter
-from .window import DEFAULT_LOOKBACK_FRAMES, DEFAULT_WINDOW_FRAMES, NotReady
+from .window import DEFAULT_WINDOW_FRAMES, NotReady
 from .net import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_EPOCHS,
@@ -264,7 +264,6 @@ def _materialized_split(
     recs: List[Recording],
     seed: int,
     window_frames: int,
-    lookback: int,
     augment: int,
     profile: Optional[CalibrationProfile],
 ) -> Tuple[SplitSpec, Dict[str, List[LabeledBlink]]]:
@@ -279,9 +278,8 @@ def _materialized_split(
         else:
             bucket, copies = "test", 0
         labeled = label_blinks(rec, profile)
-        buckets[bucket].extend(
-            materialize_windows(rec, labeled, window_frames, lookback, copies, rng)
-        )
+        buckets[bucket].extend(materialize_windows(
+            rec, labeled, window_frames, augment_copies=copies, rng=rng))
     return spec, buckets
 
 
@@ -290,7 +288,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     profile = _load_profile(args.profile)
     try:
         spec, buckets = _materialized_split(
-            recs, args.seed, args.window, args.lookback, args.augment, profile
+            recs, args.seed, args.window, args.augment, profile
         )
     except TooFewParticipants as exc:
         raise TooFewParticipants(
@@ -355,7 +353,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     predicted: List[BlinkLabel] = []
     for rec in _load_recordings(args.test):
         labeled = label_blinks(rec, profile)
-        for lb in materialize_windows(rec, labeled, window_frames, args.lookback):
+        for lb in materialize_windows(rec, labeled, window_frames):
             truth.append(lb.label)
             predicted.append(classify(net, lb.window)[0])
     cm = ConfusionMatrix.from_predictions(truth, predicted)
@@ -376,7 +374,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         warmup_policy=args.warmup_policy,
         profile=profile,
         window_frames=window_frames,
-        lookback=args.lookback,
     )
     server.serve_forever(on_ready=lambda: print(
         f"listening on {server.host}:{server.port}", flush=True))
@@ -554,7 +551,6 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, List[_CommandSpec]]:
     c.opt("--batch-size", type=int, default=DEFAULT_BATCH_SIZE)
     c.opt("--window", type=int, default=DEFAULT_WINDOW_FRAMES,
           help="frames per input window")
-    c.opt("--lookback", type=int, default=DEFAULT_LOOKBACK_FRAMES)
     c.opt("--augment", type=int, default=1,
           help="extra shifted copies of each training window")
     c.opt("--arch", choices=("full", "small"), default="full",
@@ -564,7 +560,6 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, List[_CommandSpec]]:
     c = new_command("eval", cmd_eval, "score a checkpoint against recordings")
     c.opt("--checkpoint", required=True)
     c.opt("--test", required=True, help="recording file or directory")
-    c.opt("--lookback", type=int, default=DEFAULT_LOOKBACK_FRAMES)
     c.opt("--profile", default=None, help="calibration profile JSON")
     c.opt("--table", action="store_true", help="also print a plain-text table")
     c.opt("--out", default=None,
@@ -576,7 +571,6 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, List[_CommandSpec]]:
     c.opt("--warmup-policy", choices=("voluntary", "suppress"),
           default="voluntary",
           help="prediction for blinks that end before the window fills")
-    c.opt("--lookback", type=int, default=DEFAULT_LOOKBACK_FRAMES)
     c.opt("--profile", default=None, help="calibration profile JSON")
 
     c = new_command("replay", cmd_replay,

@@ -229,6 +229,19 @@ def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
 
 
+def _frame_dir(v: Sequence[float], frame: GazeFrame) -> Vec3:
+    """Unit gaze direction; a degenerate one is an error on a valid frame
+    and the neutral fallback on an invalid one."""
+    try:
+        return _normalize(v)
+    except DegenerateDirection:
+        if frame.valid:
+            raise DegenerateDirection(
+                f"zero-norm gaze direction on valid frame at t={frame.timestamp_ns}"
+            )
+        return _DEFAULT_DIR
+
+
 class FrameValidator:
     """Stateful per-stream validator.
 
@@ -251,14 +264,13 @@ class FrameValidator:
                 f"timestamp {frame.timestamp_ns} not after {self._last_timestamp_ns}"
             )
 
-        if frame.valid:
-            try:
-                left_dir = _normalize(frame.left_dir)
-                right_dir = _normalize(frame.right_dir)
-            except DegenerateDirection:
-                raise DegenerateDirection(
-                    f"zero-norm gaze direction on valid frame at t={frame.timestamp_ns}"
-                )
+        valid = bool(frame.valid)
+        if valid or self._last_valid is None:
+            # An invalid frame before anything valid arrived is validated the
+            # same way, except that a degenerate direction falls back to a
+            # neutral one, so tensors never carry sentinel values.
+            left_dir = _frame_dir(frame.left_dir, frame)
+            right_dir = _frame_dir(frame.right_dir, frame)
             out = ValidatedFrame(
                 timestamp_ns=frame.timestamp_ns,
                 left_pupil_mm=_f32(max(frame.left_pupil_mm, 0.0)),
@@ -267,10 +279,11 @@ class FrameValidator:
                 right_openness=_f32(_clamp01(frame.right_openness)),
                 left_dir=(_f32(left_dir[0]), _f32(left_dir[1]), _f32(left_dir[2])),
                 right_dir=(_f32(right_dir[0]), _f32(right_dir[1]), _f32(right_dir[2])),
-                valid=True,
+                valid=valid,
             )
-            self._last_valid = out
-        elif self._last_valid is not None:
+            if valid:
+                self._last_valid = out
+        else:
             # Forward fill: keep the previous valid features, new timestamp.
             prev = self._last_valid
             out = ValidatedFrame(
@@ -281,27 +294,6 @@ class FrameValidator:
                 right_openness=prev.right_openness,
                 left_dir=prev.left_dir,
                 right_dir=prev.right_dir,
-                valid=False,
-            )
-        else:
-            # Invalid before anything valid arrived: fall back to a neutral
-            # open-eyes frame so tensors never carry sentinel values.
-            try:
-                left_dir = _normalize(frame.left_dir)
-            except DegenerateDirection:
-                left_dir = _DEFAULT_DIR
-            try:
-                right_dir = _normalize(frame.right_dir)
-            except DegenerateDirection:
-                right_dir = _DEFAULT_DIR
-            out = ValidatedFrame(
-                timestamp_ns=frame.timestamp_ns,
-                left_pupil_mm=_f32(max(frame.left_pupil_mm, 0.0)),
-                right_pupil_mm=_f32(max(frame.right_pupil_mm, 0.0)),
-                left_openness=_f32(_clamp01(frame.left_openness)),
-                right_openness=_f32(_clamp01(frame.right_openness)),
-                left_dir=(_f32(left_dir[0]), _f32(left_dir[1]), _f32(left_dir[2])),
-                right_dir=(_f32(right_dir[0]), _f32(right_dir[1]), _f32(right_dir[2])),
                 valid=False,
             )
 

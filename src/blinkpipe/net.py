@@ -18,6 +18,7 @@ initialization, the per-epoch shuffles, and therefore every parameter.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -590,8 +591,21 @@ class ModelCheckpoint:
         return cls(version, epoch, val_loss, tuple(records))
 
     def save(self, path) -> None:
-        with open(path, "wb") as f:
-            f.write(self.to_bytes())
+        """Write the checkpoint so that `path` is either complete or untouched.
+
+        The bytes go to a sibling temporary file that then replaces `path`;
+        on any error the temporary file is removed.
+        """
+        data = self.to_bytes()
+        tmp = os.fspath(path) + ".tmp"
+        try:
+            with open(tmp, "wb") as f:
+                f.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> "ModelCheckpoint":

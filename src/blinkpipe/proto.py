@@ -47,12 +47,7 @@ from .core import (
 )
 from .net import BlinkNet, ModelCheckpoint, classify
 from .segmenter import BlinkSegmenter
-from .window import (
-    DEFAULT_LOOKBACK_FRAMES,
-    DEFAULT_WINDOW_FRAMES,
-    HistoryBuffer,
-    NotReady,
-)
+from .window import DEFAULT_WINDOW_FRAMES, HistoryBuffer, NotReady
 
 _log = logging.getLogger("blinkpipe.proto")
 
@@ -233,14 +228,13 @@ class SessionPipeline:
 
     def __init__(self, net: BlinkNet, profile: Optional[CalibrationProfile] = None,
                  window_frames: int = DEFAULT_WINDOW_FRAMES,
-                 lookback: int = DEFAULT_LOOKBACK_FRAMES,
                  warmup_policy: str = "voluntary"):
         if warmup_policy not in WARMUP_POLICIES:
             raise ValueError(f"warmup_policy must be one of {WARMUP_POLICIES}")
         self.net = net
         self.warmup_policy = warmup_policy
         self._segmenter = BlinkSegmenter(profile)
-        self._buffer = HistoryBuffer(window_frames, lookback)
+        self._buffer = HistoryBuffer(window_frames)
 
     def ingest(self, frame: ValidatedFrame) -> Optional[PredictionMsg]:
         self._buffer.push(frame)
@@ -265,11 +259,10 @@ def predictions_for_frames(
     net: BlinkNet,
     profile: Optional[CalibrationProfile] = None,
     window_frames: int = DEFAULT_WINDOW_FRAMES,
-    lookback: int = DEFAULT_LOOKBACK_FRAMES,
     warmup_policy: str = "voluntary",
 ) -> List[PredictionMsg]:
     """In-process reference path: identical output to a TCP session."""
-    pipe = SessionPipeline(net, profile, window_frames, lookback, warmup_policy)
+    pipe = SessionPipeline(net, profile, window_frames, warmup_policy)
     out = []
     for vf in frames:
         pred = pipe.ingest(vf)
@@ -315,15 +308,13 @@ class BlinkServer:
                  host: str = "127.0.0.1", port: int = DEFAULT_PORT,
                  warmup_policy: str = "voluntary",
                  profile: Optional[CalibrationProfile] = None,
-                 window_frames: int = DEFAULT_WINDOW_FRAMES,
-                 lookback: int = DEFAULT_LOOKBACK_FRAMES):
+                 window_frames: int = DEFAULT_WINDOW_FRAMES):
         if warmup_policy not in WARMUP_POLICIES:
             raise ValueError(f"warmup_policy must be one of {WARMUP_POLICIES}")
         self.net = model.build_net() if isinstance(model, ModelCheckpoint) else model
         self.warmup_policy = warmup_policy
         self.profile = profile
         self.window_frames = window_frames
-        self.lookback = lookback
         self._listener = socket.create_server((host, port))
         self._listener.setblocking(False)
         self.host, self.port = self._listener.getsockname()[:2]
@@ -342,7 +333,7 @@ class BlinkServer:
 
     def _new_pipeline(self) -> SessionPipeline:
         return SessionPipeline(self.net, self.profile, self.window_frames,
-                               self.lookback, self.warmup_policy)
+                               self.warmup_policy)
 
     def start(self) -> None:
         self._thread = threading.Thread(target=self.serve_forever,

@@ -3,10 +3,11 @@
 The classifier consumes a window of the most recent `capacity` validated
 frames (default 5000, i.e. 25 s at 200 Hz) ending exactly at a blink's
 offset frame, flattened time-major into a single vector of
-capacity * NUM_FEATURES values. The buffer keeps a small lookback margin
-beyond `capacity` so that windows ending a few frames before the newest
-sample, and shift-augmented windows starting up to `lookback` frames
-earlier, can still be materialized.
+capacity * NUM_FEATURES values. By default the ring holds exactly one
+window, which is all serving needs: a blink's offset is the newest frame.
+Offline window cutting asks for `lookback` extra frames of retention so
+that a snapshot taken MAX_SHIFT_FRAMES after the offset, and windows
+shifted up to MAX_SHIFT_FRAMES earlier, can still be cut.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .core import (
 )
 
 DEFAULT_WINDOW_FRAMES = 5000
-DEFAULT_LOOKBACK_FRAMES = 32
+DEFAULT_LOOKBACK_FRAMES = 32  # materialize_windows' default extra retention
 MAX_SHIFT_FRAMES = 10
 
 
@@ -52,10 +53,13 @@ class WindowTensor:
 
 
 class HistoryBuffer:
-    """Ring buffer of validated frames with timestamp-indexed window cuts."""
+    """Ring buffer of validated frames with timestamp-indexed window cuts.
 
-    def __init__(self, capacity: int = DEFAULT_WINDOW_FRAMES,
-                 lookback: int = DEFAULT_LOOKBACK_FRAMES):
+    Frames are addressed by absolute index (0 = first frame ever pushed);
+    the ring retains the newest `capacity + lookback` of them.
+    """
+
+    def __init__(self, capacity: int = DEFAULT_WINDOW_FRAMES, lookback: int = 0):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         if lookback < 0:
@@ -74,8 +78,9 @@ class HistoryBuffer:
         return min(self._count, self.capacity)
 
     @property
-    def total_pushed(self) -> int:
-        return self._count
+    def _oldest(self) -> int:
+        """Absolute index of the oldest retained frame."""
+        return max(0, self._count - self._ring)
 
     def push(self, frame: ValidatedFrame) -> None:
         if self._last_ts is not None and frame.timestamp_ns <= self._last_ts:
@@ -88,44 +93,29 @@ class HistoryBuffer:
         self._count += 1
         self._last_ts = frame.timestamp_ns
 
+    def _slots(self, start: int, stop: int) -> np.ndarray:
+        """Ring slots of absolute indices [start, stop), oldest first."""
+        return np.arange(start, stop) % self._ring
+
     def _index_at_or_before(self, timestamp_ns: int) -> Optional[int]:
-        """Absolute index of the newest stored frame with ts <= timestamp_ns."""
-        if self._count == 0:
-            return None
-        oldest = max(0, self._count - self._ring)
-        # Stored timestamps are strictly increasing; binary search over the
-        # logical [oldest, count) range.
-        lo, hi = oldest, self._count
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._timestamps[mid % self._ring] <= timestamp_ns:
-                lo = mid + 1
-            else:
-                hi = mid
-        # lo is now the first index with ts > timestamp_ns.
-        return lo - 1 if lo > oldest else None
+        """Absolute index of the newest retained frame with ts <= timestamp_ns."""
+        oldest = self._oldest
+        # Retained timestamps are strictly increasing in absolute order.
+        retained = self._timestamps[self._slots(oldest, self._count)]
+        n = int(np.searchsorted(retained, timestamp_ns, side="right"))
+        return oldest + n - 1 if n else None
 
-    def _slice(self, end_index: int, frames: int) -> np.ndarray:
-        start = end_index - frames + 1
-        out = np.empty((frames, NUM_FEATURES), dtype=np.float64)
-        for row, abs_idx in enumerate(range(start, end_index + 1)):
-            out[row, :] = self._features[abs_idx % self._ring, :]
-        return out
-
-    def window_ending_at(self, end_index: int) -> WindowTensor:
-        """Window of `capacity` frames whose last frame is `end_index` (absolute)."""
+    def _window(self, end_index: int) -> WindowTensor:
+        """Window of `capacity` frames whose last frame is `end_index`."""
         start = end_index - self.capacity + 1
-        oldest = max(0, self._count - self._ring)
-        if start < oldest:
+        if start < self._oldest:
             raise NotReady(
-                f"window start {start} evicted (oldest retained {oldest})"
+                f"window start {start} evicted (oldest retained {self._oldest})"
             )
-        if end_index >= self._count:
-            raise NotReady(f"end index {end_index} beyond newest {self._count - 1}")
-        mat = self._slice(end_index, self.capacity)
+        slots = self._slots(start, end_index + 1)
         return WindowTensor(
-            values=mat.reshape(-1),
-            end_timestamp_ns=int(self._timestamps[end_index % self._ring]),
+            values=self._features[slots].reshape(-1),
+            end_timestamp_ns=int(self._timestamps[slots[-1]]),
             window_frames=self.capacity,
         )
 
@@ -141,7 +131,7 @@ class HistoryBuffer:
             raise NotReady(
                 f"{have} frames at or before blink offset; need {self.capacity}"
             )
-        return self.window_ending_at(end)
+        return self._window(end)
 
     def augment_shift(self, window: WindowTensor,
                       rng: np.random.Generator) -> WindowTensor:
@@ -155,8 +145,7 @@ class HistoryBuffer:
         if end is None:
             raise NotReady("window end timestamp no longer in buffer")
         shift = int(rng.integers(-MAX_SHIFT_FRAMES, MAX_SHIFT_FRAMES + 1))
-        oldest = max(0, self._count - self._ring)
-        lo = oldest + self.capacity - 1 - end  # most negative admissible shift
+        lo = self._oldest + self.capacity - 1 - end  # most negative admissible shift
         hi = self._count - 1 - end
         shift = max(lo, min(hi, shift))
-        return self.window_ending_at(end + shift)
+        return self._window(end + shift)

@@ -144,6 +144,18 @@ class TestExitCodes:
         assert run("serve", "--checkpoint", ckpt,
                    "--listen", "no-port-here") == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["train", "eval", "serve"])
+    def test_lookback_option_is_gone(self, tmp_path, monkeypatch, command):
+        # Were the option still accepted, the stub would return EXIT_OK.
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: EXIT_OK)
+        required = {"train": ["--data", "d", "--out", "o"],
+                    "eval": ["--checkpoint", "m.bnet", "--test", "t"],
+                    "serve": ["--checkpoint", "m.bnet"]}[command]
+        assert run(command, *required, "--lookback", "8") == EXIT_USAGE
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("lookback = 8\n")
+        assert run(command, *required, "--config", str(cfg)) == EXIT_USAGE
+
     def test_ctrl_c_right_after_the_address_stops_serve(self, tmp_path,
                                                        monkeypatch, capsys):
         ckpt = str(tmp_path / "m.bnet")
@@ -281,7 +293,7 @@ class TestReplayCommand:
         path = str(tmp_path / "rec.csv")
         save_recording(rec, path)
         net = tiny_net(30, seed=2)
-        with BlinkServer(net, port=0, window_frames=30, lookback=8) as srv:
+        with BlinkServer(net, port=0, window_frames=30) as srv:
             rc = run("replay", "--in", path,
                      "--connect", f"127.0.0.1:{srv.port}", "--speed", "0")
         assert rc == EXIT_OK

@@ -1,12 +1,16 @@
 """Network math: activations, batch norm, backprop, Adam, checkpoints."""
 from __future__ import annotations
 
+import builtins
+import errno
 import math
+import os
 
 import mpmath
 import numpy as np
 import pytest
 
+from blinkpipe import net as net_module
 from blinkpipe.core import BlinkLabel
 from blinkpipe.net import (
     ADAM_EPS,
@@ -456,6 +460,37 @@ def test_checkpoint_file_roundtrip(tmp_path):
     ckpt.save(path)
     back = ModelCheckpoint.load(path)
     assert back.to_bytes() == ckpt.to_bytes()
+
+
+class _HalfWriter:
+    """File stand-in whose write stores half the bytes, then fails."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def write(self, data):
+        self._f.write(bytes(data[:len(data) // 2]))
+        self._f.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_checkpoint_save_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "best.bnet"
+    ModelCheckpoint.from_net(make_small_net(), 1, 0.5).save(path)
+    before = path.read_bytes()
+    monkeypatch.setattr(net_module, "open",
+                        lambda file, mode="r": _HalfWriter(builtins.open(file, mode)),
+                        raising=False)
+    with pytest.raises(OSError):
+        ModelCheckpoint.from_net(make_small_net(seed=5), 2, 0.25).save(path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["best.bnet"]
 
 
 def test_checkpoint_truncation_and_corruption_raise_typed_errors():

@@ -213,7 +213,7 @@ class TestSessionPipeline:
         return validate_frames(rec.frames)
 
     def test_warmup_policy_voluntary(self):
-        pipe = SessionPipeline(tiny_net(40), window_frames=40, lookback=8,
+        pipe = SessionPipeline(tiny_net(40), window_frames=40,
                                warmup_policy="voluntary")
         preds = [p for p in map(pipe.ingest, self.stream([10])) if p]
         assert len(preds) == 1
@@ -221,7 +221,7 @@ class TestSessionPipeline:
         assert preds[0].confidence == 0.0
 
     def test_warmup_policy_suppress(self):
-        pipe = SessionPipeline(tiny_net(40), window_frames=40, lookback=8,
+        pipe = SessionPipeline(tiny_net(40), window_frames=40,
                                warmup_policy="suppress")
         preds = [p for p in map(pipe.ingest, self.stream([10])) if p]
         assert preds[0].label is BlinkLabel.INVOLUNTARY
@@ -232,7 +232,7 @@ class TestSessionPipeline:
             SessionPipeline(tiny_net(40), warmup_policy="ignore")
 
     def test_post_warmup_prediction_carries_model_output(self):
-        pipe = SessionPipeline(tiny_net(40), window_frames=40, lookback=8)
+        pipe = SessionPipeline(tiny_net(40), window_frames=40)
         preds = [p for p in map(pipe.ingest, self.stream([60], n_frames=160))
                  if p]
         assert len(preds) == 1
@@ -245,14 +245,14 @@ class TestSessionPipeline:
     def test_zero_net_predicts_involuntary_at_half_confidence(self):
         net = BlinkNet.zero_initialized(input_dim=40 * 10, stem_width=16,
                                         block_dims=((16, 16),))
-        pipe = SessionPipeline(net, window_frames=40, lookback=8)
+        pipe = SessionPipeline(net, window_frames=40)
         preds = [p for p in map(pipe.ingest, self.stream([60], n_frames=160))
                  if p]
         assert preds[0].label is BlinkLabel.INVOLUNTARY
         assert preds[0].confidence == 0.5
 
     def test_winks_never_produce_predictions(self):
-        pipe = SessionPipeline(tiny_net(20), window_frames=20, lookback=8)
+        pipe = SessionPipeline(tiny_net(20), window_frames=20)
         frames = [make_frame(i * 5_000_000,
                              lopen=0.0 if 30 <= i < 40 else 1.0)
                   for i in range(80)]
@@ -266,9 +266,9 @@ class TestServer:
         rec = square_blink_recording([50, 120, 200], closed_frames=12,
                                      n_frames=300)
         frames = validate_frames(rec.frames)
-        want = predictions_for_frames(frames, net, window_frames=30, lookback=8)
+        want = predictions_for_frames(frames, net, window_frames=30)
         assert len(want) == 3
-        with BlinkServer(net, port=0, window_frames=30, lookback=8) as srv:
+        with BlinkServer(net, port=0, window_frames=30) as srv:
             got = replay_over_tcp(srv.address, frames)
         assert got == want
         stats = srv.sessions[0]
@@ -288,7 +288,7 @@ class TestServer:
             for i in range(20)
         ]
         second = validate_frames(second_frames)
-        with BlinkServer(net, port=0, window_frames=20, lookback=8) as srv:
+        with BlinkServer(net, port=0, window_frames=20) as srv:
             with socket.create_connection(srv.address, timeout=30) as sock:
                 for vf in first:
                     sock.sendall(encode(gaze_msg_from_frame(vf)))
@@ -310,7 +310,7 @@ class TestServer:
 
     def test_garbage_connection_terminates_session_not_server(self):
         net = tiny_net(20, seed=5)
-        with BlinkServer(net, port=0, window_frames=20, lookback=8) as srv:
+        with BlinkServer(net, port=0, window_frames=20) as srv:
             with socket.create_connection(srv.address, timeout=30) as sock:
                 sock.sendall(b"NOPE" + bytes(30))
             rec = square_blink_recording([40], closed_frames=10, n_frames=90)
@@ -345,10 +345,10 @@ class TestServerFaults:
         rec = square_blink_recording([50, 120, 200], closed_frames=12,
                                      n_frames=300)
         frames = validate_frames(rec.frames)
-        want = predictions_for_frames(frames, net, window_frames=30, lookback=8)
+        want = predictions_for_frames(frames, net, window_frames=30)
         payload = frame_payload(frames)
         half = len(payload) // 2 + 7  # mid-message, so the server must buffer
-        with BlinkServer(net, port=0, window_frames=30, lookback=8) as srv:
+        with BlinkServer(net, port=0, window_frames=30) as srv:
             with socket.create_connection(srv.address, timeout=5) as good, \
                     socket.create_connection(srv.address, timeout=5) as bad:
                 good.sendall(payload[:half])
@@ -401,7 +401,7 @@ class TestServerFaults:
         net = tiny_net(20, seed=5)
         rec = square_blink_recording([40], closed_frames=10, n_frames=90)
         frames = validate_frames(rec.frames)
-        with BlinkServer(net, port=0, window_frames=20, lookback=8) as srv:
+        with BlinkServer(net, port=0, window_frames=20) as srv:
             with socket.create_connection(srv.address, timeout=5) as sock:
                 sock.sendall(frame_payload(frames) + end_payload(frames))
                 assert sock.recv(1024) == b""
@@ -423,9 +423,9 @@ class TestServerLoop:
         net = tiny_net(30, seed=6)
         rec = square_blink_recording([50, 120], closed_frames=12, n_frames=200)
         frames = validate_frames(rec.frames)
-        want = predictions_for_frames(frames, net, window_frames=30, lookback=8)
+        want = predictions_for_frames(frames, net, window_frames=30)
         before = threading.active_count()
-        with BlinkServer(net, port=0, window_frames=30, lookback=8) as srv:
+        with BlinkServer(net, port=0, window_frames=30) as srv:
             socks = [socket.create_connection(srv.address, timeout=5)
                      for _ in range(16)]
             for sock in socks:
@@ -460,8 +460,8 @@ class TestServerLoop:
         net = tiny_net(20, seed=8)
         rec = square_blink_recording([40], closed_frames=10, n_frames=90)
         frames = validate_frames(rec.frames)
-        want = predictions_for_frames(frames, net, window_frames=20, lookback=8)
-        with BlinkServer(net, port=0, window_frames=20, lookback=8) as srv:
+        want = predictions_for_frames(frames, net, window_frames=20)
+        with BlinkServer(net, port=0, window_frames=20) as srv:
             with socket.create_connection(srv.address, timeout=5) as sock:
                 sock.sendall(frame_payload(frames) + end_payload(frames))
                 assert read_to_eof(sock) == want
@@ -472,7 +472,7 @@ class TestServerLoop:
         assert stats.error is None
 
     def test_stop_before_start_twice(self):
-        srv = BlinkServer(tiny_net(20), port=0, window_frames=20, lookback=8)
+        srv = BlinkServer(tiny_net(20), port=0, window_frames=20)
         srv.stop()
         srv.stop()
         with pytest.raises(ConnectionRefusedError):
@@ -480,7 +480,7 @@ class TestServerLoop:
 
     def test_stop_after_start_interrupted_before_the_thread_ran(self,
                                                                  monkeypatch):
-        srv = BlinkServer(tiny_net(20), port=0, window_frames=20, lookback=8)
+        srv = BlinkServer(tiny_net(20), port=0, window_frames=20)
 
         def interrupted(thread):
             raise KeyboardInterrupt
@@ -493,13 +493,12 @@ class TestServerLoop:
         srv.stop()
 
     def test_stop_twice_after_serving(self):
-        with BlinkServer(tiny_net(20), port=0, window_frames=20,
-                         lookback=8) as srv:
+        with BlinkServer(tiny_net(20), port=0, window_frames=20) as srv:
             pass
         srv.stop()
 
     def test_ctrl_c_ends_serve_forever_on_the_calling_thread(self):
-        srv = BlinkServer(tiny_net(20), port=0, window_frames=20, lookback=8)
+        srv = BlinkServer(tiny_net(20), port=0, window_frames=20)
         timer = threading.Timer(0.3, _thread.interrupt_main)
         timer.start()
         srv.serve_forever()  # returns once the interrupt lands
@@ -508,7 +507,7 @@ class TestServerLoop:
             socket.create_connection(srv.address, timeout=5)
 
     def test_ctrl_c_as_the_server_is_announced_stops_cleanly(self):
-        srv = BlinkServer(tiny_net(20), port=0, window_frames=20, lookback=8)
+        srv = BlinkServer(tiny_net(20), port=0, window_frames=20)
 
         def announce():
             raise KeyboardInterrupt  # lands just after the address is shown
@@ -528,7 +527,7 @@ class TestServerLoop:
         def fds() -> int:
             return len(os.listdir("/proc/self/fd"))
 
-        with BlinkServer(net, port=0, window_frames=10, lookback=4) as srv:
+        with BlinkServer(net, port=0, window_frames=10) as srv:
             threads, files = threading.active_count(), fds()
             t0 = time.monotonic()
             for _ in range(1000):

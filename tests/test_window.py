@@ -144,3 +144,60 @@ def test_fill_count_saturates_at_capacity():
     for i in range(25):
         buf.push(frame_at(i))
     assert buf.fill_count == 10
+
+
+@pytest.mark.parametrize("cap,look", [(1, 0), (7, 0), (7, 3), (16, 0), (16, 25)])
+def test_ring_reads_match_list_oracle(cap, look):
+    data_rng = np.random.default_rng(cap * 100 + look)
+    buf = HistoryBuffer(cap, look)
+    ring = cap + look
+    frames, ts = [], []
+    t = int(data_rng.integers(0, 10**6))
+    for _ in range(5 * ring + 3):  # several wraps of the ring
+        # Mostly 200 Hz steps, with occasional multi-second gaps.
+        t += int(data_rng.integers(1, 3)) * FRAME_INTERVAL_NS
+        if data_rng.random() < 0.1:
+            t += int(data_rng.integers(1, 10**10))
+        vf = validate_frame(make_frame(t, lopen=float(data_rng.random()),
+                                       ropen=float(data_rng.random()),
+                                       lpupil=float(data_rng.uniform(2, 8))))
+        buf.push(vf)
+        frames.append(vf)
+        ts.append(t)
+        count = len(frames)
+        oldest = max(0, count - ring)
+
+        def oracle_end(q):
+            ends = [i for i in range(oldest, count) if ts[i] <= q]
+            return ends[-1] if ends else None
+
+        def oracle_window(end):
+            if end is None or end - cap + 1 < oldest:
+                return None
+            return np.array([f.features() for f in frames[end - cap + 1:end + 1]])
+
+        queries = {ts[0] - 1, ts[oldest] - 1, ts[oldest], ts[-1], ts[-1] + 1,
+                   ts[-1] + 10**12}
+        for i in range(oldest, count - 1):
+            queries.add((ts[i] + ts[i + 1]) // 2)  # between frames, gaps too
+        for q in sorted(queries):
+            want = oracle_window(oracle_end(q))
+            if want is None:
+                with pytest.raises(NotReady):
+                    buf.snapshot_at_blink_end(blink_ending_at(q))
+                continue
+            w = buf.snapshot_at_blink_end(blink_ending_at(q))
+            np.testing.assert_array_equal(w.as_matrix(), want)
+            assert w.end_timestamp_ns == ts[oracle_end(q)]
+            # Same seed on both sides: the buffer and the oracle draw the
+            # same shift before clipping it.
+            got_rng, want_rng = (np.random.default_rng(q % 997) for _ in range(2))
+            for _ in range(3):
+                shifted = buf.augment_shift(w, got_rng)
+                end = oracle_end(w.end_timestamp_ns)
+                shift = int(want_rng.integers(-MAX_SHIFT_FRAMES,
+                                              MAX_SHIFT_FRAMES + 1))
+                shift = max(oldest + cap - 1 - end, min(count - 1 - end, shift))
+                np.testing.assert_array_equal(shifted.as_matrix(),
+                                              oracle_window(end + shift))
+                assert shifted.end_timestamp_ns == ts[end + shift]
