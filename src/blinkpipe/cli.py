@@ -42,6 +42,7 @@ from .core import (
     FrameValidator,
     HeadPose,
     NonMonotonicTimestamp,
+    atomic_path,
 )
 from .segmenter import BlinkSegmenter
 from .window import DEFAULT_WINDOW_FRAMES, NotReady
@@ -62,14 +63,13 @@ from .dataset import (
     LabeledBlink,
     Recording,
     RecordingFormatError,
-    SplitSpec,
     TooFewParticipants,
-    assign_participants,
     dataset_stats,
     label_blinks,
     load_recording,
     materialize_windows,
     save_recording,
+    split_by_participant,
 )
 from .eval import (
     ConfusionMatrix,
@@ -216,11 +216,16 @@ def _net_from_checkpoint(path: str) -> Tuple[BlinkNet, int]:
     return net, net.input_dim // NUM_FEATURES
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write `path` whole or not at all (see `atomic_path`)."""
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="ascii") as fh:
+        fh.write(text)
+
+
 def _print_json(payload: Dict, path: Optional[str] = None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if path:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
+        _write_text(path, text + "\n")
     else:
         print(text)
 
@@ -260,34 +265,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _materialized_split(
-    recs: List[Recording],
-    seed: int,
-    window_frames: int,
-    augment: int,
-    profile: Optional[CalibrationProfile],
-) -> Tuple[SplitSpec, Dict[str, List[LabeledBlink]]]:
-    spec = assign_participants((r.participant_id for r in recs), SplitSpec(), seed)
-    rng = np.random.default_rng(seed)
-    buckets: Dict[str, List[LabeledBlink]] = {"train": [], "val": [], "test": []}
-    for rec in recs:
-        if rec.participant_id in spec.train:
-            bucket, copies = "train", augment
-        elif rec.participant_id in spec.val:
-            bucket, copies = "val", 0
-        else:
-            bucket, copies = "test", 0
-        labeled = label_blinks(rec, profile)
-        buckets[bucket].extend(materialize_windows(
-            rec, labeled, window_frames, augment_copies=copies, rng=rng))
-    return spec, buckets
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     recs = _load_recordings(args.data)
     profile = _load_profile(args.profile)
     try:
-        spec, buckets = _materialized_split(
+        spec, train, val, test = split_by_participant(
             recs, args.seed, args.window, args.augment, profile
         )
     except TooFewParticipants as exc:
@@ -296,20 +278,17 @@ def cmd_train(args: argparse.Namespace) -> int:
             " distinct participants so validation and test splits"
             " can each hold one out"
         ) from exc
-    pairs = {
-        name: [(lb.window, lb.label) for lb in blinks]
-        for name, blinks in buckets.items()
-    }
-    log.info(
-        "split sizes: train=%d val=%d test=%d (windows)",
-        len(pairs["train"]), len(pairs["val"]), len(pairs["test"]),
+    log.info("split sizes: train=%d val=%d test=%d (windows)",
+             len(train), len(val), len(test))
+    train_pairs, val_pairs = (
+        [(lb.window, lb.label) for lb in blinks] for blinks in (train, val)
     )
     os.makedirs(args.out, exist_ok=True)
     block_dims = _SMALL_BLOCK_DIMS if args.arch == "small" else None
     stem_width = 64 if args.arch == "small" else 128
     best, history = train_model(
-        pairs["train"],
-        pairs["val"],
+        train_pairs,
+        val_pairs,
         epochs=args.epochs,
         seed=args.seed,
         lr=args.lr,
@@ -410,8 +389,7 @@ def cmd_fsm_trace(args: argparse.Namespace) -> int:
         lines.append(format_trace_line(vf.timestamp_ns, machine.state.mode, events))
     text = "\n".join(lines)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text + ("\n" if lines else ""))
+        _write_text(args.out, text + ("\n" if lines else ""))
     else:
         print(text)
     return EXIT_OK

@@ -16,10 +16,12 @@ Conventions used everywhere downstream:
 """
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
+import os
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -311,3 +313,17 @@ def validate_frame(frame: GazeFrame, last_timestamp_ns: Optional[int] = None) ->
     if last_timestamp_ns is not None:
         v._last_timestamp_ns = last_timestamp_ns
     return v.validate(frame)
+
+
+@contextlib.contextmanager
+def atomic_path(path) -> Iterator[str]:
+    """Yield a sibling temporary path to write; it replaces `path` when the
+    block ends cleanly and is removed on any error, so `path` is never partial."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

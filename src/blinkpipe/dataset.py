@@ -15,15 +15,18 @@ transparently gzip-compressed.
 """
 from __future__ import annotations
 
+import contextlib
 import gzip
+import io
 import os
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple,
+)
 
 import numpy as np
 
 from .core import (
-    FRAME_INTERVAL_NS,
     BlinkEvent,
     BlinkKind,
     BlinkLabel,
@@ -31,12 +34,12 @@ from .core import (
     CalibrationProfile,
     FrameValidator,
     GazeFrame,
+    atomic_path,
 )
 from .segmenter import BlinkSegmenter
 from .window import (
     DEFAULT_LOOKBACK_FRAMES,
     DEFAULT_WINDOW_FRAMES,
-    MAX_SHIFT_FRAMES,
     HistoryBuffer,
     NotReady,
     WindowTensor,
@@ -90,6 +93,16 @@ def _open_text(path: str, mode: str):
     return open(path, mode, encoding="ascii", newline="")
 
 
+@contextlib.contextmanager
+def _writing(path: str) -> Iterator[TextIO]:
+    """Write ASCII text to `path` whole or not at all (see `atomic_path`);
+    `path`, not the temporary name, decides compression and the gzip header."""
+    with atomic_path(path) as tmp, open(tmp, "wb") as raw:
+        out = gzip.GzipFile(path, "wb", fileobj=raw) if path.endswith(".gz") else raw
+        with io.TextIOWrapper(out, encoding="ascii", newline="") as f:
+            yield f
+
+
 def save_recording(rec: Recording, path: str) -> None:
     meta = dict(rec.metadata)
     tokens = [f"participant={rec.participant_id}"]
@@ -97,7 +110,7 @@ def save_recording(rec: Recording, path: str) -> None:
     for tok in tokens:
         if any(c in tok for c in (" ", ",", "\n")) or tok.count("=") != 1:
             raise ValueError(f"metadata token not representable: {tok!r}")
-    with _open_text(path, "w") as f:
+    with _writing(path) as f:
         f.write("# " + " ".join(tokens) + "\n")
         f.write(_CSV_HEADER + "\n")
         for fr in rec.frames:
@@ -109,12 +122,20 @@ def save_recording(rec: Recording, path: str) -> None:
                 f"{ldx!r},{ldy!r},{ldz!r},{rdx!r},{rdy!r},{rdz!r},"
                 f"{1 if fr.valid else 0}\n"
             )
-    with _open_text(_sidecar_path(path), "w") as f:
+    with _writing(_sidecar_path(path)) as f:
         for ts in rec.button_presses:
             f.write(f"{ts}\n")
 
 
 def load_recording(path: str) -> Recording:
+    """Read a recording and its sidecar; bad content is RecordingFormatError."""
+    try:
+        return _read_recording(path)
+    except (UnicodeDecodeError, EOFError) as e:
+        raise RecordingFormatError(f"{path}: {type(e).__name__}: {e}") from e
+
+
+def _read_recording(path: str) -> Recording:
     participant = ""
     metadata: Dict[str, str] = {}
     frames: List[GazeFrame] = []
@@ -160,10 +181,13 @@ def load_recording(path: str) -> Recording:
     sidecar = _sidecar_path(path)
     if os.path.exists(sidecar):
         with _open_text(sidecar, "r") as f:
-            for row in f:
-                row = row.strip()
-                if row:
-                    presses.append(int(row))
+            for lineno, row in enumerate(f, start=1):
+                if row.strip():
+                    try:
+                        presses.append(int(row))
+                    except ValueError as e:
+                        raise RecordingFormatError(
+                            f"{sidecar}: line {lineno}: {e}") from e
     return Recording(participant, frames, presses, metadata)
 
 
@@ -201,43 +225,29 @@ def materialize_windows(
     augment_copies: int = 0,
     rng: Optional[np.random.Generator] = None,
 ) -> List[LabeledBlink]:
-    """Attach feature windows to labeled blinks by streaming the recording.
+    """Cut each blink's window from the whole recording, in offset order.
 
     Blinks that end before `window_frames` frames have accumulated (the
     warm-up period) are silently dropped. `augment_copies` adds that many
-    randomly shifted (within +/-10 frames) re-cuts of each window, sharing
-    the original's label; requires `rng`.
+    randomly shifted (within +/-10 frames, clipped to the recording)
+    re-cuts of each window, sharing the original's label; requires `rng`.
+    `lookback` is ignored: the buffer holds every frame of `rec`.
     """
     if augment_copies > 0 and rng is None:
         raise ValueError("augmentation requires an rng")
     validator = FrameValidator()
-    # Retention must cover the snapshot delay below plus a full backward
-    # shift, on top of whatever slack the caller asked for.
-    buf = HistoryBuffer(window_frames, lookback + 2 * MAX_SHIFT_FRAMES)
-    pending = sorted(labeled, key=lambda lb: lb.blink.offset_ns)
+    buf = HistoryBuffer(window_frames, max(0, len(rec.frames) - window_frames))
+    for fr in rec.frames:
+        buf.push(validator.validate(fr))
     out: List[LabeledBlink] = []
-    pi = 0
-
-    def emit(lb: LabeledBlink) -> None:
+    for lb in sorted(labeled, key=lambda lb: lb.blink.offset_ns):
         try:
             w = buf.snapshot_at_blink_end(lb.blink)
         except NotReady:
-            return
+            continue
         out.append(replace(lb, window=w))
         for _ in range(augment_copies):
             out.append(replace(lb, window=buf.augment_shift(w, rng)))
-
-    # Snapshots wait MAX_SHIFT_FRAMES past the offset so forward shifts
-    # have real frames to land on.
-    margin_ns = MAX_SHIFT_FRAMES * FRAME_INTERVAL_NS
-    for fr in rec.frames:
-        buf.push(validator.validate(fr))
-        while pi < len(pending) and pending[pi].blink.offset_ns + margin_ns <= fr.timestamp_ns:
-            emit(pending[pi])
-            pi += 1
-    while pi < len(pending):
-        emit(pending[pi])
-        pi += 1
     return out
 
 
@@ -306,28 +316,28 @@ def assign_participants(participant_ids: Iterable[str], spec: SplitSpec,
 
 def split_by_participant(
     recordings: Iterable[Recording],
-    spec: Optional[SplitSpec] = None,
     seed: int = 0,
+    window_frames: int = DEFAULT_WINDOW_FRAMES,
+    augment_copies: int = 0,
     profile: Optional[CalibrationProfile] = None,
-) -> Tuple[List[LabeledBlink], List[LabeledBlink], List[LabeledBlink]]:
-    """Label every recording and split blinks by participant.
+) -> Tuple[SplitSpec, List[LabeledBlink], List[LabeledBlink], List[LabeledBlink]]:
+    """Label and cut every recording; split the windows 80/10/10 by participant.
 
-    No participant contributes to more than one of (train, val, test).
+    No participant contributes to more than one of (train, val, test). Only
+    train windows get `augment_copies` shifted copies, drawn in recording
+    order from one `default_rng(seed)`. Returns (split, train, val, test).
     """
     recs = list(recordings)
-    resolved = assign_participants(
-        (r.participant_id for r in recs), spec or SplitSpec(), seed
-    )
-    splits: Tuple[List[LabeledBlink], ...] = ([], [], [])
+    spec = assign_participants((r.participant_id for r in recs), SplitSpec(), seed)
+    rng = np.random.default_rng(seed)
+    train, val, test = [], [], []
     for rec in recs:
-        blinks = label_blinks(rec, profile)
-        if rec.participant_id in resolved.train:
-            splits[0].extend(blinks)
-        elif rec.participant_id in resolved.val:
-            splits[1].extend(blinks)
-        else:
-            splits[2].extend(blinks)
-    return splits
+        pid = rec.participant_id
+        bucket = train if pid in spec.train else val if pid in spec.val else test
+        bucket.extend(materialize_windows(
+            rec, label_blinks(rec, profile), window_frames,
+            augment_copies=augment_copies if bucket is train else 0, rng=rng))
+    return spec, train, val, test
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,6 @@ initialization, the per-epoch shuffles, and therefore every parameter.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import struct
@@ -27,7 +26,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import BlinkLabel, BlinkPipeError
+from .core import BlinkLabel, BlinkPipeError, atomic_path
 from .window import WindowTensor
 
 INPUT_DIM = 50000
@@ -591,21 +590,10 @@ class ModelCheckpoint:
         return cls(version, epoch, val_loss, tuple(records))
 
     def save(self, path) -> None:
-        """Write the checkpoint so that `path` is either complete or untouched.
-
-        The bytes go to a sibling temporary file that then replaces `path`;
-        on any error the temporary file is removed.
-        """
+        """Write the checkpoint so that `path` is either complete or untouched."""
         data = self.to_bytes()
-        tmp = os.fspath(path) + ".tmp"
-        try:
-            with open(tmp, "wb") as f:
-                f.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
-            raise
+        with atomic_path(path) as tmp, open(tmp, "wb") as f:
+            f.write(data)
 
     @classmethod
     def load(cls, path) -> "ModelCheckpoint":

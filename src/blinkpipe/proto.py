@@ -47,6 +47,7 @@ from .core import (
 )
 from .net import BlinkNet, ModelCheckpoint, classify
 from .segmenter import BlinkSegmenter
+from .sim import replay
 from .window import DEFAULT_WINDOW_FRAMES, HistoryBuffer, NotReady
 
 _log = logging.getLogger("blinkpipe.proto")
@@ -467,8 +468,10 @@ def replay_over_tcp(address: Tuple[str, int],
     """Stream validated frames to a server and collect its predictions.
 
     speed_multiplier scales real-time pacing (1 = wall-clock cadence);
-    0 sends as fast as possible. Returns predictions in arrival order.
+    0 sends as fast as possible (pacing is `sim.replay`). Returns
+    predictions in arrival order.
     """
+    paced = replay(frames, speed_multiplier)
     preds: List[PredictionMsg] = []
     with socket.create_connection(address, timeout=timeout) as sock:
         def reader() -> None:
@@ -484,14 +487,7 @@ def replay_over_tcp(address: Tuple[str, int],
 
         t = threading.Thread(target=reader, daemon=True)
         t.start()
-        wall0 = time.monotonic()
-        ts0 = frames[0].timestamp_ns if frames else 0
-        for vf in frames:
-            if speed_multiplier > 0:
-                target = wall0 + (vf.timestamp_ns - ts0) / 1e9 / speed_multiplier
-                delay = target - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
+        for vf in paced:
             sock.sendall(encode(gaze_msg_from_frame(vf)))
         last_ts = frames[-1].timestamp_ns if frames else 0
         sock.sendall(encode(ControlMsg(last_ts, CONTROL_END)))

@@ -22,7 +22,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -34,8 +34,11 @@ from .core import (
     BlinkKind,
     BlinkLabel,
     GazeFrame,
+    atomic_path,
 )
 from .dataset import Recording
+
+_Frame = TypeVar("_Frame")
 
 STYLE_SPONTANEOUS = "spontaneous"
 STYLE_EXTENDED_HOLD = "extended_hold"
@@ -412,27 +415,29 @@ def generate_session(cfg: SimConfig) -> Tuple[Recording, GroundTruthLedger]:
     return recording, ledger
 
 
-def replay(recording: Recording,
-           speed_multiplier: float = 1.0) -> Iterator[GazeFrame]:
+def replay(frames: Sequence[_Frame],
+           speed_multiplier: float = 1.0) -> Iterator[_Frame]:
     """Re-emit frames at scaled wall-clock cadence; 0 = as fast as possible.
 
-    Pacing sleeps toward absolute targets, so scheduling hiccups do not
-    accumulate drift.
+    Frames are anything with a `timestamp_ns`. Pacing sleeps toward
+    absolute targets, so scheduling hiccups do not accumulate drift. A
+    negative speed raises ValueError at the call, before any frame.
     """
     if speed_multiplier < 0:
         raise ValueError("speed_multiplier must be non-negative")
-    frames = recording.frames
-    if not frames:
-        return
-    wall0 = time.monotonic()
-    t0 = frames[0].timestamp_ns
-    for fr in frames:
-        if speed_multiplier > 0:
-            target = wall0 + (fr.timestamp_ns - t0) / 1e9 / speed_multiplier
-            delay = target - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-        yield fr
+
+    def paced() -> Iterator[_Frame]:
+        wall0 = time.monotonic()
+        for fr in frames:
+            if speed_multiplier > 0:
+                target = (wall0 + (fr.timestamp_ns - frames[0].timestamp_ns)
+                          / 1e9 / speed_multiplier)
+                delay = target - time.monotonic()
+                if delay > 0:
+                    time.sleep(delay)
+            yield fr
+
+    return paced()
 
 
 # --------------------------------------------------------------------------
@@ -456,7 +461,7 @@ def save_ledger(ledger: GroundTruthLedger, path: str) -> None:
         ],
         "button_presses": list(ledger.button_presses),
     }
-    with open(path, "w", encoding="ascii") as f:
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="ascii") as f:
         json.dump(obj, f, indent=1)
         f.write("\n")
 

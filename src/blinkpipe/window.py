@@ -5,9 +5,9 @@ frames (default 5000, i.e. 25 s at 200 Hz) ending exactly at a blink's
 offset frame, flattened time-major into a single vector of
 capacity * NUM_FEATURES values. By default the ring holds exactly one
 window, which is all serving needs: a blink's offset is the newest frame.
-Offline window cutting asks for `lookback` extra frames of retention so
-that a snapshot taken MAX_SHIFT_FRAMES after the offset, and windows
-shifted up to MAX_SHIFT_FRAMES earlier, can still be cut.
+Offline window cutting (`dataset.materialize_windows`) sizes the ring to
+the whole recording, so it never wraps and every blink, and every copy
+shifted up to MAX_SHIFT_FRAMES either way, is cut after the last push.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from .core import (
 )
 
 DEFAULT_WINDOW_FRAMES = 5000
-DEFAULT_LOOKBACK_FRAMES = 32  # materialize_windows' default extra retention
+DEFAULT_LOOKBACK_FRAMES = 32  # materialize_windows' ignored `lookback` default
 MAX_SHIFT_FRAMES = 10
 
 
@@ -100,8 +100,10 @@ class HistoryBuffer:
     def _index_at_or_before(self, timestamp_ns: int) -> Optional[int]:
         """Absolute index of the newest retained frame with ts <= timestamp_ns."""
         oldest = self._oldest
-        # Retained timestamps are strictly increasing in absolute order.
-        retained = self._timestamps[self._slots(oldest, self._count)]
+        # Retained timestamps increase in absolute order; until the ring
+        # wraps that is slot order, so search them in place, not a copy.
+        retained = (self._timestamps[:self._count] if self._count <= self._ring
+                    else self._timestamps[self._slots(oldest, self._count)])
         n = int(np.searchsorted(retained, timestamp_ns, side="right"))
         return oldest + n - 1 if n else None
 

@@ -126,6 +126,22 @@ class TestExitCodes:
         bad.write_text("this,is,not\na,recording\n")
         assert run("stats", "--data", str(bad)) == EXIT_DATA
 
+    @pytest.mark.parametrize("damage", ["presses_line", "non_ascii",
+                                        "truncated_gzip"])
+    def test_damaged_recording_is_data_error(self, tmp_path, capsys, damage):
+        path = tmp_path / ("rec.csv.gz" if damage == "truncated_gzip"
+                           else "rec.csv")
+        save_recording(square_blink_recording([40], presses=[10**8]), str(path))
+        data = path.read_bytes()
+        if damage == "presses_line":
+            (tmp_path / "rec.presses").write_text("100000000\nsoon\n")
+        elif damage == "non_ascii":
+            path.write_bytes(data[:-20] + b"\xe9" + data[-19:])
+        else:
+            path.write_bytes(data[:len(data) // 2])
+        assert run("stats", "--data", str(path)) == EXIT_DATA
+        assert "RecordingFormatError" in capsys.readouterr().err
+
     def test_garbage_checkpoint_is_data_error(self, tmp_path):
         ckpt = tmp_path / "model.bnet"
         ckpt.write_bytes(b"XXXX" + bytes(40))
@@ -304,3 +320,13 @@ class TestReplayCommand:
             assert int(end_ns) > 0
             assert label in ("voluntary", "involuntary")
             assert 0.0 <= float(conf) <= 1.0
+
+    def test_negative_speed_is_usage_and_sends_nothing(self, tmp_path, capsys):
+        path = str(tmp_path / "rec.csv")
+        save_recording(square_blink_recording([60], n_frames=120), path)
+        with BlinkServer(tiny_net(30), port=0, window_frames=30) as srv:
+            rc = run("replay", "--in", path,
+                     "--connect", f"127.0.0.1:{srv.port}", "--speed", "-1")
+            assert srv.sessions == []
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().out == ""

@@ -12,6 +12,7 @@ from blinkpipe.core import (
     BlinkEvent,
     BlinkKind,
     BlinkLabel,
+    FrameValidator,
 )
 from blinkpipe.dataset import (
     INTENT_MARGIN_NS,
@@ -28,7 +29,7 @@ from blinkpipe.dataset import (
     save_recording,
     split_by_participant,
 )
-from blinkpipe.window import NUM_FEATURES
+from blinkpipe.window import MAX_SHIFT_FRAMES, NUM_FEATURES
 
 from conftest import (
     make_frame,
@@ -154,6 +155,26 @@ class TestRecordingFiles:
             f.writelines(spaced)
         assert load_recording(path).frames == rec.frames
 
+    @pytest.mark.parametrize("name", ["rec.csv", "rec.csv.gz"])
+    def test_failed_save_keeps_previous_recording(self, tmp_path, name):
+        path = str(tmp_path / name)
+        save_recording(random_recording(19), path)
+        before = {n: (tmp_path / n).read_bytes() for n in os.listdir(tmp_path)}
+        broken = random_recording(20, n=1000)
+        broken.frames[500] = None  # the write fails half-way through
+        with pytest.raises(AttributeError):
+            save_recording(broken, path)
+        after = {n: (tmp_path / n).read_bytes() for n in os.listdir(tmp_path)}
+        assert after == before
+
+    def test_gzip_header_names_the_target_file(self, tmp_path):
+        path = str(tmp_path / "rec.csv.gz")
+        save_recording(random_recording(21), path)
+        with open(path, "rb") as f:
+            head = f.read(64)
+        assert head[3] & 0x08  # FNAME flag
+        assert head[10:].split(b"\0", 1)[0] == b"rec.csv"
+
 
 # --------------------------------------------------------------------------
 # labeling
@@ -270,6 +291,78 @@ class TestMaterializeWindows:
         assert out[4].label is BlinkLabel.INVOLUNTARY
         assert base.label is BlinkLabel.VOLUNTARY
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_bruteforce_slicing(self, seed):
+        rng = np.random.default_rng(seed)
+        window, n = 40, 300
+        frames, t = [], 0
+        for i in range(n):
+            t += FRAME_INTERVAL_NS
+            if rng.random() < 0.08:  # tracker dropout: frames missing
+                t += int(rng.integers(1, 60)) * FRAME_INTERVAL_NS
+            frames.append(make_frame(
+                t, lopen=float(rng.random()), ropen=float(rng.random()),
+                lpupil=float(rng.uniform(2, 8)), rpupil=float(rng.uniform(2, 8)),
+                valid=bool(i > 3 and rng.random() > 0.15)))
+        rec = Recording("P07", frames, [])
+        ts = [fr.timestamp_ns for fr in frames]
+        offsets = [ts[0] - 1, ts[5], ts[window - 2], ts[window - 1],
+                   ts[-1], ts[-2], ts[-1] + 10**9]
+        offsets += [int(v) for v in rng.integers(ts[0], ts[-1], size=25)]
+        labeled = [
+            LabeledBlink(BlinkEvent(off - 10**8, off, BlinkKind.BOTH_EYES, 0.0, 0.0),
+                         BlinkLabel(int(rng.integers(0, 2))), None, "P07")
+            for off in offsets
+        ]
+        validator = FrameValidator()
+        rows = np.array([validator.validate(fr).features() for fr in frames])
+        copies = int(seed % 3)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = materialize_windows(rec, labeled, window, augment_copies=copies,
+                                  rng=got_rng)
+        want = []
+        for lb in sorted(labeled, key=lambda lb: lb.blink.offset_ns):
+            end = int(np.searchsorted(ts, lb.blink.offset_ns, side="right")) - 1
+            if end < window - 1:
+                continue  # warm-up: fewer than `window` frames so far
+            want.append((lb, end))
+            for _ in range(copies):
+                draw = int(want_rng.integers(-MAX_SHIFT_FRAMES, MAX_SHIFT_FRAMES + 1))
+                want.append((lb, end + min(max(draw, window - 1 - end), n - 1 - end)))
+        assert len(got) == len(want)
+        for g, (lb, end) in zip(got, want):
+            assert g.blink == lb.blink and g.label is lb.label
+            assert g.window.end_timestamp_ns == ts[end]
+            np.testing.assert_array_equal(g.window.as_matrix(),
+                                          rows[end - window + 1:end + 1])
+        assert got_rng.integers(2**62) == want_rng.integers(2**62)
+
+    def test_shifted_copy_reaches_past_a_dropout(self):
+        # Blink offset at frame 69, then one second with no frames. Copies
+        # shift within the whole recording, so a +10 draw lands on the 10th
+        # frame after the gap (it used to stop at the first).
+        rec = square_blink_recording([49], n_frames=100)
+        for fr in rec.frames[70:]:
+            fr.timestamp_ns += 10**9
+        labeled = label_blinks(rec)
+
+        class MaxDraw:
+            def integers(self, low, high):
+                return high - 1
+
+        out = materialize_windows(rec, labeled, window_frames=50,
+                                  augment_copies=1, rng=MaxDraw())
+        assert [lb.window.end_timestamp_ns for lb in out] == [
+            rec.frames[69].timestamp_ns, rec.frames[79].timestamp_ns]
+
+    def test_burst_after_the_offset_evicts_nothing(self):
+        rec = square_blink_recording([40], n_frames=61)
+        last = rec.frames[-1].timestamp_ns
+        rec.frames += [make_frame(last + k) for k in range(1, 201)]
+        out = materialize_windows(rec, label_blinks(rec), window_frames=50)
+        assert [lb.window.end_timestamp_ns for lb in out] == [
+            square_blink_offset_ns(40, 20)]
+
     def test_augment_without_rng_raises(self):
         rec = square_blink_recording([60])
         with pytest.raises(ValueError):
@@ -349,7 +442,8 @@ class TestSplits:
                                    participant_id=f"P{i:02d}")
             for i in range(5)
         ]
-        train, val, test = split_by_participant(recs, seed=2)
+        spec, train, val, test = split_by_participant(recs, seed=2,
+                                                      window_frames=30)
         buckets = [train, val, test]
         assert sum(len(b) for b in buckets) == 10
         owners = [frozenset(lb.participant_id for lb in b) for b in buckets]
@@ -358,6 +452,21 @@ class TestSplits:
         assert owners[0] | owners[1] | owners[2] == {
             f"P{i:02d}" for i in range(5)
         }
+        assert owners == [spec.train, spec.val, spec.test]
+        assert all(lb.window.window_frames == 30 for b in buckets for lb in b)
+        _, aug_train, aug_val, aug_test = split_by_participant(
+            recs, seed=2, window_frames=30, augment_copies=2)
+
+        def keys(blinks):
+            return [(lb.blink, lb.label, lb.participant_id,
+                     lb.window.end_timestamp_ns, lb.window.values.tobytes())
+                    for lb in blinks]
+
+        assert len(aug_train) == 3 * len(train)
+        assert keys(aug_train[::3]) == keys(train)  # each window, then 2 copies
+        assert [lb.blink for lb in aug_train] == [
+            lb.blink for lb in train for _ in range(3)]
+        assert (keys(aug_val), keys(aug_test)) == (keys(val), keys(test))
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Synthetic session generator: determinism, rates, shapes, and replay."""
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
@@ -19,6 +20,8 @@ from blinkpipe.sim import (
     STYLE_SPONTANEOUS,
     STYLE_WINK_LEFT,
     STYLE_WINK_RIGHT,
+    GroundTruthLedger,
+    LedgerEntry,
     SimConfig,
     generate_session,
     load_ledger,
@@ -186,25 +189,25 @@ class TestReplay:
     def test_zero_speed_is_unpaced(self):
         rec, _ = generate_session(SimConfig(seed=13, duration_s=10.0))
         t0 = time.monotonic()
-        frames = list(replay(rec, speed_multiplier=0.0))
+        frames = list(replay(rec.frames, speed_multiplier=0.0))
         assert time.monotonic() - t0 < 1.0
         assert frames == rec.frames
 
     def test_pacing_scales_with_speed(self):
         rec, _ = generate_session(SimConfig(seed=14, duration_s=2.0))
         t0 = time.monotonic()
-        list(replay(rec, speed_multiplier=10.0))
+        list(replay(rec.frames, speed_multiplier=10.0))
         elapsed = time.monotonic() - t0
         assert 0.15 <= elapsed < 1.5
 
     def test_negative_speed_rejected(self):
         rec, _ = generate_session(SimConfig(seed=15, duration_s=1.0))
         with pytest.raises(ValueError):
-            list(replay(rec, speed_multiplier=-1.0))
+            list(replay(rec.frames, speed_multiplier=-1.0))
 
     def test_empty_recording(self):
         rec, _ = generate_session(SimConfig(seed=16, duration_s=0.0))
-        assert list(replay(rec)) == []
+        assert list(replay(rec.frames)) == []
 
 
 class TestLedgerFiles:
@@ -213,3 +216,17 @@ class TestLedgerFiles:
         path = str(tmp_path / "session.ledger.json")
         save_ledger(led, path)
         assert load_ledger(path) == led
+
+    def test_failed_save_keeps_previous_ledger(self, tmp_path):
+        _, led = generate_session(SimConfig(seed=18, duration_s=60.0))
+        path = tmp_path / "session.ledger.json"
+        save_ledger(led, str(path))
+        before = path.read_bytes()
+        bad = led.entries[-1]
+        broken = GroundTruthLedger(
+            led.entries[:-1] + (LedgerEntry(bad.blink, bad.label, object()),),
+            led.button_presses)
+        with pytest.raises(TypeError):  # the last entry cannot be written
+            save_ledger(broken, str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["session.ledger.json"]
