@@ -20,10 +20,10 @@ import contextlib
 import enum
 import math
 import os
+from array import array
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
 
 SAMPLE_RATE_HZ = 200
 FRAME_INTERVAL_NS = 1_000_000_000 // SAMPLE_RATE_HZ  # 5 ms
@@ -222,9 +222,11 @@ def _normalize(v: Sequence[float]) -> Vec3:
     return (v[0] / n, v[1] / n, v[2] / n)
 
 
-def _f32(x: float) -> float:
-    # Quantize to the wire precision; the result is exactly float32-representable.
-    return float(np.float32(x))
+def _f32(values: Sequence[float]) -> List[float]:
+    """Quantize to the wire precision with one C cast per value; each result
+    is exactly float32-representable and equals float(np.float32(x)),
+    including inf past FLT_MAX, where struct.pack("<f") raises OverflowError."""
+    return array("f", values).tolist()
 
 
 def _clamp01(x: float) -> float:
@@ -273,14 +275,15 @@ class FrameValidator:
             # neutral one, so tensors never carry sentinel values.
             left_dir = _frame_dir(frame.left_dir, frame)
             right_dir = _frame_dir(frame.right_dir, frame)
+            lp, rp, lo, ro, lx, ly, lz, rx, ry, rz = _f32((
+                max(frame.left_pupil_mm, 0.0), max(frame.right_pupil_mm, 0.0),
+                _clamp01(frame.left_openness), _clamp01(frame.right_openness),
+                *left_dir, *right_dir))
             out = ValidatedFrame(
                 timestamp_ns=frame.timestamp_ns,
-                left_pupil_mm=_f32(max(frame.left_pupil_mm, 0.0)),
-                right_pupil_mm=_f32(max(frame.right_pupil_mm, 0.0)),
-                left_openness=_f32(_clamp01(frame.left_openness)),
-                right_openness=_f32(_clamp01(frame.right_openness)),
-                left_dir=(_f32(left_dir[0]), _f32(left_dir[1]), _f32(left_dir[2])),
-                right_dir=(_f32(right_dir[0]), _f32(right_dir[1]), _f32(right_dir[2])),
+                left_pupil_mm=lp, right_pupil_mm=rp,
+                left_openness=lo, right_openness=ro,
+                left_dir=(lx, ly, lz), right_dir=(rx, ry, rz),
                 valid=valid,
             )
             if valid:

@@ -98,7 +98,8 @@ def _writing(path: str) -> Iterator[TextIO]:
     """Write ASCII text to `path` whole or not at all (see `atomic_path`);
     `path`, not the temporary name, decides compression and the gzip header."""
     with atomic_path(path) as tmp, open(tmp, "wb") as raw:
-        out = gzip.GzipFile(path, "wb", fileobj=raw) if path.endswith(".gz") else raw
+        out = (gzip.GzipFile(path, "wb", fileobj=raw, mtime=0)
+               if path.endswith(".gz") else raw)
         with io.TextIOWrapper(out, encoding="ascii", newline="") as f:
             yield f
 
@@ -131,7 +132,7 @@ def load_recording(path: str) -> Recording:
     """Read a recording and its sidecar; bad content is RecordingFormatError."""
     try:
         return _read_recording(path)
-    except (UnicodeDecodeError, EOFError) as e:
+    except (UnicodeDecodeError, EOFError, gzip.BadGzipFile) as e:
         raise RecordingFormatError(f"{path}: {type(e).__name__}: {e}") from e
 
 

@@ -143,7 +143,9 @@ class Param:
 
     def __init__(self, value: np.ndarray):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        # np.zeros maps untouched pages lazily; a serving process never
+        # writes the gradient of its 51 MB stem weight.
+        self.grad = np.zeros(self.value.shape)
 
 
 class LinearLayer:
@@ -176,7 +178,7 @@ class LinearLayer:
     def backward(self, dy: np.ndarray) -> np.ndarray:
         if self._x is None or dy.shape != (self._x.shape[0], self.out_dim):
             raise ShapeMismatch("backward called without a matching forward")
-        self.weight.grad[...] = dy.T @ self._x
+        np.matmul(dy.T, self._x, out=self.weight.grad)
         self.bias.grad[...] = dy.sum(axis=0)
         return dy @ self.weight.value
 
@@ -309,6 +311,25 @@ class BlinkNet:
                  block_dims: Optional[Sequence[Tuple[int, int]]] = None,
                  n_classes: int = N_CLASSES, seed: int = 0,
                  rng: Optional[np.random.Generator] = None):
+        if rng is None:
+            rng = np.random.default_rng(seed)
+        self._build(input_dim, stem_width, block_dims, n_classes, rng)
+
+    @classmethod
+    def zero_initialized(cls, input_dim: int = INPUT_DIM,
+                         stem_width: int = STEM_WIDTH,
+                         block_dims: Optional[Sequence[Tuple[int, int]]] = None,
+                         n_classes: int = N_CLASSES) -> "BlinkNet":
+        """All linear weights and biases zero; batch-norm at gamma=1, beta=0."""
+        net = cls.__new__(cls)
+        net._build(input_dim, stem_width, block_dims, n_classes, None)
+        return net
+
+    def _build(self, input_dim: int, stem_width: int,
+               block_dims: Optional[Sequence[Tuple[int, int]]], n_classes: int,
+               rng: Optional[np.random.Generator]) -> None:
+        """Check the block chain and create the layers; with `rng` None every
+        linear layer is zero and no random number is drawn."""
         if block_dims is None:
             block_dims = DEFAULT_BLOCK_DIMS
         block_dims = tuple((int(a), int(b)) for a, b in block_dims)
@@ -323,31 +344,11 @@ class BlinkNet:
         self.stem_width = stem_width
         self.block_dims = block_dims
         self.n_classes = n_classes
-        if rng is None:
-            rng = np.random.default_rng(seed)
         self.stem_lin = LinearLayer(input_dim, stem_width, rng)
         self.stem_bn = BatchNormLayer(stem_width)
         self.stem_act = MishActivation()
         self.blocks = [ResNetBlock(a, b, rng) for a, b in block_dims]
         self.head = LinearLayer(width, n_classes, rng)
-
-    @classmethod
-    def zero_initialized(cls, **kwargs) -> "BlinkNet":
-        """All linear weights and biases zero; batch-norm at gamma=1, beta=0."""
-        net = cls(**kwargs)
-        for lin in net._linear_layers():
-            lin.weight.value[...] = 0.0
-            lin.bias.value[...] = 0.0
-        return net
-
-    def _linear_layers(self) -> Iterator[LinearLayer]:
-        yield self.stem_lin
-        for b in self.blocks:
-            yield b.lin1
-            yield b.lin2
-            if b.skip is not None:
-                yield b.skip
-        yield self.head
 
     def params(self) -> List[Param]:
         out = self.stem_lin.params() + self.stem_bn.params()
@@ -420,18 +421,57 @@ class AdamState:
     t: int = 0
 
 
+# Elements per block of adam_step: two float64 scratch blocks of 256 KB
+# each stay in L2 while the block's m, v and param are updated.
+ADAM_BLOCK = 32768
+
+
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState,
               lr: float = DEFAULT_LR, beta1: float = ADAM_BETA1,
               beta2: float = ADAM_BETA2, eps: float = ADAM_EPS) -> AdamState:
-    """One bias-corrected Adam update, applied to `param` in place."""
-    if state.m.shape != param.shape or state.v.shape != param.shape:
-        raise ShapeMismatch("Adam state shape does not match parameter shape")
+    """One bias-corrected Adam update of `param`, `state.m` and `state.v`,
+    all in place.
+
+    The arrays are walked in blocks of ADAM_BLOCK elements with two scratch
+    buffers, so no temporary the size of the parameter is made. Every
+    element goes through the same operations in the same order as in the
+    whole-array form m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g);
+    param -= lr * (m/c1) / (sqrt(v/c2) + eps), so the result is
+    bit-identical to it.
+    """
+    if not param.shape == grad.shape == state.m.shape == state.v.shape:
+        raise ShapeMismatch("gradient or Adam state shape does not match parameter shape")
     state.t += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * grad
-    state.v = beta2 * state.v + (1.0 - beta2) * (grad * grad)
-    m_hat = state.m / (1.0 - beta1 ** state.t)
-    v_hat = state.v / (1.0 - beta2 ** state.t)
-    param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    c1 = 1.0 - beta1 ** state.t
+    c2 = 1.0 - beta2 ** state.t
+    # reshape gives views of C-contiguous arrays; any other layout is
+    # updated in a flat copy and written back below.
+    p, m, v = param.reshape(-1), state.m.reshape(-1), state.v.reshape(-1)
+    g = grad.reshape(-1)
+    size = p.shape[0]
+    scratch_a = np.empty(min(size, ADAM_BLOCK))
+    scratch_b = np.empty_like(scratch_a)
+    for lo in range(0, size, ADAM_BLOCK):
+        hi = min(lo + ADAM_BLOCK, size)
+        pb, mb, vb, gb = p[lo:hi], m[lo:hi], v[lo:hi], g[lo:hi]
+        a, b = scratch_a[:hi - lo], scratch_b[:hi - lo]
+        np.multiply(mb, beta1, out=mb)
+        np.multiply(gb, 1.0 - beta1, out=a)
+        np.add(mb, a, out=mb)
+        np.multiply(vb, beta2, out=vb)
+        np.multiply(gb, gb, out=a)
+        np.multiply(a, 1.0 - beta2, out=a)
+        np.add(vb, a, out=vb)
+        np.divide(vb, c2, out=a)
+        np.sqrt(a, out=a)
+        np.add(a, eps, out=a)
+        np.divide(mb, c1, out=b)
+        np.multiply(b, lr, out=b)
+        np.divide(b, a, out=b)
+        np.subtract(pb, b, out=pb)
+    for whole, flat in ((param, p), (state.m, m), (state.v, v)):
+        if not np.may_share_memory(whole, flat):
+            whole[...] = flat.reshape(whole.shape)
     return state
 
 
@@ -444,7 +484,7 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.states = [AdamState(np.zeros_like(p.value), np.zeros_like(p.value))
+        self.states = [AdamState(np.zeros(p.value.shape), np.zeros(p.value.shape))
                        for p in self.params]
 
     def step(self) -> None:
@@ -475,16 +515,18 @@ class BatchNormRecord:
 LayerRecord = Union[LinearRecord, BatchNormRecord]
 
 
-def _f64_bytes(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype="<f8").tobytes()
+def _f64_bytes(a: np.ndarray) -> memoryview:
+    """The array's little-endian float64 bytes, without a copy when it is
+    already C-contiguous native float64."""
+    return memoryview(np.ascontiguousarray(a, dtype="<f8")).cast("B")
 
 
 class _Reader:
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise CheckpointFormatError(
                 f"truncated checkpoint: wanted {n} bytes at offset {self.pos}, "
@@ -543,24 +585,27 @@ class ModelCheckpoint:
         return cls(CHECKPOINT_FORMAT_VERSION, epoch, float(validation_loss),
                    tuple(records))
 
-    def to_bytes(self) -> bytes:
-        parts = [struct.pack("<4sIId", CHECKPOINT_MAGIC, self.format_version,
-                             self.epoch, self.validation_loss)]
+    def _parts(self) -> Iterator[Union[bytes, memoryview]]:
+        """The file's bytes in order: packed headers and views of the arrays."""
+        yield struct.pack("<4sIId", CHECKPOINT_MAGIC, self.format_version,
+                          self.epoch, self.validation_loss)
         for rec in self.records:
             if isinstance(rec, LinearRecord):
                 out_dim, in_dim = rec.weight.shape
-                parts.append(struct.pack("<BII", _TAG_LINEAR, out_dim, in_dim))
-                parts.append(_f64_bytes(rec.weight))
-                parts.append(_f64_bytes(rec.bias))
+                yield struct.pack("<BII", _TAG_LINEAR, out_dim, in_dim)
+                yield _f64_bytes(rec.weight)
+                yield _f64_bytes(rec.bias)
             else:
                 n = rec.gamma.shape[0]
-                parts.append(struct.pack("<BII", _TAG_BATCHNORM, n, 0))
-                parts.append(_f64_bytes(rec.gamma))
-                parts.append(_f64_bytes(rec.beta))
-                parts.append(_f64_bytes(rec.running_mean))
-                parts.append(_f64_bytes(rec.running_var))
-                parts.append(struct.pack("<dd", rec.momentum, rec.eps))
-        return b"".join(parts)
+                yield struct.pack("<BII", _TAG_BATCHNORM, n, 0)
+                yield _f64_bytes(rec.gamma)
+                yield _f64_bytes(rec.beta)
+                yield _f64_bytes(rec.running_mean)
+                yield _f64_bytes(rec.running_var)
+                yield struct.pack("<dd", rec.momentum, rec.eps)
+
+    def to_bytes(self) -> bytes:
+        return b"".join(self._parts())
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ModelCheckpoint":
@@ -590,10 +635,15 @@ class ModelCheckpoint:
         return cls(version, epoch, val_loss, tuple(records))
 
     def save(self, path) -> None:
-        """Write the checkpoint so that `path` is either complete or untouched."""
-        data = self.to_bytes()
+        """Write the bytes of `to_bytes` so that `path` is either complete or
+        untouched.
+
+        The headers and the arrays' memory go to the file one part at a
+        time; the file's bytes are never gathered into one buffer.
+        """
         with atomic_path(path) as tmp, open(tmp, "wb") as f:
-            f.write(data)
+            for part in self._parts():
+                f.write(part)
 
     @classmethod
     def load(cls, path) -> "ModelCheckpoint":
@@ -628,20 +678,33 @@ class ModelCheckpoint:
                     )
                 i += 1
         head = recs[-1]
-        net = BlinkNet(input_dim=input_dim, stem_width=stem_width,
-                       block_dims=block_dims, n_classes=head.weight.shape[0])
+        net = BlinkNet.zero_initialized(input_dim=input_dim, stem_width=stem_width,
+                                        block_dims=block_dims,
+                                        n_classes=head.weight.shape[0])
+        # Fresh C-contiguous copies: the net keeps training or serving while
+        # the checkpoint's arrays stay as they are.
         for rec, (kind, layer) in zip(recs, _layers_in_order(net)):
             if kind == "linear":
-                layer.weight.value[...] = rec.weight
-                layer.bias.value[...] = rec.bias
+                layer.weight.value = _installed(layer.weight.value, rec.weight)
+                layer.bias.value = _installed(layer.bias.value, rec.bias)
             else:
-                layer.gamma.value[...] = rec.gamma
-                layer.beta.value[...] = rec.beta
-                layer.running_mean[...] = rec.running_mean
-                layer.running_var[...] = rec.running_var
+                layer.gamma.value = _installed(layer.gamma.value, rec.gamma)
+                layer.beta.value = _installed(layer.beta.value, rec.beta)
+                layer.running_mean = _installed(layer.running_mean, rec.running_mean)
+                layer.running_var = _installed(layer.running_var, rec.running_var)
                 layer.momentum = rec.momentum
                 layer.eps = rec.eps
         return net
+
+
+def _installed(current: np.ndarray, stored: np.ndarray) -> np.ndarray:
+    """A C-contiguous float64 copy of `stored`, which must have the shape of
+    the layer array `current` it replaces."""
+    if stored.shape != current.shape:
+        raise CheckpointFormatError(
+            f"record array of shape {stored.shape} where the layer needs {current.shape}"
+        )
+    return np.array(stored, dtype=np.float64, order="C")
 
 
 def _layers_in_order(net: BlinkNet):

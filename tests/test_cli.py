@@ -1,6 +1,7 @@
 """End-to-end command line runs through main() with temp directories."""
 from __future__ import annotations
 
+import gzip
 import json
 import os
 
@@ -127,9 +128,9 @@ class TestExitCodes:
         assert run("stats", "--data", str(bad)) == EXIT_DATA
 
     @pytest.mark.parametrize("damage", ["presses_line", "non_ascii",
-                                        "truncated_gzip"])
+                                        "truncated_gzip", "not_gzip"])
     def test_damaged_recording_is_data_error(self, tmp_path, capsys, damage):
-        path = tmp_path / ("rec.csv.gz" if damage == "truncated_gzip"
+        path = tmp_path / ("rec.csv.gz" if damage.endswith("gzip")
                            else "rec.csv")
         save_recording(square_blink_recording([40], presses=[10**8]), str(path))
         data = path.read_bytes()
@@ -137,6 +138,8 @@ class TestExitCodes:
             (tmp_path / "rec.presses").write_text("100000000\nsoon\n")
         elif damage == "non_ascii":
             path.write_bytes(data[:-20] + b"\xe9" + data[-19:])
+        elif damage == "not_gzip":
+            path.write_bytes(gzip.decompress(data))
         else:
             path.write_bytes(data[:len(data) // 2])
         assert run("stats", "--data", str(path)) == EXIT_DATA

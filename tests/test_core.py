@@ -1,8 +1,13 @@
 """Frame validation, feature layout, and core domain types."""
 from __future__ import annotations
 
+import math
+import struct
+
 import numpy as np
 import pytest
+
+from blinkpipe import core
 
 from blinkpipe.core import (
     FEATURE_NAMES,
@@ -52,6 +57,41 @@ def test_validation_clamps_and_quantizes():
     # Every feature is exactly representable in float32.
     for v in vf.features():
         assert v == float(np.float32(v))
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def test_quantization_matches_numpy_float32_bit_for_bit():
+    flt_max = float(np.finfo(np.float32).max)
+    tiny_sub = float(np.finfo(np.float32).smallest_subnormal)
+    halfway = 3.4028235677973366e38  # rounds up to inf in float32
+    edges = [0.0, -0.0, tiny_sub, -tiny_sub, tiny_sub / 2, tiny_sub * 0.75,
+             5e-324, -5e-324, float(np.finfo(np.float32).tiny),
+             flt_max, -flt_max, halfway, -halfway,
+             np.nextafter(halfway, 0.0), -np.nextafter(halfway, 0.0),
+             1e39, -1e39, math.inf, -math.inf, math.nan, 1.0 / 3.0, 0.1]
+    rng = np.random.default_rng(29)
+    patterns = rng.integers(0, 2**64, size=20000, dtype=np.uint64)
+    doubles = edges + patterns.view(np.float64).tolist()
+    doubles += rng.uniform(-10.0, 10.0, size=20000).tolist()
+    got = core._f32(doubles)
+    with np.errstate(over="ignore"):
+        want = [float(np.float32(x)) for x in doubles]
+    mismatches = [(x, g, w) for x, g, w in zip(doubles, got, want)
+                  if _bits(g) != _bits(w)]
+    assert mismatches == []
+    assert got[edges.index(halfway)] == math.inf
+    assert got[edges.index(np.nextafter(halfway, 0.0))] == flt_max
+
+
+def test_validation_quantizes_pupils_past_flt_max_to_inf():
+    halfway = 3.4028235677973366e38
+    vf = validate_frame(make_frame(0, lpupil=halfway,
+                                   rpupil=float(np.nextafter(halfway, 0.0))))
+    assert vf.left_pupil_mm == math.inf
+    assert vf.right_pupil_mm == float(np.finfo(np.float32).max)
 
 
 def test_validation_renormalizes_directions():

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import gzip
 import os
+import time
 
 import numpy as np
 import pytest
@@ -174,6 +175,18 @@ class TestRecordingFiles:
             head = f.read(64)
         assert head[3] & 0x08  # FNAME flag
         assert head[10:].split(b"\0", 1)[0] == b"rec.csv"
+
+    def test_gzip_save_does_not_depend_on_the_clock(self, tmp_path, monkeypatch):
+        rec = random_recording(22)
+        saved = []
+        for i, now in enumerate((1.0e9, 2.0e9)):
+            monkeypatch.setattr(time, "time", lambda now=now: now)
+            path = tmp_path / f"run{i}" / "rec.csv.gz"
+            path.parent.mkdir()
+            save_recording(rec, str(path))
+            saved.append((path.read_bytes(),
+                          (path.parent / "rec.presses.gz").read_bytes()))
+        assert saved[0] == saved[1]
 
 
 # --------------------------------------------------------------------------

@@ -13,13 +13,16 @@ import pytest
 from blinkpipe import net as net_module
 from blinkpipe.core import BlinkLabel
 from blinkpipe.net import (
+    ADAM_BLOCK,
     ADAM_EPS,
     BatchNormLayer,
+    BatchNormRecord,
     BatchTooSmallForTrainMode,
     BlinkNet,
     CheckpointFormatError,
     EmptySplit,
     LinearLayer,
+    LinearRecord,
     MishActivation,
     ModelCheckpoint,
     Adam,
@@ -354,6 +357,46 @@ def test_adam_matches_reference_loop():
     np.testing.assert_allclose(p, ref, atol=1e-14)
 
 
+def _whole_array_adam(p, g, m, v, t, lr, beta1, beta2, eps):
+    """The update as one expression per array, the order adam_step keeps."""
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * (g * g)
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return m, v
+
+
+@pytest.mark.parametrize("shape, order", [
+    ((3, ADAM_BLOCK * 3 // 4 + 5), "C"),   # three blocks, the last one partial
+    ((1,), "C"),
+    ((5, ADAM_BLOCK // 4 + 3), "F"),       # flattened through a copy
+])
+def test_adam_step_is_bitwise_the_whole_array_form(shape, order):
+    rng = np.random.default_rng(31)
+    p = np.asarray(rng.normal(size=shape), order=order)
+    ref = p.copy()
+    m_ref = np.zeros(shape)
+    v_ref = np.zeros(shape)
+    st = AdamState(np.zeros(shape, order=order), np.zeros(shape, order=order))
+    for t in range(1, 26):
+        # Magnitudes from 1e-6 to 1e3 make the rounding of every operation show.
+        g = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 3, size=shape)
+        adam_step(p, g, st, lr=0.003, beta1=0.85, beta2=0.995, eps=1e-7)
+        m_ref, v_ref = _whole_array_adam(ref, g, m_ref, v_ref, t,
+                                         0.003, 0.85, 0.995, 1e-7)
+    assert st.t == 25
+    assert np.array_equal(p, ref)
+    assert np.array_equal(st.m, m_ref)
+    assert np.array_equal(st.v, v_ref)
+
+
+def test_adam_step_rejects_a_gradient_of_another_shape():
+    st = AdamState(np.zeros(3), np.zeros(3))
+    with pytest.raises(ShapeMismatch):
+        adam_step(np.zeros(3), np.zeros(1), st)
+
+
 def test_adam_class_wraps_params():
     rng = np.random.default_rng(18)
     params = [Param(rng.normal(size=4))]
@@ -460,6 +503,79 @@ def test_checkpoint_file_roundtrip(tmp_path):
     ckpt.save(path)
     back = ModelCheckpoint.load(path)
     assert back.to_bytes() == ckpt.to_bytes()
+
+
+def test_saved_file_is_to_bytes(tmp_path):
+    ckpt = ModelCheckpoint.from_net(make_small_net(), epoch=4, validation_loss=0.5)
+    stem = ckpt.records[0]
+    # A column-major record array is still written row-major.
+    ckpt = ModelCheckpoint(ckpt.format_version, ckpt.epoch, ckpt.validation_loss,
+                           (LinearRecord(np.asfortranarray(stem.weight), stem.bias),)
+                           + ckpt.records[1:])
+    path = tmp_path / "model.bnet"
+    ckpt.save(path)
+    blob = path.read_bytes()
+    assert blob == ckpt.to_bytes()
+    assert ModelCheckpoint.from_bytes(blob).records[0].weight.tobytes() == \
+        np.ascontiguousarray(stem.weight).tobytes()
+
+
+def _net_arrays(net):
+    out = []
+    for kind, layer in net_module._layers_in_order(net):
+        for p in layer.params():
+            out += [p.value, p.grad]
+        if kind == "bn":
+            out += [layer.running_mean, layer.running_var]
+    return out
+
+
+def _record_arrays(ckpt):
+    out = []
+    for rec in ckpt.records:
+        if isinstance(rec, LinearRecord):
+            out += [rec.weight, rec.bias]
+        else:
+            out += [rec.gamma, rec.beta, rec.running_mean, rec.running_var]
+    return out
+
+
+def test_built_nets_share_no_array_with_each_other_or_the_checkpoint(tmp_path):
+    path = tmp_path / "model.bnet"
+    ModelCheckpoint.from_net(make_small_net(), 2, 0.5).save(path)
+    ckpt = ModelCheckpoint.load(path)
+    blob = ckpt.to_bytes()
+    a, b = ckpt.build_net(), ckpt.build_net()
+    arrays = _net_arrays(a) + _net_arrays(b) + _record_arrays(ckpt)
+    for i, x in enumerate(arrays):
+        for y in arrays[i + 1:]:
+            assert not np.shares_memory(x, y)
+    rng = np.random.default_rng(37)
+    a.loss_and_gradients(rng.normal(size=(6, 12)), np.array([0, 1, 0, 1, 1, 0]))
+    Adam(a.params(), lr=0.1).step()
+    assert ckpt.to_bytes() == blob
+    assert ModelCheckpoint.from_net(b, 2, 0.5).to_bytes() == blob
+
+
+def test_loaded_weights_are_contiguous_aligned_float64(tmp_path):
+    path = tmp_path / "model.bnet"
+    ModelCheckpoint.from_net(make_small_net(), 1, 0.5).save(path)
+    for arr in _net_arrays(ModelCheckpoint.load(path).build_net()):
+        assert arr.dtype == np.float64 and arr.dtype.isnative
+        assert arr.flags.c_contiguous and arr.flags.aligned
+        assert arr.flags.writeable
+
+
+def test_record_that_does_not_fit_its_layer_is_a_format_error():
+    ckpt = ModelCheckpoint.from_net(make_small_net(), 1, 0.5)
+    bn = ckpt.records[1]
+    wide = BatchNormRecord(*(np.append(a, 0.0) for a in (
+        bn.gamma, bn.beta, bn.running_mean, bn.running_var)),
+        bn.momentum, bn.eps)
+    bad = ModelCheckpoint(ckpt.format_version, 1, 0.5,
+                          ckpt.records[:1] + (wide,) + ckpt.records[2:])
+    with pytest.raises(CheckpointFormatError):
+        ModelCheckpoint.from_bytes(bad.to_bytes()).build_net()
 
 
 class _HalfWriter:
