@@ -39,8 +39,10 @@ from .core import (
     BlinkLabel,
     BlinkPipeError,
     CalibrationProfile,
+    DegenerateDirection,
     FrameValidator,
     HeadPose,
+    NonFiniteFeature,
     NonMonotonicTimestamp,
     atomic_path,
 )
@@ -115,6 +117,8 @@ _DATA_ERRORS = (
     UnknownType,
     NotReady,
     NonMonotonicTimestamp,
+    NonFiniteFeature,
+    DegenerateDirection,
     ShapeMismatch,
     BatchTooSmallForTrainMode,
 )

@@ -65,6 +65,10 @@ class DegenerateDirection(BlinkPipeError):
     """A gaze direction with near-zero norm arrived on a valid frame."""
 
 
+class NonFiniteFeature(BlinkPipeError):
+    """A frame carries a NaN or infinite feature (after float32 quantization)."""
+
+
 class NoGazeYet(BlinkPipeError):
     """Effective gaze requested before any valid frame was seen."""
 
@@ -207,8 +211,12 @@ class CalibrationProfile:
         return self.closed_threshold_right + self.hysteresis_band
 
 
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
 def _norm(v: Sequence[float]) -> float:
-    return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+    return math.sqrt(_dot(v, v))
 
 
 def _normalize(v: Sequence[float]) -> Vec3:
@@ -227,6 +235,11 @@ def _f32(values: Sequence[float]) -> List[float]:
     is exactly float32-representable and equals float(np.float32(x)),
     including inf past FLT_MAX, where struct.pack("<f") raises OverflowError."""
     return array("f", values).tolist()
+
+
+def _check_finite(timestamp_ns: int, features: Sequence[float]) -> None:
+    if not all(map(math.isfinite, features)):
+        raise NonFiniteFeature(f"frame {timestamp_ns} features {tuple(features)}")
 
 
 def _clamp01(x: float) -> float:
@@ -250,8 +263,9 @@ class FrameValidator:
     """Stateful per-stream validator.
 
     Enforces strictly increasing timestamps, clamps openness, renormalizes
-    directions, quantizes features to float32 precision, and forward-fills
-    invalid frames from the last valid one.
+    directions, quantizes features to float32 precision, rejects features
+    that are not finite at that precision, and forward-fills invalid frames
+    from the last valid one.
     """
 
     def __init__(self):
@@ -275,10 +289,12 @@ class FrameValidator:
             # neutral one, so tensors never carry sentinel values.
             left_dir = _frame_dir(frame.left_dir, frame)
             right_dir = _frame_dir(frame.right_dir, frame)
-            lp, rp, lo, ro, lx, ly, lz, rx, ry, rz = _f32((
+            features = _f32((
                 max(frame.left_pupil_mm, 0.0), max(frame.right_pupil_mm, 0.0),
                 _clamp01(frame.left_openness), _clamp01(frame.right_openness),
                 *left_dir, *right_dir))
+            _check_finite(frame.timestamp_ns, features)
+            lp, rp, lo, ro, lx, ly, lz, rx, ry, rz = features
             out = ValidatedFrame(
                 timestamp_ns=frame.timestamp_ns,
                 left_pupil_mm=lp, right_pupil_mm=rp,

@@ -232,7 +232,8 @@ def materialize_windows(
     warm-up period) are silently dropped. `augment_copies` adds that many
     randomly shifted (within +/-10 frames, clipped to the recording)
     re-cuts of each window, sharing the original's label; requires `rng`.
-    `lookback` is ignored: the buffer holds every frame of `rec`.
+    `lookback` is ignored: one buffer holds every frame of `rec` in one run
+    of rows that never moves, so each window and each re-cut is one slice.
     """
     if augment_copies > 0 and rng is None:
         raise ValueError("augmentation requires an rng")

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .core import HeadPose, PinchSample, Vec3
+from .core import HeadPose, PinchSample, Vec3, _dot, _norm, _normalize
 from .segmenter import EyeState
 
 DEFAULT_PLANE_DISTANCE_M = 2.5
@@ -72,7 +72,7 @@ class UIPlane:
     distance_m: float = DEFAULT_PLANE_DISTANCE_M
 
     def __post_init__(self):
-        n = math.sqrt(sum(c * c for c in self.normal))
+        n = _norm(self.normal)
         if abs(n - 1.0) > 1e-3:
             raise ValueError(f"plane normal norm {n:.6f} not within 1e-3 of 1")
         if self.distance_m <= 0:
@@ -99,21 +99,12 @@ class UIPlane:
         return _dot(displacement, u), _dot(displacement, v)
 
 
-def _dot(a: Sequence[float], b: Sequence[float]) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
 def _cross(a: Sequence[float], b: Sequence[float]) -> Vec3:
     return (
         a[1] * b[2] - a[2] * b[1],
         a[2] * b[0] - a[0] * b[2],
         a[0] * b[1] - a[1] * b[0],
     )
-
-
-def _normalize(v: Sequence[float]) -> Vec3:
-    n = math.sqrt(_dot(v, v))
-    return (v[0] / n, v[1] / n, v[2] / n)
 
 
 def intersect_head_ray(head: HeadPose, plane: UIPlane) -> Optional[Vec3]:
@@ -283,10 +274,8 @@ def classify_pinch_gesture(
                 start = s
                 max_disp = 0.0
                 continue
-            dx = s.hand_position[0] - start.hand_position[0]
-            dy = s.hand_position[1] - start.hand_position[1]
-            dz = s.hand_position[2] - start.hand_position[2]
-            max_disp = max(max_disp, math.sqrt(dx * dx + dy * dy + dz * dz))
+            p, q = s.hand_position, start.hand_position
+            max_disp = max(max_disp, _norm((p[0] - q[0], p[1] - q[1], p[2] - q[2])))
             if (max_disp >= min_drag_distance_m
                     and s.timestamp_ns - start.timestamp_ns >= min_drag_duration_ns):
                 return PinchGesture.DRAG

@@ -43,7 +43,9 @@ from .core import (
     FrameValidator,
     GazeFrame,
     NUM_FEATURES,
+    NonFiniteFeature,  # re-exported: the wire path raises it
     ValidatedFrame,
+    _check_finite,
 )
 from .net import BlinkNet, ModelCheckpoint, classify
 from .segmenter import BlinkSegmenter
@@ -87,10 +89,6 @@ class TruncatedMessage(BlinkPipeError):
 
 class UnknownType(BlinkPipeError):
     """Unrecognized message type or enumeration byte."""
-
-
-class NonFiniteFeature(BlinkPipeError):
-    """A gaze frame carries a NaN or infinite feature."""
 
 
 class ClientNotReading(BlinkPipeError):
@@ -193,8 +191,7 @@ def gaze_msg_from_frame(frame: ValidatedFrame) -> GazeFrameMsg:
 def validated_frame_from_msg(msg: GazeFrameMsg) -> ValidatedFrame:
     """Rebuild a validated frame from wire features without re-normalizing."""
     f = msg.features
-    if not all(map(math.isfinite, f)):
-        raise NonFiniteFeature(f"frame {msg.timestamp_ns} features {f}")
+    _check_finite(msg.timestamp_ns, f)
     return ValidatedFrame(
         timestamp_ns=msg.timestamp_ns,
         left_pupil_mm=f[0],

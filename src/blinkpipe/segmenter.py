@@ -76,9 +76,7 @@ class BlinkSegmenter:
         self._onset_ns = 0
         self._closed_samples = 0
         self._both_seen = False
-        self._left_participated = False
-        self._right_participated = False
-        self._last_closed_side = BlinkKind.LEFT_WINK
+        self._left_closed_last = False  # left eye closed on the latest closure frame
         self._min_left = 1.0
         self._min_right = 1.0
 
@@ -106,20 +104,11 @@ class BlinkSegmenter:
                 self._onset_ns = frame.timestamp_ns
                 self._closed_samples = 0
                 self._both_seen = False
-                self._left_participated = False
-                self._right_participated = False
                 self._min_left = 1.0
                 self._min_right = 1.0
             self._closed_samples += 1
             self._both_seen = self._both_seen or (left_closed and right_closed)
-            self._left_participated = self._left_participated or left_closed
-            self._right_participated = self._right_participated or right_closed
-            if left_closed and right_closed:
-                self._last_closed_side = BlinkKind.BOTH_EYES
-            elif left_closed:
-                self._last_closed_side = BlinkKind.LEFT_WINK
-            else:
-                self._last_closed_side = BlinkKind.RIGHT_WINK
+            self._left_closed_last = left_closed
             self._min_left = min(self._min_left, frame.left_openness)
             self._min_right = min(self._min_right, frame.right_openness)
             held = prev.held_gaze_dir if prev.any_closed else self._last_open_gaze
@@ -130,10 +119,14 @@ class BlinkSegmenter:
             )
         else:
             if prev.any_closed and self._closed_samples >= self.min_closure_samples:
+                # Without a both-closed frame every closure frame had exactly
+                # one eye closed, so the eye closed last names the wink.
                 event = BlinkEvent(
                     onset_ns=self._onset_ns,
                     offset_ns=frame.timestamp_ns,
-                    kind=self._classify_kind(),
+                    kind=(BlinkKind.BOTH_EYES if self._both_seen
+                          else BlinkKind.LEFT_WINK if self._left_closed_last
+                          else BlinkKind.RIGHT_WINK),
                     min_openness_left=self._min_left,
                     min_openness_right=self._min_right,
                 )
@@ -142,17 +135,6 @@ class BlinkSegmenter:
 
         self._last_frame = frame
         return self.state, event
-
-    def _classify_kind(self) -> BlinkKind:
-        if self._both_seen:
-            return BlinkKind.BOTH_EYES
-        if self._left_participated and not self._right_participated:
-            return BlinkKind.LEFT_WINK
-        if self._right_participated and not self._left_participated:
-            return BlinkKind.RIGHT_WINK
-        # Both eyes took part but never simultaneously; the eye whose
-        # reopening ended the interval names the wink.
-        return self._last_closed_side
 
     def effective_gaze(self) -> Vec3:
         """Current gaze ray: frozen during closures, binocular mean otherwise."""

@@ -1,18 +1,20 @@
-"""Rolling feature history and fixed-length window extraction.
+"""Feature history in one contiguous store and fixed-length window cuts.
 
 The classifier consumes a window of the most recent `capacity` validated
 frames (default 5000, i.e. 25 s at 200 Hz) ending exactly at a blink's
 offset frame, flattened time-major into a single vector of
-capacity * NUM_FEATURES values. By default the ring holds exactly one
-window, which is all serving needs: a blink's offset is the newest frame.
-Offline window cutting (`dataset.materialize_windows`) sizes the ring to
-the whole recording, so it never wraps and every blink, and every copy
-shifted up to MAX_SHIFT_FRAMES either way, is cut after the last push.
+capacity * NUM_FEATURES values. The buffer keeps its newest
+`capacity + lookback` frames in one run of rows, oldest first, so every
+cut is a binary search over a view of the timestamps plus one slice copy.
+By default it keeps exactly one window, which is all serving needs: a
+blink's offset is the newest frame. Offline window cutting
+(`dataset.materialize_windows`) sizes it to the whole recording, so every
+blink, and every copy shifted up to MAX_SHIFT_FRAMES either way, is cut
+after the last push.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -53,10 +55,13 @@ class WindowTensor:
 
 
 class HistoryBuffer:
-    """Ring buffer of validated frames with timestamp-indexed window cuts.
+    """Validated frames in one contiguous store, cut into windows by timestamp.
 
-    Frames are addressed by absolute index (0 = first frame ever pushed);
-    the ring retains the newest `capacity + lookback` of them.
+    The newest `capacity + lookback` frames are retained as rows
+    [oldest, end) of the store, oldest first. Behind them are `capacity`
+    spare rows; once those are used up, the retained run moves to the front
+    in one copy, i.e. once per `capacity` pushes. A buffer whose lookback
+    covers the whole stream never moves.
     """
 
     def __init__(self, capacity: int = DEFAULT_WINDOW_FRAMES, lookback: int = 0):
@@ -66,74 +71,66 @@ class HistoryBuffer:
             raise ValueError("lookback must be non-negative")
         self.capacity = capacity
         self.lookback = lookback
-        self._ring = capacity + lookback
-        self._features = np.zeros((self._ring, NUM_FEATURES), dtype=np.float64)
-        self._timestamps = np.zeros(self._ring, dtype=np.int64)
-        self._count = 0  # total frames ever pushed
-        self._last_ts: Optional[int] = None
+        self._keep = capacity + lookback
+        rows = self._keep + capacity
+        self._features = np.zeros((rows, NUM_FEATURES), dtype=np.float64)
+        self._timestamps = np.zeros(rows, dtype=np.int64)
+        self._end = 0  # one past the newest row
 
     @property
     def fill_count(self) -> int:
         """Number of frames currently available, saturating at capacity."""
-        return min(self._count, self.capacity)
+        return min(self._end, self.capacity)
 
     @property
     def _oldest(self) -> int:
-        """Absolute index of the oldest retained frame."""
-        return max(0, self._count - self._ring)
+        """Row of the oldest retained frame."""
+        return max(0, self._end - self._keep)
 
     def push(self, frame: ValidatedFrame) -> None:
-        if self._last_ts is not None and frame.timestamp_ns <= self._last_ts:
+        end = self._end
+        if end and frame.timestamp_ns <= self._timestamps[end - 1]:
             raise NonMonotonicTimestamp(
-                f"timestamp {frame.timestamp_ns} not after {self._last_ts}"
+                f"timestamp {frame.timestamp_ns} not after"
+                f" {int(self._timestamps[end - 1])}"
             )
-        slot = self._count % self._ring
-        self._features[slot, :] = frame.features()
-        self._timestamps[slot] = frame.timestamp_ns
-        self._count += 1
-        self._last_ts = frame.timestamp_ns
+        if end == len(self._timestamps):
+            keep = self._keep
+            self._features[:keep] = self._features[end - keep:end]
+            self._timestamps[:keep] = self._timestamps[end - keep:end]
+            self._end = end = keep  # before the row write, which can raise
+        self._features[end] = frame.features()
+        self._timestamps[end] = frame.timestamp_ns
+        self._end = end + 1
 
-    def _slots(self, start: int, stop: int) -> np.ndarray:
-        """Ring slots of absolute indices [start, stop), oldest first."""
-        return np.arange(start, stop) % self._ring
-
-    def _index_at_or_before(self, timestamp_ns: int) -> Optional[int]:
-        """Absolute index of the newest retained frame with ts <= timestamp_ns."""
+    def _row_at_or_before(self, timestamp_ns: int) -> int:
+        """Row of the newest retained frame with ts <= timestamp_ns, or
+        oldest - 1 if there is none."""
         oldest = self._oldest
-        # Retained timestamps increase in absolute order; until the ring
-        # wraps that is slot order, so search them in place, not a copy.
-        retained = (self._timestamps[:self._count] if self._count <= self._ring
-                    else self._timestamps[self._slots(oldest, self._count)])
-        n = int(np.searchsorted(retained, timestamp_ns, side="right"))
-        return oldest + n - 1 if n else None
+        retained = self._timestamps[oldest:self._end]
+        return oldest + int(np.searchsorted(retained, timestamp_ns, side="right")) - 1
 
-    def _window(self, end_index: int) -> WindowTensor:
-        """Window of `capacity` frames whose last frame is `end_index`."""
-        start = end_index - self.capacity + 1
+    def _window(self, end_row: int) -> WindowTensor:
+        """Window of `capacity` frames whose last frame is row `end_row`."""
+        start = end_row - self.capacity + 1
         if start < self._oldest:
             raise NotReady(
-                f"window start {start} evicted (oldest retained {self._oldest})"
+                f"{end_row - self._oldest + 1} retained frames at or before"
+                f" the window end; need {self.capacity}"
             )
-        slots = self._slots(start, end_index + 1)
         return WindowTensor(
-            values=self._features[slots].reshape(-1),
-            end_timestamp_ns=int(self._timestamps[slots[-1]]),
+            values=self._features[start:end_row + 1].flatten(),  # a copy, never a view
+            end_timestamp_ns=int(self._timestamps[end_row]),
             window_frames=self.capacity,
         )
 
     def snapshot_at_blink_end(self, blink: BlinkEvent) -> WindowTensor:
         """Window ending at the newest frame at or before the blink offset.
 
-        Raises NotReady during warm-up, i.e. when fewer than `capacity`
-        frames exist at or before that offset.
+        Raises NotReady when fewer than `capacity` retained frames exist at
+        or before that offset: during warm-up, or once they are evicted.
         """
-        end = self._index_at_or_before(blink.offset_ns)
-        if end is None or end - self.capacity + 1 < 0:
-            have = 0 if end is None else end + 1
-            raise NotReady(
-                f"{have} frames at or before blink offset; need {self.capacity}"
-            )
-        return self._window(end)
+        return self._window(self._row_at_or_before(blink.offset_ns))
 
     def augment_shift(self, window: WindowTensor,
                       rng: np.random.Generator) -> WindowTensor:
@@ -143,11 +140,11 @@ class HistoryBuffer:
         the buffer can still serve, so augmented windows near the stream
         edges degrade gracefully instead of failing.
         """
-        end = self._index_at_or_before(window.end_timestamp_ns)
-        if end is None:
+        end = self._row_at_or_before(window.end_timestamp_ns)
+        if end < self._oldest:
             raise NotReady("window end timestamp no longer in buffer")
         shift = int(rng.integers(-MAX_SHIFT_FRAMES, MAX_SHIFT_FRAMES + 1))
         lo = self._oldest + self.capacity - 1 - end  # most negative admissible shift
-        hi = self._count - 1 - end
+        hi = self._end - 1 - end
         shift = max(lo, min(hi, shift))
         return self._window(end + shift)

@@ -1,0 +1,95 @@
+"""The blinkpipe names that the benchmark under perfbench/ patches or reads.
+
+perfbench/tracer.py wraps layer functions by name, serve_launcher.py times
+the blink path by patching two of them, and offline_worker.py and
+serve_launcher.py read a few attributes. A renamed name fails here, in
+tier 1, instead of only in the benchmark's own smoke job. Nothing under
+perfbench/ is changed; its modules are loaded from their files.
+"""
+from __future__ import annotations
+
+import dataclasses
+import importlib.util
+import inspect
+import pathlib
+
+import numpy as np
+import pytest
+
+from blinkpipe import dataset, net, proto, window
+
+from conftest import square_blink_recording, tiny_net
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run_offline_layers():
+    rec = square_blink_recording([50, 120], closed_frames=12, n_frames=200)
+    cut = dataset.materialize_windows(rec, dataset.label_blinks(rec), 30,
+                                      window.DEFAULT_LOOKBACK_FRAMES, 1,
+                                      np.random.default_rng(0))
+    net.classify(tiny_net(30), cut[0].window)
+
+
+def _run_serving_layers():
+    rec = square_blink_recording([50, 120], closed_frames=12, n_frames=200)
+    return proto.predictions_for_frames(proto.validate_frames(rec.frames),
+                                        tiny_net(30), window_frames=30)
+
+
+@pytest.mark.parametrize("install,run,spans", [
+    ("install_offline", _run_offline_layers,
+     ("dataset.label", "dataset.cut", "core.validate", "segmenter.update",
+      "window.push", "window.cut", "net.forward")),
+    ("install_serving", _run_serving_layers,
+     ("proto.ingest", "segmenter.update", "window.push", "window.cut",
+      "net.forward")),
+    ("install_inputs", _run_offline_layers, ("core.validate",)),
+])
+def test_tracer_span_sets_install_record_and_uninstall(install, run, spans):
+    tracing = _load("tracer")
+    tracer = tracing.Tracer()
+    try:
+        getattr(tracing, install)(tracer)
+        patched = [(owner, attr, getattr(owner, attr))
+                   for owner, attr, _ in tracer._undo]
+        assert patched
+        run()
+    finally:
+        tracer.uninstall()
+    for name in spans:
+        assert tracer.durations(name).size > 0, name
+    for owner, attr, wrapper in patched:
+        assert getattr(owner, attr) is not wrapper, (owner, attr)
+
+
+def test_serve_launcher_times_every_classified_blink(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # for its `import common`
+    launcher = _load("serve_launcher")
+    # time_blink_path patches for good; monkeypatch puts these back after.
+    monkeypatch.setattr(window.HistoryBuffer, "snapshot_at_blink_end",
+                        window.HistoryBuffer.snapshot_at_blink_end)
+    monkeypatch.setattr(proto, "classify", proto.classify)
+    rows = launcher.time_blink_path(proto, window)
+    preds = _run_serving_layers()
+    assert len(rows) == len(preds) == 2
+    assert [row[0] for row in rows] == [p.blink_end_ns for p in preds]
+
+
+def test_attributes_the_benchmark_workers_read():
+    assert isinstance(window.DEFAULT_LOOKBACK_FRAMES, int)
+    fields = {f.name for f in dataclasses.fields(proto.SessionStats)}
+    assert {"frames_received", "frames_dropped", "predictions_sent",
+            "max_queue_depth", "error"} <= fields
+    assert proto.classify is net.classify
+    # offline_worker.py passes these positionally.
+    inspect.signature(dataset.materialize_windows).bind(
+        "rec", [], 5000, window.DEFAULT_LOOKBACK_FRAMES, 1, None)

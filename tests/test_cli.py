@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import math
 import os
 
 import pytest
@@ -128,11 +129,17 @@ class TestExitCodes:
         assert run("stats", "--data", str(bad)) == EXIT_DATA
 
     @pytest.mark.parametrize("damage", ["presses_line", "non_ascii",
-                                        "truncated_gzip", "not_gzip"])
+                                        "truncated_gzip", "not_gzip",
+                                        "nan_pupil", "zero_gaze"])
     def test_damaged_recording_is_data_error(self, tmp_path, capsys, damage):
         path = tmp_path / ("rec.csv.gz" if damage.endswith("gzip")
                            else "rec.csv")
-        save_recording(square_blink_recording([40], presses=[10**8]), str(path))
+        rec = square_blink_recording([40], presses=[10**8])
+        if damage == "nan_pupil":
+            rec.frames[70].left_pupil_mm = math.nan
+        elif damage == "zero_gaze":
+            rec.frames[70].right_dir = (0.0, 0.0, 0.0)
+        save_recording(rec, str(path))
         data = path.read_bytes()
         if damage == "presses_line":
             (tmp_path / "rec.presses").write_text("100000000\nsoon\n")
@@ -140,10 +147,12 @@ class TestExitCodes:
             path.write_bytes(data[:-20] + b"\xe9" + data[-19:])
         elif damage == "not_gzip":
             path.write_bytes(gzip.decompress(data))
-        else:
+        elif damage.endswith("gzip"):
             path.write_bytes(data[:len(data) // 2])
         assert run("stats", "--data", str(path)) == EXIT_DATA
-        assert "RecordingFormatError" in capsys.readouterr().err
+        error = {"nan_pupil": "NonFiniteFeature",
+                 "zero_gaze": "DegenerateDirection"}.get(damage, "RecordingFormatError")
+        assert error in capsys.readouterr().err
 
     def test_garbage_checkpoint_is_data_error(self, tmp_path):
         ckpt = tmp_path / "model.bnet"

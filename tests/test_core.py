@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from blinkpipe import core
+from blinkpipe import core, proto
 
 from blinkpipe.core import (
     FEATURE_NAMES,
@@ -20,6 +21,7 @@ from blinkpipe.core import (
     CalibrationProfile,
     DegenerateDirection,
     FrameValidator,
+    NonFiniteFeature,
     NonMonotonicTimestamp,
     validate_frame,
 )
@@ -87,11 +89,36 @@ def test_quantization_matches_numpy_float32_bit_for_bit():
 
 
 def test_validation_quantizes_pupils_past_flt_max_to_inf():
+    # A pupil that rounds past FLT_MAX quantizes to inf, which is rejected.
     halfway = 3.4028235677973366e38
-    vf = validate_frame(make_frame(0, lpupil=halfway,
-                                   rpupil=float(np.nextafter(halfway, 0.0))))
-    assert vf.left_pupil_mm == math.inf
+    with pytest.raises(NonFiniteFeature):
+        validate_frame(make_frame(0, lpupil=halfway))
+    vf = validate_frame(make_frame(0, rpupil=float(np.nextafter(halfway, 0.0))))
     assert vf.right_pupil_mm == float(np.finfo(np.float32).max)
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("left_pupil_mm", math.nan), ("right_pupil_mm", 1e39),
+    ("left_pupil_mm", math.inf), ("right_openness", math.nan),
+    ("left_dir", (0.0, math.nan, 1.0)), ("right_dir", (math.inf, 0.0, 1.0)),
+])
+def test_validation_rejects_non_finite_features(field, bad):
+    good = make_frame(0)
+    for valid in (True, False):  # an invalid first frame keeps its own values
+        validator = FrameValidator()
+        with pytest.raises(NonFiniteFeature):
+            validator.validate(replace(good, valid=valid, **{field: bad}))
+        # The rejected frame leaves the stream where it was.
+        assert validator.last_timestamp_ns is None
+        validator.validate(good)
+        # After a valid frame, an invalid one is forward-filled instead.
+        filled = validator.validate(replace(
+            good, timestamp_ns=FRAME_INTERVAL_NS, valid=False, **{field: bad}))
+        assert filled.features() == validate_frame(good).features()
+
+
+def test_non_finite_feature_is_one_class_offline_and_on_the_wire():
+    assert proto.NonFiniteFeature is NonFiniteFeature
 
 
 def test_validation_renormalizes_directions():

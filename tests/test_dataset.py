@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gzip
+import math
 import os
 import time
 
@@ -14,6 +15,7 @@ from blinkpipe.core import (
     BlinkKind,
     BlinkLabel,
     FrameValidator,
+    NonFiniteFeature,
 )
 from blinkpipe.dataset import (
     INTENT_MARGIN_NS,
@@ -138,6 +140,22 @@ class TestRecordingFiles:
             f.writelines(lines)
         with pytest.raises(RecordingFormatError, match="line 3"):
             load_recording(path)
+
+    def test_non_finite_features_are_rejected_when_validated(self, tmp_path):
+        # nan as one frame's left pupil and 1e39 (inf at float32) as the next
+        # frame's right pupil: the file parses, but neither may reach a window.
+        rec = square_blink_recording([40], n_frames=120)
+        rec.frames[60].left_pupil_mm = math.nan
+        rec.frames[61].right_pupil_mm = 1e39
+        path = str(tmp_path / "rec.csv")
+        save_recording(rec, path)
+        back = load_recording(path)
+        for _ in range(2):
+            with pytest.raises(NonFiniteFeature):
+                label_blinks(back)
+            with pytest.raises(NonFiniteFeature):
+                materialize_windows(back, [], window_frames=20)
+            back.frames[60].left_pupil_mm = 4.0  # then the 1e39 frame alone
 
     def test_bad_metadata_token_raises(self, tmp_path):
         path = tmp_path / "rec.csv"

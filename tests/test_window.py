@@ -201,3 +201,35 @@ def test_ring_reads_match_list_oracle(cap, look):
                 np.testing.assert_array_equal(shifted.as_matrix(),
                                               oracle_window(end + shift))
                 assert shifted.end_timestamp_ns == ts[end + shift]
+
+
+def test_window_survives_later_compactions():
+    # The store moves its retained rows to the front every `capacity`
+    # pushes; a window must be a copy, not a view that those moves rewrite.
+    cap, look = 12, 5
+    buf = HistoryBuffer(cap, look)
+    for i in range(cap):
+        buf.push(frame_at(i))
+    w = buf.snapshot_at_blink_end(blink_ending_at((cap - 1) * FRAME_INTERVAL_NS))
+    shifted = buf.augment_shift(w, np.random.default_rng(3))
+    want, want_shifted = w.values.copy(), shifted.values.copy()
+    for i in range(cap, cap + 2 * (cap + look) + 1):
+        buf.push(frame_at(i + 1000))
+    np.testing.assert_array_equal(w.values, want)
+    np.testing.assert_array_equal(shifted.values, want_shifted)
+
+
+def test_fill_count_and_monotonicity_across_compaction():
+    cap, look = 6, 2
+    buf = HistoryBuffer(cap, look)
+    for i in range(3 * (2 * cap + look)):  # several compactions
+        buf.push(frame_at(i))
+        assert buf.fill_count == min(i + 1, cap)
+        with pytest.raises(NonMonotonicTimestamp):
+            buf.push(frame_at(i))
+        with pytest.raises(NonMonotonicTimestamp):
+            buf.push(frame_at(i - 1))
+    # A rejected push changes nothing: the newest window is still intact.
+    w = buf.snapshot_at_blink_end(blink_ending_at(i * FRAME_INTERVAL_NS))
+    want = np.array([frame_at(k).features() for k in range(i - cap + 1, i + 1)])
+    np.testing.assert_array_equal(w.as_matrix(), want)
