@@ -31,8 +31,6 @@ import os
 import sys
 from typing import Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
 from .core import (
     DEFAULT_HYSTERESIS_BAND,
     NUM_FEATURES,
@@ -44,9 +42,11 @@ from .core import (
     HeadPose,
     NonFiniteFeature,
     NonMonotonicTimestamp,
+    TimestampOutOfRange,
     atomic_path,
+    validate_columns,
 )
-from .segmenter import BlinkSegmenter
+from .segmenter import BlinkSegmenter, two_means_threshold
 from .window import DEFAULT_WINDOW_FRAMES, NotReady
 from .net import (
     DEFAULT_BATCH_SIZE,
@@ -67,9 +67,9 @@ from .dataset import (
     RecordingFormatError,
     TooFewParticipants,
     dataset_stats,
+    _labeled_windows,
     label_blinks,
     load_recording,
-    materialize_windows,
     save_recording,
     split_by_participant,
 )
@@ -117,6 +117,7 @@ _DATA_ERRORS = (
     UnknownType,
     NotReady,
     NonMonotonicTimestamp,
+    TimestampOutOfRange,
     NonFiniteFeature,
     DegenerateDirection,
     ShapeMismatch,
@@ -335,8 +336,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     truth: List[BlinkLabel] = []
     predicted: List[BlinkLabel] = []
     for rec in _load_recordings(args.test):
-        labeled = label_blinks(rec, profile)
-        for lb in materialize_windows(rec, labeled, window_frames):
+        for lb in _labeled_windows(rec, profile, window_frames):
             truth.append(lb.label)
             predicted.append(classify(net, lb.window)[0])
     cm = ConfusionMatrix.from_predictions(truth, predicted)
@@ -399,39 +399,14 @@ def cmd_fsm_trace(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _two_means_threshold(values: np.ndarray) -> Optional[float]:
-    """Midpoint of p5(open cluster) and p95(closed cluster), or None.
-
-    The clusters come from 1-D two-means with fixed initial centers, so
-    the estimate is deterministic for a given recording.
-    """
-    center_open, center_closed = 0.95, 0.2
-    open_vals = closed_vals = None
-    for _ in range(64):
-        mid = (center_open + center_closed) / 2.0
-        open_vals = values[values >= mid]
-        closed_vals = values[values < mid]
-        if open_vals.size == 0 or closed_vals.size == 0:
-            return None
-        new_open = float(open_vals.mean())
-        new_closed = float(closed_vals.mean())
-        if abs(new_open - center_open) < 1e-9 and abs(new_closed - center_closed) < 1e-9:
-            break
-        center_open, center_closed = new_open, new_closed
-    threshold = (np.percentile(open_vals, 5) + np.percentile(closed_vals, 95)) / 2.0
-    return float(min(max(threshold, 0.05), 0.9))
-
-
 def cmd_calibrate(args: argparse.Namespace) -> int:
     rec = load_recording(args.input)
-    frames = validate_frames(rec.frames)
-    if not frames:
+    _, features, _ = validate_columns(rec.frames)
+    if not len(features):
         raise RecordingFormatError(f"{args.input}: recording has no frames")
-    left = np.array([f.left_openness for f in frames])
-    right = np.array([f.right_openness for f in frames])
     thresholds = {}
-    for eye, vals in (("left", left), ("right", right)):
-        thr = _two_means_threshold(vals)
+    for eye, vals in (("left", features[:, 2]), ("right", features[:, 3])):
+        thr = two_means_threshold(vals)
         if thr is None:
             log.warning("%s eye never closed; using default threshold", eye)
             thr = CalibrationProfile().closed_threshold_left

@@ -13,16 +13,22 @@ Conventions used everywhere downstream:
   boundary makes in-process and over-the-wire processing bit-identical.
 * Invalid tracking frames (valid=False) reuse the last valid feature
   values (forward fill only, never future interpolation).
+* `FrameValidator` validates a stream frame by frame; `validate_columns`
+  validates a whole recording in one vectorized pass with the same output,
+  bit for bit, and the same error at the same first bad frame.
 """
 from __future__ import annotations
 
 import contextlib
 import enum
+import itertools
 import math
 import os
 from array import array
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 
 SAMPLE_RATE_HZ = 200
@@ -47,6 +53,9 @@ NUM_FEATURES = len(FEATURE_NAMES)
 
 Vec3 = Tuple[float, float, float]
 
+# Timestamps are stored as int64 (history rows, wire frames, numpy columns).
+_TS_MIN, _TS_MAX = -2**63, 2**63 - 1
+
 _DIR_NORM_TOL = 1e-3
 _DEGENERATE_NORM = 1e-6
 # Fallback gaze when nothing valid has been seen yet: straight ahead (+z).
@@ -59,6 +68,10 @@ class BlinkPipeError(Exception):
 
 class NonMonotonicTimestamp(BlinkPipeError):
     """A frame timestamp did not strictly increase within its stream."""
+
+
+class TimestampOutOfRange(BlinkPipeError):
+    """A frame timestamp does not fit a signed 64-bit integer."""
 
 
 class DegenerateDirection(BlinkPipeError):
@@ -242,6 +255,11 @@ def _check_finite(timestamp_ns: int, features: Sequence[float]) -> None:
         raise NonFiniteFeature(f"frame {timestamp_ns} features {tuple(features)}")
 
 
+def _check_timestamp(timestamp_ns: int) -> None:
+    if not _TS_MIN <= timestamp_ns <= _TS_MAX:
+        raise TimestampOutOfRange(f"timestamp {timestamp_ns} outside the int64 range")
+
+
 def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
 
@@ -277,6 +295,7 @@ class FrameValidator:
         return self._last_timestamp_ns
 
     def validate(self, frame: GazeFrame) -> ValidatedFrame:
+        _check_timestamp(frame.timestamp_ns)
         if self._last_timestamp_ns is not None and frame.timestamp_ns <= self._last_timestamp_ns:
             raise NonMonotonicTimestamp(
                 f"timestamp {frame.timestamp_ns} not after {self._last_timestamp_ns}"
@@ -320,6 +339,92 @@ class FrameValidator:
 
         self._last_timestamp_ns = frame.timestamp_ns
         return out
+
+
+def _unit_columns(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """`_normalize` of every column of a (3, n) array: (unit columns, degenerate mask)."""
+    x, y, z = v
+    n = np.sqrt(x * x + y * y + z * z)  # _dot's operation order
+    return np.where(np.abs(n - 1.0) <= 1e-6, v, v / n), n < _DEGENERATE_NORM
+
+
+def validated_prefix(frames: Sequence[GazeFrame]) -> Tuple[
+        np.ndarray, np.ndarray, np.ndarray, Optional[BlinkPipeError]]:
+    """`validate_columns` up to the first bad frame.
+
+    Returns (timestamps, features, valid, error): the columns of the frames
+    before the first one `FrameValidator` rejects, and the error it raises
+    there (None when every frame passes). The offline labeler needs the
+    prefix: segmenting it can fail before that frame.
+    """
+    n = len(frames)
+    try:
+        ts = np.fromiter((f.timestamp_ns for f in frames), np.int64, n)
+    except OverflowError:
+        k = next(i for i, f in enumerate(frames) if not _TS_MIN <= f.timestamp_ns <= _TS_MAX)
+        ts, features, valid, error = validated_prefix(frames[:k])
+        if error is None:
+            error = TimestampOutOfRange(
+                f"timestamp {frames[k].timestamp_ns} outside the int64 range")
+        return ts, features, valid, error
+    valid = np.fromiter((f.valid for f in frames), bool, n)
+    raw = np.fromiter(
+        itertools.chain.from_iterable(
+            (f.left_pupil_mm, f.right_pupil_mm, f.left_openness, f.right_openness,
+             *f.left_dir, *f.right_dir) for f in frames),
+        np.float64, n * NUM_FEATURES).reshape(n, NUM_FEATURES).T.copy()
+    # Frames whose own values are kept: valid ones, and invalid ones before
+    # the first valid one. Every other frame is forward-filled.
+    own = valid | ~np.logical_or.accumulate(valid)
+    # NaN, inf and out-of-range values are expected here; the checks below
+    # reject them, so numpy must not warn about them.
+    with np.errstate(all="ignore"):
+        pupils, opens = raw[0:2], raw[2:4]  # one row per feature
+        pupils[pupils < 0.0] = 0.0  # max(p, 0.0): NaN and -0.0 pass
+        opens[opens < 0.0] = 0.0
+        opens[opens > 1.0] = 1.0
+        raw[4:7], left_degenerate = _unit_columns(raw[4:7])
+        raw[7:10], right_degenerate = _unit_columns(raw[7:10])
+        raw[4:7, left_degenerate] = np.array(_DEFAULT_DIR)[:, None]
+        raw[7:10, right_degenerate] = np.array(_DEFAULT_DIR)[:, None]
+        quantized = raw.astype(np.float32)
+    # (frame, rule) of each rule's first failure, rules in FrameValidator's order.
+    failures = [(int(bad[0]), rule) for rule, bad in enumerate((
+        np.flatnonzero(ts[1:] <= ts[:-1]) + 1,
+        np.flatnonzero(valid & left_degenerate),
+        np.flatnonzero(valid & right_degenerate),
+        np.flatnonzero(own & ~np.isfinite(quantized).all(axis=0)))) if bad.size]
+    error = None
+    if failures:
+        k, rule = min(failures)
+        t = int(ts[k])
+        if rule == 0:
+            error = NonMonotonicTimestamp(f"timestamp {t} not after {int(ts[k - 1])}")
+        elif rule < 3:
+            error = DegenerateDirection(
+                f"zero-norm gaze direction on valid frame at t={t}")
+        else:
+            error = NonFiniteFeature(
+                f"frame {t} features {tuple(quantized[:, k].tolist())}")
+        ts, valid, own, quantized = ts[:k], valid[:k], own[:k], quantized[:, :k]
+    features = np.ascontiguousarray(quantized.T, dtype=np.float64)
+    if not own.all():
+        features = features[np.maximum.accumulate(np.where(own, np.arange(len(own)), 0))]
+    return ts, features, valid, error
+
+
+def validate_columns(frames: Sequence[GazeFrame]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate a whole recording in one vectorized pass.
+
+    Returns (timestamps int64[n], features float64[n, 10], valid bool[n]),
+    where row i equals `FrameValidator().validate` of frame i within the
+    stream, bit for bit. On bad input it raises what `FrameValidator` raises
+    at the first bad frame.
+    """
+    ts, features, valid, error = validated_prefix(frames)
+    if error is not None:
+        raise error
+    return ts, features, valid
 
 
 def validate_frame(frame: GazeFrame, last_timestamp_ns: Optional[int] = None) -> ValidatedFrame:

@@ -26,14 +26,16 @@ from typing import (
 
 import numpy as np
 
+from . import core
 from .core import (
     BlinkEvent,
     BlinkKind,
     BlinkLabel,
     BlinkPipeError,
     CalibrationProfile,
-    FrameValidator,
+    DegenerateDirection,
     GazeFrame,
+    TimestampOutOfRange,
     atomic_path,
 )
 from .segmenter import BlinkSegmenter
@@ -167,7 +169,7 @@ def _read_recording(path: str) -> Recording:
                 )
             try:
                 frames.append(GazeFrame(
-                    timestamp_ns=int(parts[0]),
+                    timestamp_ns=_timestamp(parts[0]),
                     left_pupil_mm=float(parts[1]),
                     right_pupil_mm=float(parts[2]),
                     left_openness=float(parts[3]),
@@ -176,7 +178,7 @@ def _read_recording(path: str) -> Recording:
                     right_dir=(float(parts[8]), float(parts[9]), float(parts[10])),
                     valid=parts[11] == "1",
                 ))
-            except ValueError as e:
+            except (ValueError, TimestampOutOfRange) as e:
                 raise RecordingFormatError(f"line {lineno}: {e}") from e
     presses: List[int] = []
     sidecar = _sidecar_path(path)
@@ -185,11 +187,17 @@ def _read_recording(path: str) -> Recording:
             for lineno, row in enumerate(f, start=1):
                 if row.strip():
                     try:
-                        presses.append(int(row))
-                    except ValueError as e:
+                        presses.append(_timestamp(row))
+                    except (ValueError, TimestampOutOfRange) as e:
                         raise RecordingFormatError(
                             f"{sidecar}: line {lineno}: {e}") from e
     return Recording(participant, frames, presses, metadata)
+
+
+def _timestamp(text: str) -> int:
+    ts = int(text)
+    core._check_timestamp(ts)
+    return ts
 
 
 # --------------------------------------------------------------------------
@@ -203,13 +211,40 @@ def label_blinks(rec: Recording,
     Voluntary iff a button press lies in [offset - 200 ms, offset + 200 ms]
     (inclusive); winks are dropped.
     """
-    validator = FrameValidator()
+    return _label(rec, core.validated_prefix(rec.frames), profile)
+
+
+def _label(rec: Recording, columns, profile: Optional[CalibrationProfile]
+           ) -> List[LabeledBlink]:
+    """`label_blinks` over `core.validated_prefix(rec.frames)`.
+
+    Runs `BlinkSegmenter.step` over the openness columns, and raises what
+    `BlinkSegmenter.update` would over the validated frames: DegenerateDirection
+    for a zero binocular gaze on the first frame or on a frame with both eyes
+    open, else the validation error that ends the prefix.
+    """
+    ts, features, _, error = columns
     seg = BlinkSegmenter(profile)
+    gaze = features[:, 4:7] + features[:, 7:10]  # binocular_dir's sum
+    norm = np.sqrt(gaze[:, 0] * gaze[:, 0] + gaze[:, 1] * gaze[:, 1]
+                   + gaze[:, 2] * gaze[:, 2])
+    ts, left, right = ts.tolist(), features[:, 2].tolist(), features[:, 3].tolist()
+    events: List[BlinkEvent] = []
+    start = 0
+    for k in np.flatnonzero(norm < core._DEGENERATE_NORM).tolist() + [len(ts)]:
+        stop = min(k + 1, len(ts))
+        events += [e for e in map(seg.step, ts[start:stop], left[start:stop],
+                                  right[start:stop]) if e is not None]
+        if k < len(ts) and (k == 0 or not seg.any_closed):
+            raise DegenerateDirection(
+                f"direction {tuple(gaze[k].tolist())} has near-zero norm")
+        start = stop
+    if error is not None:
+        raise error
     presses = np.asarray(sorted(rec.button_presses), dtype=np.int64)
     out: List[LabeledBlink] = []
-    for fr in rec.frames:
-        _, event = seg.update(validator.validate(fr))
-        if event is None or event.kind is not BlinkKind.BOTH_EYES:
+    for event in events:
+        if event.kind is not BlinkKind.BOTH_EYES:
             continue
         lo = np.searchsorted(presses, event.offset_ns - INTENT_MARGIN_NS, side="left")
         hi = np.searchsorted(presses, event.offset_ns + INTENT_MARGIN_NS, side="right")
@@ -232,15 +267,21 @@ def materialize_windows(
     warm-up period) are silently dropped. `augment_copies` adds that many
     randomly shifted (within +/-10 frames, clipped to the recording)
     re-cuts of each window, sharing the original's label; requires `rng`.
-    `lookback` is ignored: one buffer holds every frame of `rec` in one run
-    of rows that never moves, so each window and each re-cut is one slice.
+    `lookback` is ignored: the recording is validated in one pass and its
+    columns copied into one buffer (`HistoryBuffer.from_columns`) whose
+    rows never move, so each window and each re-cut is one slice.
     """
     if augment_copies > 0 and rng is None:
         raise ValueError("augmentation requires an rng")
-    validator = FrameValidator()
-    buf = HistoryBuffer(window_frames, max(0, len(rec.frames) - window_frames))
-    for fr in rec.frames:
-        buf.push(validator.validate(fr))
+    ts, features, _ = core.validate_columns(rec.frames)
+    return _cut(ts, features, labeled, window_frames, augment_copies, rng)
+
+
+def _cut(ts: np.ndarray, features: np.ndarray, labeled: Sequence[LabeledBlink],
+         window_frames: int, augment_copies: int,
+         rng: Optional[np.random.Generator]) -> List[LabeledBlink]:
+    """`materialize_windows` over a recording's validated columns."""
+    buf = HistoryBuffer.from_columns(ts, features, window_frames)
     out: List[LabeledBlink] = []
     for lb in sorted(labeled, key=lambda lb: lb.blink.offset_ns):
         try:
@@ -251,6 +292,16 @@ def materialize_windows(
         for _ in range(augment_copies):
             out.append(replace(lb, window=buf.augment_shift(w, rng)))
     return out
+
+
+def _labeled_windows(rec: Recording, profile: Optional[CalibrationProfile],
+                     window_frames: int, augment_copies: int = 0,
+                     rng: Optional[np.random.Generator] = None) -> List[LabeledBlink]:
+    """`materialize_windows(rec, label_blinks(rec, profile), ...)` with one
+    validation of the recording."""
+    columns = core.validated_prefix(rec.frames)
+    labeled = _label(rec, columns, profile)
+    return _cut(columns[0], columns[1], labeled, window_frames, augment_copies, rng)
 
 
 # --------------------------------------------------------------------------
@@ -336,9 +387,9 @@ def split_by_participant(
     for rec in recs:
         pid = rec.participant_id
         bucket = train if pid in spec.train else val if pid in spec.val else test
-        bucket.extend(materialize_windows(
-            rec, label_blinks(rec, profile), window_frames,
-            augment_copies=augment_copies if bucket is train else 0, rng=rng))
+        bucket.extend(_labeled_windows(
+            rec, profile, window_frames,
+            augment_copies if bucket is train else 0, rng))
     return spec, train, val, test
 
 

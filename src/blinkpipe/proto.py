@@ -46,6 +46,7 @@ from .core import (
     NonFiniteFeature,  # re-exported: the wire path raises it
     ValidatedFrame,
     _check_finite,
+    _check_timestamp,
 )
 from .net import BlinkNet, ModelCheckpoint, classify
 from .segmenter import BlinkSegmenter
@@ -191,6 +192,7 @@ def gaze_msg_from_frame(frame: ValidatedFrame) -> GazeFrameMsg:
 def validated_frame_from_msg(msg: GazeFrameMsg) -> ValidatedFrame:
     """Rebuild a validated frame from wire features without re-normalizing."""
     f = msg.features
+    _check_timestamp(msg.timestamp_ns)  # the wire carries u64, history rows int64
     _check_finite(msg.timestamp_ns, f)
     return ValidatedFrame(
         timestamp_ns=msg.timestamp_ns,

@@ -10,12 +10,17 @@ sensor glitches and dropped (physiological blinks last ~100 ms or more).
 While any eye is closed the effective gaze is frozen at the binocular gaze
 of the last frame on which both eyes were open, so eyelid-induced eye
 movement cannot drag the selection ray around during a blink.
+
+`two_means_threshold` estimates one eye's closure threshold from the
+openness values of a recording (the `calibrate` command).
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from typing import Optional, Tuple
+
+import numpy as np
 
 from .core import (
     BlinkEvent,
@@ -59,19 +64,29 @@ class EyeState:
         return self.any_closed and not self.both_closed
 
 
+_ALL_OPEN = EyeState()
+
+
 class BlinkSegmenter:
     """Converts a validated frame stream into eye states and BlinkEvents.
 
-    One instance per stream; feed frames in timestamp order.
+    One instance per stream; feed frames in timestamp order, either whole
+    (`update`, which also tracks the gaze) or as openness values (`step`,
+    the closure rules alone, as offline labeling uses them).
     """
 
     def __init__(self, profile: Optional[CalibrationProfile] = None,
                  min_closure_samples: int = MIN_CLOSURE_SAMPLES):
         self.profile = profile or CalibrationProfile()
         self.min_closure_samples = min_closure_samples
-        self.state = EyeState()
+        self.state = _ALL_OPEN
         self._last_frame: Optional[ValidatedFrame] = None
         self._last_open_gaze: Optional[Vec3] = None
+        self._close_left = self.profile.closed_threshold_left
+        self._close_right = self.profile.closed_threshold_right
+        self._reopen_left = self.profile.reopen_threshold_left()
+        self._reopen_right = self.profile.reopen_threshold_right()
+        self._left_closed = self._right_closed = False  # on the latest frame
         # Closure interval bookkeeping.
         self._onset_ns = 0
         self._closed_samples = 0
@@ -80,28 +95,22 @@ class BlinkSegmenter:
         self._min_left = 1.0
         self._min_right = 1.0
 
-    def update(self, frame: ValidatedFrame) -> Tuple[EyeState, Optional[BlinkEvent]]:
-        prof = self.profile
-        prev = self.state
+    @property
+    def any_closed(self) -> bool:
+        """Whether an eye was closed on the latest frame."""
+        return self._left_closed or self._right_closed
 
-        if prev.left is EyeOpenState.CLOSED:
-            left_closed = frame.left_openness < prof.reopen_threshold_left()
-        else:
-            left_closed = frame.left_openness < prof.closed_threshold_left
-        if prev.right is EyeOpenState.CLOSED:
-            right_closed = frame.right_openness < prof.reopen_threshold_right()
-        else:
-            right_closed = frame.right_openness < prof.closed_threshold_right
-
-        if self._last_open_gaze is None:
-            self._last_open_gaze = frame.binocular_dir()
-
-        event: Optional[BlinkEvent] = None
-        any_closed = left_closed or right_closed
-
-        if any_closed:
-            if not prev.any_closed:
-                self._onset_ns = frame.timestamp_ns
+    def step(self, timestamp_ns: int, left_openness: float,
+             right_openness: float) -> Optional[BlinkEvent]:
+        """Apply the closure rules to one frame; returns the blink it ends."""
+        was_closed = self._left_closed or self._right_closed
+        left_closed = self._left_closed = left_openness < (
+            self._reopen_left if self._left_closed else self._close_left)
+        right_closed = self._right_closed = right_openness < (
+            self._reopen_right if self._right_closed else self._close_right)
+        if left_closed or right_closed:
+            if not was_closed:
+                self._onset_ns = timestamp_ns
                 self._closed_samples = 0
                 self._both_seen = False
                 self._min_left = 1.0
@@ -109,30 +118,38 @@ class BlinkSegmenter:
             self._closed_samples += 1
             self._both_seen = self._both_seen or (left_closed and right_closed)
             self._left_closed_last = left_closed
-            self._min_left = min(self._min_left, frame.left_openness)
-            self._min_right = min(self._min_right, frame.right_openness)
+            self._min_left = min(self._min_left, left_openness)
+            self._min_right = min(self._min_right, right_openness)
+            return None
+        if was_closed and self._closed_samples >= self.min_closure_samples:
+            # Without a both-closed frame every closure frame had exactly
+            # one eye closed, so the eye closed last names the wink.
+            return BlinkEvent(
+                onset_ns=self._onset_ns,
+                offset_ns=timestamp_ns,
+                kind=(BlinkKind.BOTH_EYES if self._both_seen
+                      else BlinkKind.LEFT_WINK if self._left_closed_last
+                      else BlinkKind.RIGHT_WINK),
+                min_openness_left=self._min_left,
+                min_openness_right=self._min_right,
+            )
+        return None
+
+    def update(self, frame: ValidatedFrame) -> Tuple[EyeState, Optional[BlinkEvent]]:
+        if self._last_open_gaze is None:
+            self._last_open_gaze = frame.binocular_dir()
+        prev = self.state
+        event = self.step(frame.timestamp_ns, frame.left_openness, frame.right_openness)
+        if self._left_closed or self._right_closed:
             held = prev.held_gaze_dir if prev.any_closed else self._last_open_gaze
             self.state = EyeState(
-                left=EyeOpenState.CLOSED if left_closed else EyeOpenState.OPEN,
-                right=EyeOpenState.CLOSED if right_closed else EyeOpenState.OPEN,
+                left=EyeOpenState.CLOSED if self._left_closed else EyeOpenState.OPEN,
+                right=EyeOpenState.CLOSED if self._right_closed else EyeOpenState.OPEN,
                 held_gaze_dir=held,
             )
         else:
-            if prev.any_closed and self._closed_samples >= self.min_closure_samples:
-                # Without a both-closed frame every closure frame had exactly
-                # one eye closed, so the eye closed last names the wink.
-                event = BlinkEvent(
-                    onset_ns=self._onset_ns,
-                    offset_ns=frame.timestamp_ns,
-                    kind=(BlinkKind.BOTH_EYES if self._both_seen
-                          else BlinkKind.LEFT_WINK if self._left_closed_last
-                          else BlinkKind.RIGHT_WINK),
-                    min_openness_left=self._min_left,
-                    min_openness_right=self._min_right,
-                )
-            self.state = EyeState()
+            self.state = _ALL_OPEN
             self._last_open_gaze = frame.binocular_dir()
-
         self._last_frame = frame
         return self.state, event
 
@@ -154,3 +171,26 @@ def effective_gaze(state: EyeState, frame: Optional[ValidatedFrame]) -> Vec3:
     if frame is None:
         raise NoGazeYet("no valid frame has been seen")
     return frame.binocular_dir()
+
+
+def two_means_threshold(values: np.ndarray) -> Optional[float]:
+    """Midpoint of p5(open cluster) and p95(closed cluster), or None.
+
+    The clusters come from 1-D two-means with fixed initial centers, so
+    the estimate is deterministic for a given recording.
+    """
+    center_open, center_closed = 0.95, 0.2
+    open_vals = closed_vals = None
+    for _ in range(64):
+        mid = (center_open + center_closed) / 2.0
+        open_vals = values[values >= mid]
+        closed_vals = values[values < mid]
+        if open_vals.size == 0 or closed_vals.size == 0:
+            return None
+        new_open = float(open_vals.mean())
+        new_closed = float(closed_vals.mean())
+        if abs(new_open - center_open) < 1e-9 and abs(new_closed - center_closed) < 1e-9:
+            break
+        center_open, center_closed = new_open, new_closed
+    threshold = (np.percentile(open_vals, 5) + np.percentile(closed_vals, 95)) / 2.0
+    return float(min(max(threshold, 0.05), 0.9))

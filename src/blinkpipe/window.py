@@ -8,9 +8,10 @@ capacity * NUM_FEATURES values. The buffer keeps its newest
 cut is a binary search over a view of the timestamps plus one slice copy.
 By default it keeps exactly one window, which is all serving needs: a
 blink's offset is the newest frame. Offline window cutting
-(`dataset.materialize_windows`) sizes it to the whole recording, so every
+(`dataset.materialize_windows`) builds it from a whole recording's
+validated columns in one copy (`HistoryBuffer.from_columns`), so every
 blink, and every copy shifted up to MAX_SHIFT_FRAMES either way, is cut
-after the last push.
+from rows that never move, by the same code that cuts when serving.
 """
 from __future__ import annotations
 
@@ -76,6 +77,27 @@ class HistoryBuffer:
         self._features = np.zeros((rows, NUM_FEATURES), dtype=np.float64)
         self._timestamps = np.zeros(rows, dtype=np.int64)
         self._end = 0  # one past the newest row
+
+    @classmethod
+    def from_columns(cls, timestamps: np.ndarray, features: np.ndarray,
+                     capacity: int = DEFAULT_WINDOW_FRAMES) -> "HistoryBuffer":
+        """A buffer holding every row of validated columns (see
+        `core.validate_columns`), as if each row had been pushed in order,
+        with the lookback that keeps them all; one bulk copy."""
+        n = len(timestamps)
+        if features.shape != (n, NUM_FEATURES):
+            raise ValueError(f"features shape {features.shape} does not match"
+                             f" {n} timestamps x {NUM_FEATURES} features")
+        bad = np.flatnonzero(timestamps[1:] <= timestamps[:-1])
+        if bad.size:
+            k = int(bad[0]) + 1
+            raise NonMonotonicTimestamp(
+                f"timestamp {int(timestamps[k])} not after {int(timestamps[k - 1])}")
+        buf = cls(capacity, max(0, n - capacity))
+        buf._timestamps[:n] = timestamps
+        buf._features[:n] = features
+        buf._end = n
+        return buf
 
     @property
     def fill_count(self) -> int:

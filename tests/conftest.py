@@ -1,6 +1,7 @@
 """Shared builders for synthetic frames and recordings."""
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -85,3 +86,70 @@ def tiny_net(window_frames: int, seed: int = 0) -> BlinkNet:
         block_dims=((16, 16), (16, 8)),
         seed=seed,
     )
+
+
+_FLT_MAX = float(np.finfo(np.float32).max)
+_ODD_VALUES = (math.nan, math.inf, -math.inf, -0.0, 0.0, 3.5e38, -3.5e38,
+               float(np.nextafter(_FLT_MAX, math.inf)), 1e200, 1e-300, 5e-324,
+               -1.5, 2.5)
+
+
+def _odd_direction(rng) -> Tuple[float, float, float]:
+    kind = int(rng.integers(6))
+    if kind == 0:
+        return (0.0, 0.0, 0.0)
+    d = rng.normal(size=3)
+    if kind == 1:  # unit to within the 1e-6 no-divide tolerance, or just past it
+        return tuple((d / np.linalg.norm(d) * (1.0 + rng.uniform(-2e-6, 2e-6))).tolist())
+    if kind == 2:  # float32-quantized unit vector, as a re-validated frame holds
+        return tuple(np.float32(d / np.linalg.norm(d)).astype(float).tolist())
+    if kind == 3:  # near-zero norm
+        return tuple((d * 1e-7).tolist())
+    d = d.tolist()
+    d[int(rng.integers(3))] = _ODD_VALUES[int(rng.integers(len(_ODD_VALUES)))]
+    return tuple(d)
+
+
+def random_frame_stream(rng: np.random.Generator, n: int, odd: float) -> List[GazeFrame]:
+    """n frames with blinks, winks and openness near the thresholds.
+
+    Each value is odd with probability `odd`: NaN, +-inf, -0.0, past
+    FLT_MAX, zero, near-zero or near-unit directions, gaze pairs that
+    cancel, repeated, decreasing or out-of-int64 timestamps. Invalid frames
+    come in runs, before and after the first valid one.
+    """
+    def value(x: float) -> float:
+        return _ODD_VALUES[int(rng.integers(len(_ODD_VALUES)))] if rng.random() < odd else x
+
+    def direction() -> Tuple[float, float, float]:
+        return _odd_direction(rng) if rng.random() < odd else tuple(rng.normal(size=3).tolist())
+
+    frames: List[GazeFrame] = []
+    t = int(rng.integers(-10**12, 10**12))
+    valid = bool(rng.random() < 0.5)
+    closed = [False, False]
+    for _ in range(n):
+        r = rng.random()
+        if r < odd / 4:
+            t -= int(rng.integers(0, 3 * FRAME_INTERVAL_NS))  # repeats or goes back
+        elif r < odd / 2:
+            t = int(rng.choice([2**63, 2**63 + 5, -2**63 - 1, 2**64]))
+        else:
+            t += int(rng.integers(1, 3 * FRAME_INTERVAL_NS))
+        if rng.random() < 0.1:
+            valid = not valid
+        if rng.random() < 0.08:  # a closure starts or ends: both eyes, or one
+            eyes = [0, 1] if rng.random() < 0.7 else [int(rng.integers(2))]
+            for e in eyes:
+                closed[e] = not closed[e]
+        lopen, ropen = (float(rng.uniform(-0.2, 0.8)) if c else float(rng.uniform(0.55, 1.2))
+                        for c in closed)
+        ldir, rdir = direction(), direction()
+        if rng.random() < odd:
+            rdir = tuple(-c for c in ldir)  # binocular sum is zero
+        frames.append(make_frame(
+            t, lopen=value(lopen), ropen=value(ropen), ldir=ldir, rdir=rdir,
+            lpupil=value(float(rng.uniform(-1.0, 8.0))),
+            rpupil=value(float(rng.uniform(-1.0, 8.0))),
+            valid=valid))
+    return frames

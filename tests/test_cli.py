@@ -130,7 +130,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("damage", ["presses_line", "non_ascii",
                                         "truncated_gzip", "not_gzip",
-                                        "nan_pupil", "zero_gaze"])
+                                        "nan_pupil", "zero_gaze",
+                                        "timestamp_past_int64",
+                                        "press_past_int64"])
     def test_damaged_recording_is_data_error(self, tmp_path, capsys, damage):
         path = tmp_path / ("rec.csv.gz" if damage.endswith("gzip")
                            else "rec.csv")
@@ -139,6 +141,10 @@ class TestExitCodes:
             rec.frames[70].left_pupil_mm = math.nan
         elif damage == "zero_gaze":
             rec.frames[70].right_dir = (0.0, 0.0, 0.0)
+        elif damage == "timestamp_past_int64":
+            rec.frames[-1].timestamp_ns = 2**63
+        elif damage == "press_past_int64":
+            rec.button_presses.append(2**63)
         save_recording(rec, str(path))
         data = path.read_bytes()
         if damage == "presses_line":

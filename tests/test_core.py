@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 import struct
 from dataclasses import replace
 
@@ -23,10 +24,11 @@ from blinkpipe.core import (
     FrameValidator,
     NonFiniteFeature,
     NonMonotonicTimestamp,
+    TimestampOutOfRange,
     validate_frame,
 )
 
-from conftest import make_frame
+from conftest import make_frame, random_frame_stream
 
 
 def test_sampling_constants_consistent():
@@ -227,3 +229,73 @@ def test_calibration_profile_validates_ranges():
         CalibrationProfile(hysteresis_band=-0.01)
     with pytest.raises(ValueError):
         CalibrationProfile(closed_threshold_left=0.98, hysteresis_band=0.05)
+
+
+# --------------------------------------------------------------------------
+# whole-recording validation against FrameValidator
+
+def _validate_one_by_one(frames):
+    validator, out = FrameValidator(), []
+    for fr in frames:
+        try:
+            out.append(validator.validate(fr))
+        except core.BlinkPipeError as e:
+            return out, e
+    return out, None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_validate_columns_matches_frame_validator_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    errors = set()
+    for stream in range(100):
+        odd = (0.0, 0.002, 0.02, 0.2)[stream % 4]
+        frames = random_frame_stream(rng, int(rng.integers(0, 120)), odd)
+        want, want_error = _validate_one_by_one(frames)
+        ts, features, valid, error = core.validated_prefix(frames)
+        assert (type(error), str(error)) == (type(want_error), str(want_error))
+        assert ts.dtype == np.int64 and features.dtype == np.float64
+        assert ts.tolist() == [w.timestamp_ns for w in want]
+        assert valid.tolist() == [w.valid for w in want]
+        rows = np.array([w.features() for w in want], dtype=np.float64)
+        assert features.tobytes() == rows.reshape(-1, NUM_FEATURES).tobytes()
+        if want_error is None:
+            got = core.validate_columns(frames)
+            assert all(np.array_equal(a, b) for a, b in zip(got, (ts, features, valid)))
+        else:
+            errors.add(type(want_error).__name__)
+            with pytest.raises(type(want_error), match=re.escape(str(want_error))):
+                core.validate_columns(frames)
+    assert errors == {"NonMonotonicTimestamp", "TimestampOutOfRange",
+                      "DegenerateDirection", "NonFiniteFeature"}
+
+
+def test_validate_columns_matches_at_the_edge_of_the_no_divide_tolerance():
+    # Norms within a few ulps of 1 +- 1e-6: summing the squares in another
+    # order flips the keep-or-divide choice for about one vector in thirty.
+    rng = np.random.default_rng(17)
+    d = rng.normal(size=(3000, 3))
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    d *= 1.0 + rng.choice([-1e-6, 1e-6], size=(3000, 1)) + rng.uniform(-4e-16, 4e-16, size=(3000, 1))
+    frames = [make_frame(i, ldir=tuple(v), rdir=tuple(v[::-1])) for i, v in enumerate(d.tolist())]
+    want, _ = _validate_one_by_one(frames)
+    _, features, _ = core.validate_columns(frames)
+    assert features.tobytes() == np.array([w.features() for w in want]).tobytes()
+
+
+def test_validate_columns_rejects_timestamps_outside_int64_with_a_typed_error():
+    for bad in (2**63, -2**63 - 1):
+        frames = [make_frame(-2**63), make_frame(2**63 - 1)]
+        for k in (0, 1):
+            stream = list(frames)
+            stream[k] = make_frame(bad)
+            with pytest.raises(TimestampOutOfRange):
+                core.validate_columns(stream)
+            assert isinstance(_validate_one_by_one(stream)[1], TimestampOutOfRange)
+    ts, _, _ = core.validate_columns(frames)
+    assert ts.tolist() == [-2**63, 2**63 - 1]
+
+
+def test_validate_columns_of_no_frames_is_empty():
+    ts, features, valid = core.validate_columns([])
+    assert ts.shape == (0,) and features.shape == (0, NUM_FEATURES) and valid.shape == (0,)

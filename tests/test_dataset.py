@@ -9,11 +9,16 @@ import time
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from blinkpipe.core import (
     FRAME_INTERVAL_NS,
     BlinkEvent,
     BlinkKind,
     BlinkLabel,
+    BlinkPipeError,
+    CalibrationProfile,
+    DegenerateDirection,
     FrameValidator,
     NonFiniteFeature,
 )
@@ -32,11 +37,19 @@ from blinkpipe.dataset import (
     save_recording,
     split_by_participant,
 )
-from blinkpipe.window import MAX_SHIFT_FRAMES, NUM_FEATURES
+from blinkpipe.segmenter import BlinkSegmenter
+from blinkpipe.window import (
+    DEFAULT_LOOKBACK_FRAMES,
+    MAX_SHIFT_FRAMES,
+    NUM_FEATURES,
+    HistoryBuffer,
+    NotReady,
+)
 
 from conftest import (
     make_frame,
     openness_frames,
+    random_frame_stream,
     square_blink_offset_ns,
     square_blink_recording,
 )
@@ -139,6 +152,20 @@ class TestRecordingFiles:
         with open(path, "w") as f:
             f.writelines(lines)
         with pytest.raises(RecordingFormatError, match="line 3"):
+            load_recording(path)
+
+    @pytest.mark.parametrize("ts", [2**63, -2**63 - 1])
+    def test_timestamp_outside_int64_reports_line(self, tmp_path, ts):
+        rec = random_recording(18, n=3)
+        rec.frames[2].timestamp_ns = ts
+        path = str(tmp_path / "rec.csv")
+        save_recording(rec, path)
+        with pytest.raises(RecordingFormatError, match="line 5: timestamp"):
+            load_recording(path)
+        rec.frames[2].timestamp_ns = 2**63 - 1  # the largest int64 loads
+        rec.button_presses = [-2**63, ts]
+        save_recording(rec, path)
+        with pytest.raises(RecordingFormatError, match="presses: line 2: timestamp"):
             load_recording(path)
 
     def test_non_finite_features_are_rejected_when_validated(self, tmp_path):
@@ -246,6 +273,24 @@ class TestLabelBlinks:
         rec = Recording("P00", openness_frames(vals),
                         [10 * FRAME_INTERVAL_NS], {})
         assert label_blinks(rec) == []
+
+    def test_zero_binocular_gaze_fails_where_the_segmenter_reads_it(self):
+        # BlinkSegmenter.update reads the binocular gaze on the first frame
+        # and on every frame with both eyes open, but not during a closure.
+        def labeled(k, blink_start=40, gaze=((0.0, 0.6, 0.8), (0.0, -0.6, -0.8))):
+            rec = square_blink_recording([blink_start], closed_frames=20, n_frames=100)
+            rec.frames[k].left_dir, rec.frames[k].right_dir = gaze
+            return label_blinks(rec)
+
+        assert len(labeled(50)) == 1  # closed
+        assert len(labeled(1, blink_start=0)) == 1
+        for k, blink_start in ((0, 40), (39, 40), (60, 40), (99, 40), (0, 0)):
+            with pytest.raises(DegenerateDirection, match="near-zero norm"):
+                labeled(k, blink_start)
+        # Pairs that cancel on two axes only are not degenerate.
+        for gaze in (((0.0, 0.6, 0.8), (0.0, 0.6, -0.8)), ((0.6, 0.0, 0.8), (0.6, 0.0, -0.8)),
+                     ((0.6, 0.0, 0.8), (-0.6, 0.0, 0.8))):
+            assert len(labeled(60, gaze=gaze)) == 1
 
     def test_labels_match_interval_oracle(self):
         rng = np.random.default_rng(21)
@@ -399,6 +444,90 @@ class TestMaterializeWindows:
         with pytest.raises(ValueError):
             materialize_windows(rec, label_blinks(rec), window_frames=50,
                                 lookback=8, augment_copies=1)
+
+
+class TestColumnarPathMatchesScalarReference:
+    """label_blinks and materialize_windows validate, segment and buffer a
+    recording as columns; the reference runs the frames one at a time
+    through FrameValidator, BlinkSegmenter.update and HistoryBuffer.push."""
+
+    @staticmethod
+    def reference_label(rec, profile):
+        validator, seg = FrameValidator(), BlinkSegmenter(profile)
+        out = []
+        for fr in rec.frames:
+            _, event = seg.update(validator.validate(fr))
+            if event is None or event.kind is not BlinkKind.BOTH_EYES:
+                continue
+            voluntary = any(abs(p - event.offset_ns) <= INTENT_MARGIN_NS
+                            for p in rec.button_presses)
+            label = BlinkLabel.VOLUNTARY if voluntary else BlinkLabel.INVOLUNTARY
+            out.append(LabeledBlink(event, label, None, rec.participant_id))
+        return out
+
+    @staticmethod
+    def reference_cut(rec, labeled, window, copies, rng):
+        validator = FrameValidator()
+        buf = HistoryBuffer(window, max(0, len(rec.frames) - window))
+        for fr in rec.frames:
+            buf.push(validator.validate(fr))
+        out = []
+        for lb in sorted(labeled, key=lambda lb: lb.blink.offset_ns):
+            try:
+                w = buf.snapshot_at_blink_end(lb.blink)
+            except NotReady:
+                continue
+            out.append(replace(lb, window=w))
+            out.extend(replace(lb, window=buf.augment_shift(w, rng))
+                       for _ in range(copies))
+        return out
+
+    @staticmethod
+    def outcome(fn, *args):
+        try:
+            return fn(*args), None
+        except BlinkPipeError as e:
+            return None, (type(e), str(e))
+
+    @staticmethod
+    def keys(blinks):
+        return [(lb.blink, lb.label, lb.participant_id, lb.window.end_timestamp_ns,
+                 lb.window.window_frames, lb.window.values.tobytes())
+                for lb in blinks]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_streams(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        blinks = errors = 0
+        for stream in range(100):
+            odd = (0.0, 0.0, 0.001, 0.01)[stream % 4]
+            frames = random_frame_stream(rng, int(rng.integers(0, 400)), odd)
+            presses = sorted(
+                fr.timestamp_ns + int(rng.integers(-2 * INTENT_MARGIN_NS, 2 * INTENT_MARGIN_NS))
+                for fr in frames if rng.random() < 0.02 and abs(fr.timestamp_ns) < 2**62)
+            rec = Recording(f"P{stream:02d}", frames, presses)
+            closed = float(rng.uniform(0.3, 0.8))
+            profile = CalibrationProfile(closed, float(rng.uniform(0.3, 0.8)),
+                                         float(rng.uniform(0.0, 0.15)))
+            got, got_error = self.outcome(label_blinks, rec, profile)
+            want, want_error = self.outcome(self.reference_label, rec, profile)
+            assert got_error == want_error
+            errors += want_error is not None
+            if want_error is None:
+                assert got == want
+                blinks += len(want)
+            labeled = want or []
+            window, copies = int(rng.integers(1, 60)), int(rng.integers(0, 3))
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, got_error = self.outcome(materialize_windows, rec, labeled, window,
+                                          DEFAULT_LOOKBACK_FRAMES, copies, got_rng)
+            want, want_error = self.outcome(self.reference_cut, rec, labeled, window,
+                                            copies, want_rng)
+            assert got_error == want_error
+            if want_error is None:
+                assert self.keys(got) == self.keys(want)
+            assert got_rng.integers(2**62) == want_rng.integers(2**62)
+        assert blinks > 100 and 10 < errors < 90
 
 
 # --------------------------------------------------------------------------

@@ -387,7 +387,7 @@ class TestServerFaults:
         msgs = self.frame_msgs(6)
         msgs[3] = GazeFrameMsg(2**63, msgs[3].features)
         error = self.run_beside_healthy(b"".join(map(encode, msgs)))
-        assert error.startswith("OverflowError: ")
+        assert error.startswith("TimestampOutOfRange: ")
 
     def test_full_send_buffer_ends_the_session(self, monkeypatch):
         sendall = socket.socket.sendall

@@ -177,3 +177,20 @@ def test_long_stream_event_count_matches_dip_count():
     offs = [e.offset_ns for e in events]
     assert offs == sorted(offs)
     assert all(e.onset_ns < e.offset_ns for e in events)
+
+
+def test_step_holds_the_closure_rules_update_applies():
+    rng = np.random.default_rng(11)
+    vals = [(float(rng.choice([0.1, 0.69, 0.72, 0.76, 1.0])),
+             float(rng.choice([0.1, 0.69, 0.72, 0.76, 1.0]))) for _ in range(3000)]
+    frames = openness_frames(vals)
+    _, events = run_segmenter(frames)
+    validator, seg = FrameValidator(), BlinkSegmenter()
+    stepped = [e for e in (seg.step(f.timestamp_ns, f.left_openness, f.right_openness)
+                           for f in map(validator.validate, frames)) if e is not None]
+    assert len(events) > 100
+    assert stepped == events
+    validator, seg = FrameValidator(), BlinkSegmenter()
+    for f in frames[:200]:
+        state, _ = seg.update(validator.validate(f))
+        assert seg.any_closed == state.any_closed

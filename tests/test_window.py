@@ -233,3 +233,40 @@ def test_fill_count_and_monotonicity_across_compaction():
     w = buf.snapshot_at_blink_end(blink_ending_at(i * FRAME_INTERVAL_NS))
     want = np.array([frame_at(k).features() for k in range(i - cap + 1, i + 1)])
     np.testing.assert_array_equal(w.as_matrix(), want)
+
+
+def test_from_columns_is_pushing_every_row():
+    frames = [frame_at(i) for i in range(130)]
+    ts = np.array([f.timestamp_ns for f in frames], dtype=np.int64)
+    rows = np.array([f.features() for f in frames])
+    for cap in (1, 50, 130, 200):
+        pushed = HistoryBuffer(cap, max(0, len(frames) - cap))
+        for f in frames:
+            pushed.push(f)
+        built = HistoryBuffer.from_columns(ts, rows, cap)
+        assert built.fill_count == pushed.fill_count
+        for end in (1, 48, 49, 50, 129, 10**6):
+            blink = blink_ending_at(end * FRAME_INTERVAL_NS)
+            try:
+                want = pushed.snapshot_at_blink_end(blink)
+            except NotReady:
+                with pytest.raises(NotReady):
+                    built.snapshot_at_blink_end(blink)
+                continue
+            got = built.snapshot_at_blink_end(blink)
+            assert got.end_timestamp_ns == want.end_timestamp_ns
+            assert got.values.tobytes() == want.values.tobytes()
+        # Later frames append after the last row, as they would after pushes.
+        pushed.push(frame_at(130))
+        built.push(frame_at(130))
+        assert built.fill_count == pushed.fill_count
+        with pytest.raises(NonMonotonicTimestamp):
+            built.push(frame_at(130))
+
+
+def test_from_columns_rejects_what_push_rejects():
+    ts = np.array([0, 5, 5], dtype=np.int64)
+    with pytest.raises(NonMonotonicTimestamp, match="timestamp 5 not after 5"):
+        HistoryBuffer.from_columns(ts, np.zeros((3, NUM_FEATURES)), 2)
+    with pytest.raises(ValueError, match="shape"):
+        HistoryBuffer.from_columns(ts[:2], np.zeros((2, NUM_FEATURES - 1)), 2)
