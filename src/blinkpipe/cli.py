@@ -198,18 +198,24 @@ def _load_recordings(path: str) -> List[Recording]:
 
 
 def _load_profile(path: Optional[str]) -> Optional[CalibrationProfile]:
+    """The profile `calibrate` writes: a JSON object with the three
+    CalibrationProfile fields as numbers; any other content is a data error."""
     if path is None:
         return None
-    with open(path, "r", encoding="ascii") as fh:
-        data = json.load(fh)
     try:
-        return CalibrationProfile(
-            closed_threshold_left=float(data["closed_threshold_left"]),
-            closed_threshold_right=float(data["closed_threshold_right"]),
-            hysteresis_band=float(data["hysteresis_band"]),
-        )
-    except KeyError as exc:
-        raise RecordingFormatError(f"{path}: missing profile key {exc}") from exc
+        with open(path, "r", encoding="ascii") as fh:
+            data = json.load(fh)
+    except ValueError as exc:  # a JSON syntax error or a non-ASCII byte
+        raise RecordingFormatError(f"{path}: not a JSON profile: {exc}") from exc
+    if not isinstance(data, dict):
+        raise RecordingFormatError(f"{path}: profile is not a JSON object")
+    keys = [f.name for f in dataclasses.fields(CalibrationProfile)]
+    for key in keys:
+        value = data.get(key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise RecordingFormatError(
+                f"{path}: profile key {key!r} is missing or not a number")
+    return CalibrationProfile(**{key: float(data[key]) for key in keys})
 
 
 def _net_from_checkpoint(path: str) -> Tuple[BlinkNet, int]:
@@ -417,14 +423,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         closed_threshold_right=thresholds["right"],
         hysteresis_band=args.band,
     )
-    _print_json(
-        {
-            "closed_threshold_left": profile.closed_threshold_left,
-            "closed_threshold_right": profile.closed_threshold_right,
-            "hysteresis_band": profile.hysteresis_band,
-        },
-        args.out,
-    )
+    _print_json(dataclasses.asdict(profile), args.out)
     return EXIT_OK
 
 

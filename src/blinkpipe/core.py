@@ -5,9 +5,11 @@ Conventions used everywhere downstream:
 * Timestamps are integer nanoseconds on a monotonic clock. At the nominal
   200 Hz sampling rate consecutive frames are 5 ms apart, which is exact in
   integer nanoseconds (no float drift over long windows).
-* A frame carries the 10 tracker features in a fixed canonical order:
-  left/right pupil diameter (mm), left/right eye openness ([0, 1]),
-  left gaze direction x/y/z, right gaze direction x/y/z (unit vectors).
+* A frame carries the 10 tracker features in a fixed canonical order
+  (FEATURE_NAMES): left/right pupil diameter (mm), left/right eye openness
+  ([0, 1]), left gaze direction x/y/z, right gaze direction x/y/z (unit
+  vectors). A `ValidatedFrame` holds them as one tuple in that order, the
+  same row the wire message carries and the history buffer stores.
 * Feature values are quantized to float32 precision during validation.
   The wire format transports float32, so quantizing at the validation
   boundary makes in-process and over-the-wire processing bit-identical.
@@ -26,7 +28,7 @@ import math
 import os
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,42 +115,30 @@ class GazeFrame:
 
 @dataclass(frozen=True)
 class ValidatedFrame:
-    """A frame with clamped openness, renormalized unit directions, and
-    float32-quantized features. Immutable and safe to share."""
+    """A validated frame: its 10 features as one tuple in FEATURE_NAMES
+    order, openness clamped, directions renormalized, every value exactly
+    float32-representable. The tuple is the wire message's features and the
+    history buffer's row as it is. Immutable and safe to share."""
 
     timestamp_ns: int
-    left_pupil_mm: float
-    right_pupil_mm: float
-    left_openness: float
-    right_openness: float
-    left_dir: Vec3
-    right_dir: Vec3
+    values: Tuple[float, ...]
     valid: bool = True
+
+    left_pupil_mm = property(lambda self: self.values[0])
+    right_pupil_mm = property(lambda self: self.values[1])
+    left_openness = property(lambda self: self.values[2])
+    right_openness = property(lambda self: self.values[3])
+    left_dir = property(lambda self: self.values[4:7])
+    right_dir = property(lambda self: self.values[7:10])
 
     def features(self) -> Tuple[float, ...]:
         """The 10 features in canonical order (see FEATURE_NAMES)."""
-        return (
-            self.left_pupil_mm,
-            self.right_pupil_mm,
-            self.left_openness,
-            self.right_openness,
-            self.left_dir[0],
-            self.left_dir[1],
-            self.left_dir[2],
-            self.right_dir[0],
-            self.right_dir[1],
-            self.right_dir[2],
-        )
+        return self.values
 
     def binocular_dir(self) -> Vec3:
         """Renormalized mean of the two gaze directions."""
-        return _normalize(
-            (
-                self.left_dir[0] + self.right_dir[0],
-                self.left_dir[1] + self.right_dir[1],
-                self.left_dir[2] + self.right_dir[2],
-            )
-        )
+        v = self.values
+        return _normalize((v[4] + v[7], v[5] + v[8], v[6] + v[9]))
 
 
 @dataclass(frozen=True)
@@ -243,11 +233,11 @@ def _normalize(v: Sequence[float]) -> Vec3:
     return (v[0] / n, v[1] / n, v[2] / n)
 
 
-def _f32(values: Sequence[float]) -> List[float]:
+def _f32(values: Sequence[float]) -> Tuple[float, ...]:
     """Quantize to the wire precision with one C cast per value; each result
     is exactly float32-representable and equals float(np.float32(x)),
     including inf past FLT_MAX, where struct.pack("<f") raises OverflowError."""
-    return array("f", values).tolist()
+    return tuple(array("f", values))
 
 
 def _check_finite(timestamp_ns: int, features: Sequence[float]) -> None:
@@ -288,7 +278,7 @@ class FrameValidator:
 
     def __init__(self):
         self._last_timestamp_ns: Optional[int] = None
-        self._last_valid: Optional[ValidatedFrame] = None
+        self._last_valid: Optional[Tuple[float, ...]] = None
 
     @property
     def last_timestamp_ns(self) -> Optional[int]:
@@ -313,32 +303,13 @@ class FrameValidator:
                 _clamp01(frame.left_openness), _clamp01(frame.right_openness),
                 *left_dir, *right_dir))
             _check_finite(frame.timestamp_ns, features)
-            lp, rp, lo, ro, lx, ly, lz, rx, ry, rz = features
-            out = ValidatedFrame(
-                timestamp_ns=frame.timestamp_ns,
-                left_pupil_mm=lp, right_pupil_mm=rp,
-                left_openness=lo, right_openness=ro,
-                left_dir=(lx, ly, lz), right_dir=(rx, ry, rz),
-                valid=valid,
-            )
             if valid:
-                self._last_valid = out
+                self._last_valid = features
         else:
             # Forward fill: keep the previous valid features, new timestamp.
-            prev = self._last_valid
-            out = ValidatedFrame(
-                timestamp_ns=frame.timestamp_ns,
-                left_pupil_mm=prev.left_pupil_mm,
-                right_pupil_mm=prev.right_pupil_mm,
-                left_openness=prev.left_openness,
-                right_openness=prev.right_openness,
-                left_dir=prev.left_dir,
-                right_dir=prev.right_dir,
-                valid=False,
-            )
-
+            features = self._last_valid
         self._last_timestamp_ns = frame.timestamp_ns
-        return out
+        return ValidatedFrame(frame.timestamp_ns, features, valid)
 
 
 def _unit_columns(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -167,6 +167,9 @@ def _read_recording(path: str) -> Recording:
                 raise RecordingFormatError(
                     f"line {lineno}: expected 12 columns, got {len(parts)}"
                 )
+            if parts[11] not in ("0", "1"):
+                raise RecordingFormatError(
+                    f"line {lineno}: valid column {parts[11]!r} is not 0 or 1")
             try:
                 frames.append(GazeFrame(
                     timestamp_ns=_timestamp(parts[0]),

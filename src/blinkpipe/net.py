@@ -783,6 +783,8 @@ def train(
     A trailing batch of a single sample is folded into the previous batch,
     since train-mode batch norm cannot normalize a singleton.
     """
+    if epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs}")
     train_pairs = list(train_set)
     val_pairs = list(val_set)
     if not train_pairs or not val_pairs:

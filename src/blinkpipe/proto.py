@@ -13,9 +13,10 @@ Wire format (all little-endian, fixed-size, magic "GZF1"):
 
 Validation (and its float32 feature quantization) happens on the producer
 side; the server ingests wire features as-is, rejecting only non-finite
-ones. Every feature value is exactly representable in f32, so a session fed
-over TCP and the same session fed in process see bit-identical inputs and
-produce identical predictions.
+ones. A validated frame's feature tuple is exactly the 10 f32 values of a
+gaze message, in the same order, so a session fed over TCP and the same
+session fed in process see bit-identical inputs and produce identical
+predictions.
 
 The server is one `selectors` loop on one thread that feeds each session's
 frames to its pipeline in arrival order; backpressure is TCP flow control.
@@ -160,7 +161,7 @@ def decode(data: bytes, offset: int = 0) -> Tuple[Message, int]:
     body, end = data[offset + _HEADER_SIZE:offset + size], offset + size
     if msg_type == MSG_GAZE:
         vals = struct.unpack("<Q10f", body)
-        return GazeFrameMsg(vals[0], tuple(float(v) for v in vals[1:])), end
+        return GazeFrameMsg(vals[0], vals[1:]), end
     if msg_type == MSG_PREDICTION:
         ts, blink_end, cls, conf = struct.unpack("<QQBf", body)
         if cls not in (0, 1):
@@ -186,24 +187,16 @@ def read_message(sock: socket.socket) -> Optional[Message]:
 
 
 def gaze_msg_from_frame(frame: ValidatedFrame) -> GazeFrameMsg:
-    return GazeFrameMsg(frame.timestamp_ns, frame.features())
+    return GazeFrameMsg(frame.timestamp_ns, frame.values)
 
 
 def validated_frame_from_msg(msg: GazeFrameMsg) -> ValidatedFrame:
-    """Rebuild a validated frame from wire features without re-normalizing."""
-    f = msg.features
+    """Wrap wire features as a validated frame without re-normalizing."""
     _check_timestamp(msg.timestamp_ns)  # the wire carries u64, history rows int64
-    _check_finite(msg.timestamp_ns, f)
-    return ValidatedFrame(
-        timestamp_ns=msg.timestamp_ns,
-        left_pupil_mm=f[0],
-        right_pupil_mm=f[1],
-        left_openness=f[2],
-        right_openness=f[3],
-        left_dir=(f[4], f[5], f[6]),
-        right_dir=(f[7], f[8], f[9]),
-        valid=True,
-    )
+    _check_finite(msg.timestamp_ns, msg.features)
+    # tuple() returns a decoded tuple as it is; from a message built with a
+    # list it makes the frame's own immutable copy.
+    return ValidatedFrame(msg.timestamp_ns, tuple(msg.features))
 
 
 def validate_frames(frames: Iterable[GazeFrame]) -> List[ValidatedFrame]:

@@ -139,7 +139,7 @@ class BlinkSegmenter:
         if self._last_open_gaze is None:
             self._last_open_gaze = frame.binocular_dir()
         prev = self.state
-        event = self.step(frame.timestamp_ns, frame.left_openness, frame.right_openness)
+        event = self.step(frame.timestamp_ns, frame.values[2], frame.values[3])
         if self._left_closed or self._right_closed:
             held = prev.held_gaze_dir if prev.any_closed else self._last_open_gaze
             self.state = EyeState(

@@ -121,7 +121,7 @@ class HistoryBuffer:
             self._features[:keep] = self._features[end - keep:end]
             self._timestamps[:keep] = self._timestamps[end - keep:end]
             self._end = end = keep  # before the row write, which can raise
-        self._features[end] = frame.features()
+        self._features[end] = frame.values
         self._timestamps[end] = frame.timestamp_ns
         self._end = end + 1
 

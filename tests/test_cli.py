@@ -103,6 +103,16 @@ class TestTrainAndEval:
         table = capsys.readouterr().out
         assert "classifier" in table and "test" in table
 
+    @pytest.mark.parametrize("epochs", ["0", "-1"])
+    def test_train_fewer_than_one_epoch_is_usage(self, sim_dir, tmp_path,
+                                                  capsys, epochs):
+        out = tmp_path / "run"
+        rc = run("train", "--data", sim_dir, "--out", str(out),
+                 "--epochs", epochs, "--window", "100", "--arch", "small")
+        assert rc == EXIT_USAGE
+        assert "epochs must be at least 1" in capsys.readouterr().err
+        assert not (out / "best.bnet").exists()
+
     def test_train_needs_three_participants(self, tmp_path):
         data = str(tmp_path / "two")
         assert run("simulate", "--out", data, "--minutes", "0.5",
@@ -132,7 +142,7 @@ class TestExitCodes:
                                         "truncated_gzip", "not_gzip",
                                         "nan_pupil", "zero_gaze",
                                         "timestamp_past_int64",
-                                        "press_past_int64"])
+                                        "press_past_int64", "valid_column"])
     def test_damaged_recording_is_data_error(self, tmp_path, capsys, damage):
         path = tmp_path / ("rec.csv.gz" if damage.endswith("gzip")
                            else "rec.csv")
@@ -155,10 +165,15 @@ class TestExitCodes:
             path.write_bytes(gzip.decompress(data))
         elif damage.endswith("gzip"):
             path.write_bytes(data[:len(data) // 2])
+        elif damage == "valid_column":
+            path.write_bytes(data[:-2] + b"7\n")  # the last frame's valid flag
         assert run("stats", "--data", str(path)) == EXIT_DATA
         error = {"nan_pupil": "NonFiniteFeature",
                  "zero_gaze": "DegenerateDirection"}.get(damage, "RecordingFormatError")
-        assert error in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert error in err
+        if damage == "valid_column":
+            assert f"line {len(rec.frames) + 2}: valid column '7'" in err
 
     def test_garbage_checkpoint_is_data_error(self, tmp_path):
         ckpt = tmp_path / "model.bnet"
@@ -280,6 +295,22 @@ class TestCalibrate:
         with open(out) as f:
             payload = json.load(f)
         assert payload["overall"]["n"] == 3
+
+    @pytest.mark.parametrize("content", [
+        "[1, 2]",
+        '{"closed_threshold_left": 0.6,',
+        '{"closed_threshold_left": "low", "closed_threshold_right": 0.6,'
+        ' "hysteresis_band": 0.05}',
+        '{"closed_threshold_left": 0.6, "hysteresis_band": 0.05}',
+    ], ids=["list", "syntax_error", "non_numeric", "missing_key"])
+    def test_malformed_profile_is_data_error(self, tmp_path, capsys, content):
+        rec = str(tmp_path / "rec.csv")
+        save_recording(square_blink_recording([40]), rec)
+        prof = tmp_path / "profile.json"
+        prof.write_text(content)
+        assert run("stats", "--data", rec, "--profile", str(prof)) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "RecordingFormatError" in err and str(prof) in err
 
 
 class TestStats:

@@ -53,6 +53,33 @@ def test_feature_vector_matches_named_order():
     assert named["right_dir_y"] == pytest.approx(1.0)
 
 
+def test_named_accessors_index_the_feature_tuple():
+    # Pre-first-valid, valid and forward-filled frames share one layout.
+    validator = FrameValidator()
+    frames = [validator.validate(f) for f in (
+        make_frame(0, ldir=(0.0, 0.0, 0.0), valid=False),
+        make_frame(FRAME_INTERVAL_NS, lopen=0.3, ropen=0.9, ldir=(0.0, 0.6, 0.8),
+                   rdir=(0.0, 0.0, 2.0), lpupil=3.5, rpupil=4.5),
+        make_frame(2 * FRAME_INTERVAL_NS, lopen=0.0, valid=False),
+    )]
+    for vf in frames:
+        feats = vf.features()
+        assert type(feats) is tuple and len(feats) == NUM_FEATURES
+        for name in ("left_pupil_mm", "right_pupil_mm", "left_openness",
+                     "right_openness"):
+            assert getattr(vf, name) == feats[FEATURE_NAMES.index(name)]
+        for eye in ("left", "right"):
+            x = FEATURE_NAMES.index(f"{eye}_dir_x")
+            assert FEATURE_NAMES[x:x + 3] == tuple(f"{eye}_dir_{c}" for c in "xyz")
+            assert getattr(vf, f"{eye}_dir") == feats[x:x + 3]
+    assert frames[2].features() == frames[1].features()
+    again = FrameValidator().validate(make_frame(
+        FRAME_INTERVAL_NS, lopen=0.3, ropen=0.9, ldir=(0.0, 0.6, 0.8),
+        rdir=(0.0, 0.0, 2.0), lpupil=3.5, rpupil=4.5))
+    assert again == frames[1] and hash(again) == hash(frames[1])
+    assert again != replace(again, valid=False)
+
+
 def test_validation_clamps_and_quantizes():
     vf = validate_frame(make_frame(0, lopen=1.7, ropen=-0.4, lpupil=-1.0))
     assert vf.left_openness == 1.0

@@ -695,6 +695,18 @@ def test_train_rejects_empty_splits():
         train(cluster_pairs(4, 33), [], epochs=1)
 
 
+@pytest.mark.parametrize("epochs", [0, -1])
+def test_train_rejects_fewer_than_one_epoch_before_any_work(tmp_path, epochs):
+    def unread():
+        raise AssertionError("the data was read")
+        yield
+
+    ckpt = tmp_path / "ckpt"
+    with pytest.raises(ValueError, match="epochs"):
+        train(unread(), unread(), epochs=epochs, checkpoint_dir=ckpt)
+    assert not ckpt.exists()
+
+
 def test_evaluate_loss_reports_accuracy():
     tr = cluster_pairs(80, 34)
     va = cluster_pairs(30, 35)

@@ -181,6 +181,14 @@ class TestFrameBridging:
             assert back.features() == vf.features()
             assert back.valid
 
+    def test_frame_from_a_list_built_message_is_an_immutable_tuple(self):
+        want = validate_frames([make_frame(1000, lopen=0.5)])[0]
+        features = list(want.features())
+        back = validated_frame_from_msg(GazeFrameMsg(1000, features))
+        features[2] = 0.0  # the frame keeps its own copy
+        assert type(back.features()) is tuple
+        assert back == want and hash(back) == hash(want)
+
     def test_read_message_over_a_socket(self):
         a, b = socket.socketpair()
         rng = np.random.default_rng(6)
