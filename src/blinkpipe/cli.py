@@ -215,7 +215,10 @@ def _load_profile(path: Optional[str]) -> Optional[CalibrationProfile]:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise RecordingFormatError(
                 f"{path}: profile key {key!r} is missing or not a number")
-    return CalibrationProfile(**{key: float(data[key]) for key in keys})
+    try:
+        return CalibrationProfile(**{key: float(data[key]) for key in keys})
+    except ValueError as exc:  # a value out of range, NaN included
+        raise RecordingFormatError(f"{path}: {exc}") from exc
 
 
 def _net_from_checkpoint(path: str) -> Tuple[BlinkNet, int]:
@@ -277,6 +280,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    if args.epochs < 1:  # before any data is read or --out is made
+        raise ValueError(f"epochs must be at least 1, got {args.epochs}")
     recs = _load_recordings(args.data)
     profile = _load_profile(args.profile)
     try:

@@ -176,11 +176,16 @@ class LinearLayer:
         return x @ self.weight.value.T + self.bias.value
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
+        self.backward_params(dy)
+        return dy @ self.weight.value
+
+    def backward_params(self, dy: np.ndarray) -> None:
+        """Write the weight and bias gradients only; for a first layer,
+        whose input gradient nothing reads."""
         if self._x is None or dy.shape != (self._x.shape[0], self.out_dim):
             raise ShapeMismatch("backward called without a matching forward")
         np.matmul(dy.T, self._x, out=self.weight.grad)
         self.bias.grad[...] = dy.sum(axis=0)
-        return dy @ self.weight.value
 
 
 class BatchNormLayer:
@@ -385,14 +390,14 @@ class BlinkNet:
     def forward(self, x, train: bool = False) -> np.ndarray:
         return softmax(self.forward_logits(x, train))
 
-    def backward_from_logits(self, dlogits: np.ndarray) -> np.ndarray:
+    def backward_from_logits(self, dlogits: np.ndarray) -> None:
         """Propagate a logits gradient through the whole stack; fills Param.grad."""
         dy = self.head.backward(dlogits)
         for block in reversed(self.blocks):
             dy = block.backward(dy)
         dy = self.stem_act.backward(dy)
         dy = self.stem_bn.backward(dy)
-        return self.stem_lin.backward(dy)
+        self.stem_lin.backward_params(dy)
 
     def loss_and_gradients(self, x, labels) -> float:
         """Train-mode forward + mean cross-entropy + full backward pass."""

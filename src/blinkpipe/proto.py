@@ -20,6 +20,10 @@ predictions.
 
 The server is one `selectors` loop on one thread that feeds each session's
 frames to its pipeline in arrival order; backpressure is TCP flow control.
+The gaze frames of one socket read are handled as one run: one loop unpacks,
+checks and segments them, and their rows reach the history buffer in bulk
+copies. `SessionPipeline.ingest` is the same work one frame at a time, the
+in-process reference the server's output must equal.
 """
 from __future__ import annotations
 
@@ -31,12 +35,14 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .core import (
+    _TS_MAX,
+    BlinkEvent,
     BlinkKind,
     BlinkLabel,
     BlinkPipeError,
@@ -45,12 +51,13 @@ from .core import (
     GazeFrame,
     NUM_FEATURES,
     NonFiniteFeature,  # re-exported: the wire path raises it
+    NonMonotonicTimestamp,
     ValidatedFrame,
     _check_finite,
     _check_timestamp,
 )
 from .net import BlinkNet, ModelCheckpoint, classify
-from .segmenter import BlinkSegmenter
+from .segmenter import BlinkSegmenter, binocular_gaze
 from .sim import replay
 from .window import DEFAULT_WINDOW_FRAMES, HistoryBuffer, NotReady
 
@@ -73,6 +80,11 @@ MESSAGE_SIZES = {
 
 CONTROL_END = 0
 CONTROL_RESET = 1
+
+# A run of whole gaze messages, read field by field and as numpy rows.
+_GAZE = struct.Struct("<4sBQ10f")
+_GAZE_ROWS = np.dtype([("header", "V5"), ("timestamp_ns", "<u8"),
+                       ("features", "<f4", (NUM_FEATURES,))])
 
 DEFAULT_PORT = 48200
 ACCEPT_RETRY_S = 0.1  # pause after a failed accept(), e.g. out of fds
@@ -130,8 +142,7 @@ Message = Union[GazeFrameMsg, PredictionMsg, ControlMsg]
 
 def encode(msg: Message) -> bytes:
     if isinstance(msg, GazeFrameMsg):
-        return struct.pack("<4sBQ10f", MAGIC, MSG_GAZE, msg.timestamp_ns,
-                           *msg.features)
+        return _GAZE.pack(MAGIC, MSG_GAZE, msg.timestamp_ns, *msg.features)
     if isinstance(msg, PredictionMsg):
         return struct.pack("<4sBQQBf", MAGIC, MSG_PREDICTION, msg.timestamp_ns,
                            msg.blink_end_ns, msg.label.value, msg.confidence)
@@ -230,20 +241,26 @@ class SessionPipeline:
         self._buffer = HistoryBuffer(window_frames)
 
     def ingest(self, frame: ValidatedFrame) -> Optional[PredictionMsg]:
+        """One frame at a time: the reference for the server's run loop."""
         self._buffer.push(frame)
         _, event = self._segmenter.update(frame)
         if event is None or event.kind is not BlinkKind.BOTH_EYES:
             return None
+        return self._answer(event)
+
+    def _answer(self, event: BlinkEvent) -> PredictionMsg:
+        """The prediction for a both-eye blink that ends on the newest frame
+        in the buffer, so its offset is also the message timestamp."""
         try:
             window = self._buffer.snapshot_at_blink_end(event)
         except NotReady:
             label = (BlinkLabel.VOLUNTARY if self.warmup_policy == "voluntary"
                      else BlinkLabel.INVOLUNTARY)
-            return PredictionMsg(frame.timestamp_ns, event.offset_ns, label, 0.0)
+            return PredictionMsg(event.offset_ns, event.offset_ns, label, 0.0)
         label, confidence = classify(self.net, window)
         # Confidence is quantized to f32 so the in-process value equals the
         # wire-decoded one bit for bit.
-        return PredictionMsg(frame.timestamp_ns, event.offset_ns, label,
+        return PredictionMsg(event.offset_ns, event.offset_ns, label,
                              float(np.float32(confidence)))
 
 
@@ -283,14 +300,15 @@ class _Connection:
     sock: socket.socket
     stats: SessionStats
     pipeline: SessionPipeline
-    buf: bytearray = field(default_factory=bytearray)
+    buf: bytes = b""  # the start of a message whose rest has not arrived
 
 
 class BlinkServer:
     """TCP prediction server: one `selectors` loop serves every connection.
 
-    Whole messages are handled in arrival order, and a prediction goes back
-    with a non-blocking send. Backpressure is TCP flow control, so no frame
+    Whole messages are handled in arrival order: the gaze frames of one read
+    as one run (`_ingest_gaze_run`), any other message by `decode`. A
+    prediction goes back with a non-blocking send. Backpressure is TCP flow control, so no frame
     is dropped. A bad client, or one that stops reading until its send buffer
     fills, ends only its own session, with the error in its SessionStats.
     serve_forever() runs the loop on the calling thread; start() (or `with`)
@@ -390,39 +408,31 @@ class BlinkServer:
                                 _Connection(sock, stats, self._new_pipeline()))
 
     def _read(self, conn: _Connection) -> None:
-        """Handle every whole message that has arrived on `conn`."""
+        """Handle every whole message that has arrived on `conn`: each run
+        of gaze messages in one loop, every other message by `decode`."""
         stats = conn.stats
         before = stats.frames_received
         try:
-            data = conn.sock.recv(65536)
-            if not data:
+            chunk = conn.sock.recv(65536)
+            if not chunk:
                 if conn.buf:
                     raise TruncatedMessage(f"EOF {len(conn.buf)} bytes into a message")
                 self._end(conn)
                 return
-            buf, off = conn.buf, 0
-            buf += data
-            while True:
+            data, off = conn.buf + chunk, 0
+            while (off := self._ingest_gaze_run(conn, data, off)) < len(data):
                 try:
-                    msg, off = decode(buf, off)
+                    msg, off = decode(data, off)
                 except TruncatedMessage:
                     break  # the rest of this message has not arrived yet
-                if isinstance(msg, GazeFrameMsg):
-                    stats.frames_received += 1
-                    pred = conn.pipeline.ingest(validated_frame_from_msg(msg))
-                    if pred is not None:
-                        try:
-                            conn.sock.sendall(encode(pred))
-                        except BlockingIOError:
-                            raise ClientNotReading("send buffer full") from None
-                        stats.predictions_sent += 1
-                elif isinstance(msg, ControlMsg):
+                # A run takes every whole gaze message, so this is another kind.
+                if isinstance(msg, ControlMsg):
                     if msg.command == CONTROL_END:
                         self._end(conn)
                         return
                     conn.pipeline = self._new_pipeline()
                 # clients do not send predictions; ignore them
-            del buf[:off]
+            conn.buf = data[off:]
         except BlockingIOError:
             pass  # spurious wake-up: nothing to read after all
         except Exception as e:  # any fault ends only this session
@@ -433,6 +443,62 @@ class BlinkServer:
         finally:
             stats.max_queue_depth = max(stats.max_queue_depth,
                                         stats.frames_received - before)
+
+    def _ingest_gaze_run(self, conn: _Connection, data: bytes, off: int) -> int:
+        """Ingest the whole gaze messages at data[off:] up to the first other
+        message; returns where they end.
+
+        Each frame gets `validated_frame_from_msg`'s and `SessionPipeline.
+        ingest`'s checks, in their order and with their errors, and
+        `BlinkSegmenter.step`. Its row reaches the history buffer in a bulk
+        copy: up to each both-eye blink end before that blink is cut, and
+        at the end of the run. A frame that fails a check still counts as
+        received; none after a blink whose answer could not be sent does.
+        """
+        count = (len(data) - off) // GAZE_MSG_SIZE
+        if not count:
+            return off
+        pipe, stats = conn.pipeline, conn.stats
+        seg, hist = pipe._segmenter, pipe._buffer
+        rows = np.frombuffer(data, _GAZE_ROWS, count, off)
+        timestamps, features = rows["timestamp_ns"], rows["features"]
+        last = hist.newest_timestamp_ns
+        first = last is None
+        if first:
+            last = -1  # wire timestamps are unsigned
+        done = copied = 0  # frames taken from the run / copied into hist
+        try:
+            for (magic, kind, ts, lp, rp, lo, ro, lx, ly, lz, rx, ry, rz
+                 ) in _GAZE.iter_unpack(
+                    memoryview(data)[off:off + count * GAZE_MSG_SIZE]):
+                if magic != MAGIC or kind != MSG_GAZE:
+                    break
+                done += 1
+                if ts > _TS_MAX:
+                    _check_timestamp(ts)
+                # A sum of ten float32 values cannot overflow a float.
+                if not math.isfinite(lp + rp + lo + ro + lx + ly + lz + rx + ry + rz):
+                    _check_finite(ts, (lp, rp, lo, ro, lx, ly, lz, rx, ry, rz))
+                if ts <= last:
+                    raise NonMonotonicTimestamp(f"timestamp {ts} not after {last}")
+                last = ts
+                event = seg.step(ts, lo, ro)
+                if first or not seg.any_closed:
+                    binocular_gaze(lx, ly, lz, rx, ry, rz)
+                    first = False
+                if event is not None and event.kind is BlinkKind.BOTH_EYES:
+                    hist.extend(timestamps[copied:done], features[copied:done])
+                    copied = done
+                    try:
+                        conn.sock.sendall(encode(pipe._answer(event)))
+                    except BlockingIOError:
+                        raise ClientNotReading("send buffer full") from None
+                    stats.predictions_sent += 1
+        finally:
+            stats.frames_received += done
+        if done > copied:
+            hist.extend(timestamps[copied:done], features[copied:done])
+        return off + done * GAZE_MSG_SIZE
 
     def _end(self, conn: _Connection) -> None:
         self._selector.unregister(conn.sock)

@@ -17,18 +17,22 @@ openness values of a recording (the `calibrate` command).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .core import (
+    _DEGENERATE_NORM,
     BlinkEvent,
     BlinkKind,
     CalibrationProfile,
+    DegenerateDirection,
     NoGazeYet,
     ValidatedFrame,
     Vec3,
+    _normalize,
 )
 
 MIN_CLOSURE_SAMPLES = 2  # 10 ms at 200 Hz; single-sample dips are glitches
@@ -137,7 +141,7 @@ class BlinkSegmenter:
 
     def update(self, frame: ValidatedFrame) -> Tuple[EyeState, Optional[BlinkEvent]]:
         if self._last_open_gaze is None:
-            self._last_open_gaze = frame.binocular_dir()
+            self._last_open_gaze = _normalize(binocular_gaze(*frame.values[4:]))
         prev = self.state
         event = self.step(frame.timestamp_ns, frame.values[2], frame.values[3])
         if self._left_closed or self._right_closed:
@@ -149,7 +153,7 @@ class BlinkSegmenter:
             )
         else:
             self.state = _ALL_OPEN
-            self._last_open_gaze = frame.binocular_dir()
+            self._last_open_gaze = _normalize(binocular_gaze(*frame.values[4:]))
         self._last_frame = frame
         return self.state, event
 
@@ -158,6 +162,22 @@ class BlinkSegmenter:
         if self._last_frame is None:
             raise NoGazeYet("no frame processed yet")
         return effective_gaze(self.state, self._last_frame)
+
+
+def binocular_gaze(lx: float, ly: float, lz: float,
+                   rx: float, ry: float, rz: float) -> Vec3:
+    """Sum of the left (lx, ly, lz) and right (rx, ry, rz) gaze directions.
+
+    Raises DegenerateDirection when it is near zero (`core._normalize`'s
+    test and message). A stream must carry a usable binocular gaze on its
+    first frame and on every frame with both eyes open: `BlinkSegmenter.
+    update` and the server's run loop apply that rule through here
+    (`dataset._label` applies it to whole columns).
+    """
+    x, y, z = lx + rx, ly + ry, lz + rz
+    if math.sqrt(x * x + y * y + z * z) < _DEGENERATE_NORM:
+        raise DegenerateDirection(f"direction {(x, y, z)} has near-zero norm")
+    return x, y, z
 
 
 def effective_gaze(state: EyeState, frame: Optional[ValidatedFrame]) -> Vec3:

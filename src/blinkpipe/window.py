@@ -7,7 +7,8 @@ capacity * NUM_FEATURES values. The buffer keeps its newest
 `capacity + lookback` frames in one run of rows, oldest first, so every
 cut is a binary search over a view of the timestamps plus one slice copy.
 By default it keeps exactly one window, which is all serving needs: a
-blink's offset is the newest frame. Offline window cutting
+blink's offset is the newest frame; the server appends each read's
+frames in bulk (`HistoryBuffer.extend`). Offline window cutting
 (`dataset.materialize_windows`) builds it from a whole recording's
 validated columns in one copy (`HistoryBuffer.from_columns`), so every
 blink, and every copy shifted up to MAX_SHIFT_FRAMES either way, is cut
@@ -16,6 +17,7 @@ from rows that never move, by the same code that cuts when serving.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -61,8 +63,8 @@ class HistoryBuffer:
     The newest `capacity + lookback` frames are retained as rows
     [oldest, end) of the store, oldest first. Behind them are `capacity`
     spare rows; once those are used up, the retained run moves to the front
-    in one copy, i.e. once per `capacity` pushes. A buffer whose lookback
-    covers the whole stream never moves.
+    in one copy, i.e. about once per `capacity` frames, pushed or extended.
+    A buffer whose lookback covers the whole stream never moves.
     """
 
     def __init__(self, capacity: int = DEFAULT_WINDOW_FRAMES, lookback: int = 0):
@@ -94,9 +96,7 @@ class HistoryBuffer:
             raise NonMonotonicTimestamp(
                 f"timestamp {int(timestamps[k])} not after {int(timestamps[k - 1])}")
         buf = cls(capacity, max(0, n - capacity))
-        buf._timestamps[:n] = timestamps
-        buf._features[:n] = features
-        buf._end = n
+        buf.extend(timestamps, features)
         return buf
 
     @property
@@ -124,6 +124,32 @@ class HistoryBuffer:
         self._features[end] = frame.values
         self._timestamps[end] = frame.timestamp_ns
         self._end = end + 1
+
+    def extend(self, timestamps: np.ndarray, features: np.ndarray) -> None:
+        """Append rows in one copy each, as if each had been pushed in order.
+
+        The caller guarantees what `push` checks: the timestamps increase
+        strictly and start after the newest retained one. Values are cast to
+        the store's dtypes in the copy (e.g. wire float32 features).
+        """
+        n, end, keep = len(timestamps), self._end, self._keep
+        if end + n > len(self._timestamps):
+            if n >= keep:  # the new rows alone are the retained run
+                timestamps, features = timestamps[n - keep:], features[n - keep:]
+                n, end = keep, 0
+            else:  # keep the newest keep - n rows, at the front
+                end = keep - n
+                self._features[:end] = self._features[self._end - end:self._end]
+                self._timestamps[:end] = self._timestamps[self._end - end:self._end]
+            self._end = end  # before the row writes, which can raise
+        self._features[end:end + n] = features
+        self._timestamps[end:end + n] = timestamps
+        self._end = end + n
+
+    @property
+    def newest_timestamp_ns(self) -> Optional[int]:
+        """Timestamp of the newest frame, or None before the first."""
+        return int(self._timestamps[self._end - 1]) if self._end else None
 
     def _row_at_or_before(self, timestamp_ns: int) -> int:
         """Row of the newest retained frame with ts <= timestamp_ns, or

@@ -111,7 +111,7 @@ class TestTrainAndEval:
                  "--epochs", epochs, "--window", "100", "--arch", "small")
         assert rc == EXIT_USAGE
         assert "epochs must be at least 1" in capsys.readouterr().err
-        assert not (out / "best.bnet").exists()
+        assert not out.exists()  # rejected before any data is read
 
     def test_train_needs_three_participants(self, tmp_path):
         data = str(tmp_path / "two")
@@ -302,7 +302,12 @@ class TestCalibrate:
         '{"closed_threshold_left": "low", "closed_threshold_right": 0.6,'
         ' "hysteresis_band": 0.05}',
         '{"closed_threshold_left": 0.6, "hysteresis_band": 0.05}',
-    ], ids=["list", "syntax_error", "non_numeric", "missing_key"])
+        '{"closed_threshold_left": 1.5, "closed_threshold_right": 0.6,'
+        ' "hysteresis_band": 0.05}',
+        '{"closed_threshold_left": NaN, "closed_threshold_right": 0.6,'
+        ' "hysteresis_band": 0.05}',
+    ], ids=["list", "syntax_error", "non_numeric", "missing_key", "out_of_range",
+            "nan"])
     def test_malformed_profile_is_data_error(self, tmp_path, capsys, content):
         rec = str(tmp_path / "rec.csv")
         save_recording(square_blink_recording([40]), rec)

@@ -5,13 +5,16 @@ import _thread
 import errno
 import math
 import os
+import selectors
 import socket
+import struct
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from blinkpipe import proto
 from blinkpipe.core import BlinkLabel
 from blinkpipe.net import BlinkNet
 from blinkpipe.proto import (
@@ -22,16 +25,20 @@ from blinkpipe.proto import (
     CONTROL_MSG_SIZE,
     GAZE_MSG_SIZE,
     MAGIC,
+    MSG_CONTROL,
+    MSG_PREDICTION,
     PREDICTION_MSG_SIZE,
     AssociationOutcome,
     BadMagic,
     BlinkServer,
+    ClientNotReading,
     ClientPredictionGate,
     ControlMsg,
     GazeFrameMsg,
     NonFiniteFeature,
     PredictionMsg,
     SessionPipeline,
+    SessionStats,
     TruncatedMessage,
     UnknownType,
     decode,
@@ -553,6 +560,233 @@ class TestServerLoop:
         assert len(srv.sessions) == 1000
         assert all(s.error is None and s.frames_received == len(frames)
                    for s in srv.sessions)
+
+
+class _SendFailsAt(socket.socket):
+    """A server-side socket whose `fail_at`-th send finds its buffer full."""
+
+    def __init__(self, fileno: int, fail_at: int):
+        super().__init__(fileno=fileno)
+        self.fail_at = fail_at
+
+    def sendall(self, data, *args):
+        self.fail_at -= 1
+        if self.fail_at == 0:
+            raise BlockingIOError
+        return super().sendall(data, *args)
+
+
+class PerFrameServer(BlinkServer):
+    """The per-frame reference for `BlinkServer._read`: `decode` for every
+    message, then `validated_frame_from_msg` and `SessionPipeline.ingest`
+    for each gaze frame."""
+
+    def _read(self, conn):
+        stats = conn.stats
+        before = stats.frames_received
+        try:
+            data = conn.sock.recv(65536)
+            if not data:
+                if conn.buf:
+                    raise TruncatedMessage(f"EOF {len(conn.buf)} bytes into a message")
+                self._end(conn)
+                return
+            buf, off = conn.buf + data, 0
+            while True:
+                try:
+                    msg, off = decode(buf, off)
+                except TruncatedMessage:
+                    break
+                if isinstance(msg, GazeFrameMsg):
+                    stats.frames_received += 1
+                    pred = conn.pipeline.ingest(validated_frame_from_msg(msg))
+                    if pred is not None:
+                        try:
+                            conn.sock.sendall(encode(pred))
+                        except BlockingIOError:
+                            raise ClientNotReading("send buffer full") from None
+                        stats.predictions_sent += 1
+                elif isinstance(msg, ControlMsg):
+                    if msg.command == CONTROL_END:
+                        self._end(conn)
+                        return
+                    conn.pipeline = self._new_pipeline()
+            conn.buf = buf[off:]
+        except BlockingIOError:
+            pass
+        except Exception as e:
+            stats.error = f"{type(e).__name__}: {e}"
+            self._end(conn)
+        finally:
+            stats.max_queue_depth = max(stats.max_queue_depth,
+                                        stats.frames_received - before)
+
+
+_GAZE_PACK = struct.Struct("<4sBQ10f")
+# What can go wrong on one frame, in the order the checks meet it, and the
+# other messages and faults a run of gaze frames stops at.
+_FRAME_FAULTS = ("ts_past_int64", "nan", "inf", "-inf", "ts_repeat", "ts_back",
+                 "cancel_open")
+_FAULTS = _FRAME_FAULTS + ("cancel_first", "bad_magic", "unknown_type",
+                           "bad_control", "bad_prediction", "end",
+                           "eof_mid_message", "send_fails", None)
+
+
+def _unit(rng) -> list:
+    v = rng.normal(size=3)
+    return list(v / np.linalg.norm(v))
+
+
+def random_wire_stream(rng):
+    """One session's bytes and the prediction send that fails (or 0).
+
+    Gaze frames with both-eye blinks and winks; at random, RESET, prediction
+    messages and gaze pairs that cancel on a closed frame (an error only on
+    a session's first frame); and one fault from _FAULTS at a random frame,
+    sometimes with a second from _FRAME_FAULTS on the same frame.
+    """
+    n = int(rng.choice([int(rng.integers(1, 60)), int(rng.integers(60, 500)),
+                        int(rng.integers(500, 1500))]))
+    faults = {_FAULTS[int(rng.integers(len(_FAULTS)))]}
+    if rng.random() < 0.3:
+        faults.add(_FRAME_FAULTS[int(rng.integers(len(_FRAME_FAULTS)))])
+    at = 0 if "cancel_first" in faults else int(rng.integers(n))
+    ts = int(rng.integers(0, 2**40))
+    if rng.random() < 0.1:  # near the top of the int64 range
+        ts = 2**63 - int(rng.integers(1, 2 * n + 2)) * 5_000_000
+    out, closed_left, closed_right, prev_ts = [], 0, 0, None
+    for i in range(n):
+        if not (closed_left or closed_right) and rng.random() < 0.06:
+            length = int(rng.integers(1, 9))
+            eyes = int(rng.integers(3))  # both, left only, right only
+            closed_left = length if eyes != 2 else 0
+            closed_right = length if eyes != 1 else 0
+        lo = float(rng.uniform(0, 0.2)) if closed_left else float(rng.uniform(0.7, 1))
+        ro = float(rng.uniform(0, 0.2)) if closed_right else float(rng.uniform(0.7, 1))
+        ldir, rdir = _unit(rng), _unit(rng)
+        if (closed_left or closed_right) and rng.random() < 0.1:
+            rdir = [-x for x in ldir]
+        closed_left, closed_right = max(0, closed_left - 1), max(0, closed_right - 1)
+        feats = [float(rng.uniform(2, 6)), float(rng.uniform(2, 6)), lo, ro,
+                 *ldir, *rdir]
+        t = ts + i * 5_000_000
+        here = faults if i == at else set()
+        for bad in ("nan", "inf", "-inf"):
+            if bad in here:
+                feats[int(rng.integers(10))] = float(bad)
+        if "ts_past_int64" in here:
+            t = int(rng.choice([2**63, 2**64 - 1]))
+        if "ts_repeat" in here and prev_ts is not None:
+            t = prev_ts
+        if "ts_back" in here and prev_ts is not None:
+            t = max(0, prev_ts - int(rng.integers(1, 10**9)))
+        if {"cancel_first", "cancel_open"} & here:
+            feats[2] = feats[3] = 1.0
+            feats[7:10] = [-x for x in feats[4:7]]
+        if t > 2**64 - 1:
+            break  # a stream that ran off the u64 range stops here
+        msg = _GAZE_PACK.pack(MAGIC, 0, t, *feats)
+        if "bad_magic" in here:
+            msg = b"NOPE" + msg[4:]
+        if "unknown_type" in here:
+            msg = MAGIC + bytes([int(rng.integers(3, 256))]) + msg[5:]
+        if "bad_control" in here:
+            out.append(MAGIC + bytes([MSG_CONTROL]) + bytes(8) + b"\x07")
+        if "bad_prediction" in here:
+            out.append(MAGIC + bytes([MSG_PREDICTION]) + bytes(16) + b"\x05"
+                       + bytes(4))
+        if "end" in here:
+            out.append(encode(ControlMsg(t, CONTROL_END)))
+        if rng.random() < 0.01:
+            out.append(encode(ControlMsg(t, CONTROL_RESET)))
+        if rng.random() < 0.01:
+            out.append(encode(PredictionMsg(t, t, BlinkLabel.VOLUNTARY, 0.5)))
+        out.append(msg)
+        prev_ts = t
+    stream = b"".join(out)
+    if "eof_mid_message" in faults:
+        stream = stream[:len(stream) - int(rng.integers(1, 53))]
+    fail_at = int(rng.integers(1, 4)) if "send_fails" in faults else 0
+    return stream, fail_at
+
+
+def random_cuts(rng, stream: bytes) -> list:
+    """The stream cut into reads of 1 byte up to 64 KB."""
+    cuts, off = [], 0
+    while off < len(stream):
+        hi = int(rng.choice([54, 2000, 65537]))
+        size = int(rng.integers(1, hi))
+        cuts.append(stream[off:off + size])
+        off += size
+    return cuts
+
+
+def serve_cuts(srv: BlinkServer, cuts: list, fail_at: int):
+    """Drive `srv._read` over a socketpair, one call per cut, then EOF;
+    returns the bytes sent back and the session's stats."""
+    client, server = socket.socketpair()
+    server.setblocking(False)
+    sock = _SendFailsAt(server.detach(), fail_at)
+    conn = proto._Connection(sock, SessionStats(), srv._new_pipeline())
+    srv._selector.register(sock, selectors.EVENT_READ, conn)
+    back = bytearray()
+    with client:
+        for cut in cuts + [None]:
+            if sock.fileno() == -1:
+                break  # the server ended the session
+            if cut is None:
+                client.shutdown(socket.SHUT_WR)
+            else:
+                client.sendall(cut)
+            srv._read(conn)
+            client.setblocking(False)
+            try:
+                while chunk := client.recv(65536):
+                    back += chunk
+            except (BlockingIOError, ConnectionResetError):
+                pass  # all read, or the server closed with bytes unread
+            client.setblocking(True)
+    return bytes(back), conn.stats
+
+
+class TestGazeRuns:
+    """The server's run loop against the per-frame reference, over random
+    wire streams cut into random reads."""
+
+    def test_run_loop_matches_per_frame_reference(self):
+        rng = np.random.default_rng(20261018)
+        servers = {}
+        errors = set()
+        sent = 0
+        try:
+            for _ in range(200):
+                window = int(rng.choice([4, 17, 40]))
+                if window not in servers:
+                    net = tiny_net(window, seed=window)
+                    servers[window] = (
+                        BlinkServer(net, port=0, window_frames=window),
+                        PerFrameServer(net, port=0, window_frames=window))
+                stream, fail_at = random_wire_stream(rng)
+                cuts = random_cuts(rng, stream)
+                runs, ref = (serve_cuts(srv, cuts, fail_at)
+                             for srv in servers[window])
+                assert runs[0] == ref[0]
+                got, want = runs[1], ref[1]
+                assert (got.frames_received, got.predictions_sent,
+                        got.max_queue_depth, got.error) == (
+                    want.frames_received, want.predictions_sent,
+                    want.max_queue_depth, want.error)
+                errors.add(want.error and want.error.split(":")[0])
+                sent += want.predictions_sent
+        finally:
+            for pair in servers.values():
+                for srv in pair:
+                    srv.stop()
+        assert errors >= {None, "NonFiniteFeature", "TimestampOutOfRange",
+                          "NonMonotonicTimestamp", "DegenerateDirection",
+                          "BadMagic", "UnknownType", "ClientNotReading",
+                          "TruncatedMessage"}
+        assert sent > 100
 
 
 class TestClientGate:

@@ -270,3 +270,36 @@ def test_from_columns_rejects_what_push_rejects():
         HistoryBuffer.from_columns(ts, np.zeros((3, NUM_FEATURES)), 2)
     with pytest.raises(ValueError, match="shape"):
         HistoryBuffer.from_columns(ts[:2], np.zeros((2, NUM_FEATURES - 1)), 2)
+
+
+def test_extend_in_any_chunks_is_pushing_every_row():
+    frames = [frame_at(i) for i in range(300)]
+    # The server extends from wire columns: u64 timestamps, f32 features.
+    ts = np.array([f.timestamp_ns for f in frames], dtype=np.uint64)
+    rows = np.array([f.features() for f in frames], dtype=np.float32)
+    rng = np.random.default_rng(9)
+    for cap, look in ((1, 0), (7, 0), (7, 3), (40, 0), (40, 25)):
+        pushed, extended = HistoryBuffer(cap, look), HistoryBuffer(cap, look)
+        start = 0
+        while start < len(frames):
+            # chunks from empty to longer than the whole store
+            hi = int(rng.choice([cap + 1, 3 * (cap + look) + 2]))
+            stop = min(len(frames), start + int(rng.integers(0, hi)))
+            for f in frames[start:stop]:
+                pushed.push(f)
+            extended.extend(ts[start:stop], rows[start:stop])
+            start = stop
+            assert extended.fill_count == pushed.fill_count
+            assert extended.newest_timestamp_ns == pushed.newest_timestamp_ns
+            for end in range(max(1, stop - cap - look - 2), stop + 1):
+                blink = blink_ending_at(end * FRAME_INTERVAL_NS)
+                try:
+                    want = pushed.snapshot_at_blink_end(blink)
+                except NotReady:
+                    with pytest.raises(NotReady):
+                        extended.snapshot_at_blink_end(blink)
+                    continue
+                got = extended.snapshot_at_blink_end(blink)
+                assert got.end_timestamp_ns == want.end_timestamp_ns
+                assert got.values.tobytes() == want.values.tobytes()
+    assert HistoryBuffer(3).newest_timestamp_ns is None
