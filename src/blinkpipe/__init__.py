@@ -44,6 +44,7 @@ from .net import (
     CheckpointFormatError,
     ModelCheckpoint,
     classify,
+    load_net,
     train,
 )
 from .dataset import (
@@ -128,6 +129,7 @@ __all__ = [
     "generate_session",
     "intersect_head_ray",
     "label_blinks",
+    "load_net",
     "load_recording",
     "materialize_windows",
     "metrics",

@@ -56,9 +56,9 @@ from .net import (
     BlinkNet,
     CheckpointFormatError,
     EmptySplit,
-    ModelCheckpoint,
     ShapeMismatch,
     classify,
+    load_net,
     train as train_model,
 )
 from .dataset import (
@@ -222,7 +222,7 @@ def _load_profile(path: Optional[str]) -> Optional[CalibrationProfile]:
 
 
 def _net_from_checkpoint(path: str) -> Tuple[BlinkNet, int]:
-    net = ModelCheckpoint.load(path).build_net()
+    net = load_net(path)
     if net.input_dim % NUM_FEATURES:
         raise CheckpointFormatError(
             f"input dim {net.input_dim} is not a multiple of {NUM_FEATURES}"

@@ -18,11 +18,14 @@ initialization, the per-epoch shuffles, and therefore every parameter.
 """
 from __future__ import annotations
 
+import io
 import math
 import os
+import stat
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (BinaryIO, Iterable, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -527,26 +530,44 @@ def _f64_bytes(a: np.ndarray) -> memoryview:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = memoryview(data)
+    """Reads a checkpoint's fields in order from a binary file object that
+    holds `size` bytes, each array straight into a fresh array. Every read
+    checks its length against the bytes left before it allocates."""
+
+    def __init__(self, f: BinaryIO, size: int):
+        self.f = f
+        self.size = size
         self.pos = 0
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.data):
+    def _claim(self, n: int) -> None:
+        if n > self.size - self.pos:
             raise CheckpointFormatError(
                 f"truncated checkpoint: wanted {n} bytes at offset {self.pos}, "
-                f"have {len(self.data) - self.pos}"
+                f"have {self.size - self.pos}"
             )
-        out = self.data[self.pos:self.pos + n]
+
+    def _check_read(self, got: int, n: int) -> None:
+        if got != n:
+            raise CheckpointFormatError(
+                f"truncated checkpoint: read {got} of {n} bytes at offset {self.pos}"
+            )
         self.pos += n
+
+    def take(self, n: int) -> bytes:
+        self._claim(n)
+        out = self.f.read(n)
+        self._check_read(len(out), n)
         return out
 
     def f64_array(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(8 * count), dtype="<f8").copy()
+        self._claim(8 * count)
+        out = np.empty(count, dtype="<f8")
+        self._check_read(self.f.readinto(memoryview(out).cast("B")), 8 * count)
+        return out
 
     @property
     def exhausted(self) -> bool:
-        return self.pos == len(self.data)
+        return self.pos == self.size
 
 
 @dataclass(frozen=True)
@@ -565,7 +586,9 @@ class ModelCheckpoint:
                     gamma, beta, running_mean, running_var (features f64
                     each), momentum f64, eps f64
 
-    Loading then saving is byte-identical.
+    Loading then saving is byte-identical. Each record owns its arrays:
+    `load` and `from_bytes` read every array into a fresh one, `build_net`
+    copies them into the net it builds, and `load_net` hands them to its net.
     """
 
     format_version: int
@@ -614,7 +637,12 @@ class ModelCheckpoint:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ModelCheckpoint":
-        r = _Reader(data)
+        """Parse the bytes of `to_bytes` into records with arrays of their
+        own; `data` is not kept."""
+        return cls._read(_Reader(io.BytesIO(data), len(data)))
+
+    @classmethod
+    def _read(cls, r: _Reader) -> "ModelCheckpoint":
         magic, version, epoch, val_loss = struct.unpack("<4sIId", r.take(20))
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointFormatError(f"bad magic {magic!r}")
@@ -652,11 +680,27 @@ class ModelCheckpoint:
 
     @classmethod
     def load(cls, path) -> "ModelCheckpoint":
+        """Read the checkpoint at `path`.
+
+        A regular file's arrays are read from the file straight into their
+        arrays, so its bytes are never held whole. Anything else, such as a
+        pipe, tells its size only at its end, so it is read whole first.
+        """
         with open(path, "rb") as f:
-            return cls.from_bytes(f.read())
+            st = os.fstat(f.fileno())
+            if stat.S_ISREG(st.st_mode):
+                return cls._read(_Reader(f, st.st_size))
+            data = f.read()
+        return cls.from_bytes(data)
 
     def build_net(self) -> BlinkNet:
-        """Reconstruct the network from the stored records."""
+        """Reconstruct the network from the stored records, in arrays of its
+        own: the net can train or serve while the checkpoint stays as it is."""
+        return self._net(copy=True)
+
+    def _net(self, copy: bool) -> BlinkNet:
+        """Check that the records form a stem/blocks/head stack and install
+        them into a net of that architecture, as copies or as they are."""
         recs = self.records
         if (len(recs) < 3 or not isinstance(recs[0], LinearRecord)
                 or not isinstance(recs[1], BatchNormRecord)
@@ -686,30 +730,41 @@ class ModelCheckpoint:
         net = BlinkNet.zero_initialized(input_dim=input_dim, stem_width=stem_width,
                                         block_dims=block_dims,
                                         n_classes=head.weight.shape[0])
-        # Fresh C-contiguous copies: the net keeps training or serving while
-        # the checkpoint's arrays stay as they are.
         for rec, (kind, layer) in zip(recs, _layers_in_order(net)):
             if kind == "linear":
-                layer.weight.value = _installed(layer.weight.value, rec.weight)
-                layer.bias.value = _installed(layer.bias.value, rec.bias)
+                layer.weight.value = _installed(layer.weight.value, rec.weight, copy)
+                layer.bias.value = _installed(layer.bias.value, rec.bias, copy)
             else:
-                layer.gamma.value = _installed(layer.gamma.value, rec.gamma)
-                layer.beta.value = _installed(layer.beta.value, rec.beta)
-                layer.running_mean = _installed(layer.running_mean, rec.running_mean)
-                layer.running_var = _installed(layer.running_var, rec.running_var)
+                layer.gamma.value = _installed(layer.gamma.value, rec.gamma, copy)
+                layer.beta.value = _installed(layer.beta.value, rec.beta, copy)
+                layer.running_mean = _installed(layer.running_mean,
+                                                rec.running_mean, copy)
+                layer.running_var = _installed(layer.running_var,
+                                               rec.running_var, copy)
                 layer.momentum = rec.momentum
                 layer.eps = rec.eps
         return net
 
 
-def _installed(current: np.ndarray, stored: np.ndarray) -> np.ndarray:
-    """A C-contiguous float64 copy of `stored`, which must have the shape of
-    the layer array `current` it replaces."""
+def load_net(path) -> BlinkNet:
+    """The network stored in the checkpoint at `path`, holding the arrays
+    just read from the file: one copy of the weights, where
+    `ModelCheckpoint.load(path).build_net()` makes a second while the first
+    is alive."""
+    return ModelCheckpoint.load(path)._net(copy=False)
+
+
+def _installed(current: np.ndarray, stored: np.ndarray, copy: bool) -> np.ndarray:
+    """`stored` as a C-contiguous, aligned, writeable native float64 array,
+    copied when `copy` is set or when it is not already one; it must have
+    the shape of the layer array `current` it replaces."""
     if stored.shape != current.shape:
         raise CheckpointFormatError(
             f"record array of shape {stored.shape} where the layer needs {current.shape}"
         )
-    return np.array(stored, dtype=np.float64, order="C")
+    if copy:
+        return np.array(stored, dtype=np.float64, order="C")
+    return np.require(stored, np.float64, "CAW")
 
 
 def _layers_in_order(net: BlinkNet):

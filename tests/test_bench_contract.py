@@ -16,7 +16,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from blinkpipe import dataset, net, proto, window
+from blinkpipe import cli, dataset, net, proto, window
 
 from conftest import square_blink_recording, tiny_net
 
@@ -95,3 +95,18 @@ def test_attributes_the_benchmark_workers_read():
     # offline_worker.py passes these positionally.
     inspect.signature(dataset.materialize_windows).bind(
         "rec", [], 5000, window.DEFAULT_LOOKBACK_FRAMES, 1, None)
+
+
+def test_serving_start_up_records_one_checkpoint_load(tmp_path):
+    # serving.py reads net.checkpoint_load_ms from this span, so serve's
+    # start-up must load through ModelCheckpoint.load, once.
+    path = tmp_path / "model.bnet"
+    net.ModelCheckpoint.from_net(tiny_net(30), 0, 0.0).save(path)
+    tracing = _load("tracer")
+    tracer = tracing.Tracer()
+    try:
+        tracing.install_serving(tracer)
+        cli._net_from_checkpoint(str(path))
+    finally:
+        tracer.uninstall()
+    assert tracer.durations("net.checkpoint_load").size == 1

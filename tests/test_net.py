@@ -5,6 +5,10 @@ import builtins
 import errno
 import math
 import os
+import struct
+import subprocess
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -33,6 +37,7 @@ from blinkpipe.net import (
     adam_step,
     classify,
     evaluate_loss,
+    load_net,
     mish,
     mish_grad,
     softmax,
@@ -609,7 +614,15 @@ def test_failed_checkpoint_save_keeps_previous_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["best.bnet"]
 
 
-def test_checkpoint_truncation_and_corruption_raise_typed_errors():
+def _open_fds():
+    """This process's open file descriptors, or None where /proc is absent."""
+    try:
+        return sorted(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
+
+
+def test_checkpoint_truncation_and_corruption_raise_typed_errors(tmp_path):
     blob = ModelCheckpoint.from_net(make_small_net(), 1, 0.2).to_bytes()
     for cut in (0, 3, 11, len(blob) // 2, len(blob) - 1):
         with pytest.raises(CheckpointFormatError):
@@ -621,6 +634,21 @@ def test_checkpoint_truncation_and_corruption_raise_typed_errors():
         ModelCheckpoint.from_bytes(bad_version)
     with pytest.raises(CheckpointFormatError):
         ModelCheckpoint.from_bytes(blob + b"\x07trailing")
+    # A stem record claiming (2**32-1)**2 weights must fail before any
+    # allocation, as a format error rather than a MemoryError.
+    huge = blob[:20] + struct.pack("<BII", 0x01, 2**32 - 1, 2**32 - 1) + blob[29:]
+    with pytest.raises(CheckpointFormatError):
+        ModelCheckpoint.from_bytes(huge)
+    damaged = [blob[:cut] for cut in (0, 3, 11, len(blob) // 2, len(blob) - 1)]
+    damaged += [b"XXXX" + blob[4:], bad_version, blob + b"\x07trailing", huge]
+    fds = _open_fds()
+    for i, data in enumerate(damaged):
+        path = tmp_path / f"damaged{i}.bnet"
+        path.write_bytes(data)
+        for loader in (ModelCheckpoint.load, load_net):
+            with pytest.raises(CheckpointFormatError):
+                loader(path)
+    assert _open_fds() == fds
 
 
 def test_checkpoint_rejects_unknown_record_tag():
@@ -631,6 +659,94 @@ def test_checkpoint_rejects_unknown_record_tag():
     blob[header] = 0x7F
     with pytest.raises(CheckpointFormatError):
         ModelCheckpoint.from_bytes(bytes(blob))
+
+
+def _feed_pipe(path, data: bytes) -> threading.Thread:
+    """Write `data` into the named pipe at `path` from a thread."""
+    def write():
+        try:
+            with open(path, "wb") as f:
+                f.write(data)
+        except BrokenPipeError:
+            pass  # the reader gave up; its own error is what the test sees
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    return writer
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_checkpoint_loads_from_a_pipe(tmp_path):
+    # `--checkpoint <(cat model.bnet)` hands the CLI a pipe, whose size
+    # fstat reports as 0.
+    blob = ModelCheckpoint.from_net(make_small_net(), 6, 0.125).to_bytes()
+    reference = ModelCheckpoint.from_bytes(blob)
+    path = tmp_path / "model.pipe"
+    os.mkfifo(path)
+    writer = _feed_pipe(path, blob)
+    ckpt = ModelCheckpoint.load(path)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert [type(r) for r in ckpt.records] == [type(r) for r in reference.records]
+    for got, want in zip(_record_arrays(ckpt), _record_arrays(reference)):
+        np.testing.assert_array_equal(got, want)
+    assert ckpt.to_bytes() == reference.to_bytes() == blob
+    writer = _feed_pipe(path, blob)
+    loaded = load_net(path)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert ModelCheckpoint.from_net(loaded, 6, 0.125).to_bytes() == blob
+
+
+def test_load_net_matches_build_net_and_holds_fresh_arrays(tmp_path):
+    path = tmp_path / "model.bnet"
+    ModelCheckpoint.from_net(make_small_net(), 2, 0.5).save(path)
+    loaded, built = load_net(path), ModelCheckpoint.load(path).build_net()
+    arrays = _net_arrays(loaded) + _net_arrays(built)
+    for i, x in enumerate(arrays):
+        assert x.dtype == np.float64 and x.dtype.isnative
+        assert x.flags.c_contiguous and x.flags.aligned and x.flags.writeable
+        for y in arrays[i + 1:]:
+            assert not np.shares_memory(x, y)
+    assert ModelCheckpoint.from_net(loaded, 2, 0.5).to_bytes() == path.read_bytes()
+
+
+_LOAD_PEAK = """
+import sys
+from blinkpipe import net
+
+def status_bytes(key):
+    with open("/proc/self/status") as f:
+        for line in f:
+            if line.startswith(key + ":"):
+                return int(line.split()[1]) * 1024
+
+base = status_bytes("VmRSS")
+kept = {"load": net.ModelCheckpoint.load, "load_net": net.load_net}[sys.argv[2]](sys.argv[1])
+print(status_bytes("VmHWM") - base)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status")
+@pytest.mark.parametrize("loader", ["load", "load_net"])
+def test_loading_a_checkpoint_holds_one_copy_of_its_weights(tmp_path, loader):
+    # Peak resident memory, not tracemalloc: tracemalloc also counts the
+    # zero pages of gradients and zero-initialized layers, which are never
+    # touched. Reading the file whole, or copying the read arrays into the
+    # net, would raise the peak by about twice the file's size.
+    path = tmp_path / "wide.bnet"
+    wide = BlinkNet.zero_initialized(input_dim=40_000, block_dims=())
+    ModelCheckpoint.from_net(wide, 0, 0.0).save(path)
+    del wide
+    size = path.stat().st_size
+    src = os.path.dirname(os.path.dirname(net_module.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _LOAD_PEAK, str(path), loader],
+                         env=env, capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert int(out.stdout) <= 1.25 * size
 
 
 # ---------------------------------------------------------------------------
