@@ -38,7 +38,7 @@ from .core import (
     TimestampOutOfRange,
     atomic_path,
 )
-from .segmenter import BlinkSegmenter
+from .segmenter import BlinkSegmenter, binocular_norms
 from .window import (
     DEFAULT_LOOKBACK_FRAMES,
     DEFAULT_WINDOW_FRAMES,
@@ -228,9 +228,7 @@ def _label(rec: Recording, columns, profile: Optional[CalibrationProfile]
     """
     ts, features, _, error = columns
     seg = BlinkSegmenter(profile)
-    gaze = features[:, 4:7] + features[:, 7:10]  # binocular_dir's sum
-    norm = np.sqrt(gaze[:, 0] * gaze[:, 0] + gaze[:, 1] * gaze[:, 1]
-                   + gaze[:, 2] * gaze[:, 2])
+    norm = binocular_norms(features)
     ts, left, right = ts.tolist(), features[:, 2].tolist(), features[:, 3].tolist()
     events: List[BlinkEvent] = []
     start = 0
@@ -240,7 +238,8 @@ def _label(rec: Recording, columns, profile: Optional[CalibrationProfile]
                                   right[start:stop]) if e is not None]
         if k < len(ts) and (k == 0 or not seg.any_closed):
             raise DegenerateDirection(
-                f"direction {tuple(gaze[k].tolist())} has near-zero norm")
+                f"direction {tuple((features[k, 4:7] + features[k, 7:10]).tolist())}"
+                " has near-zero norm")
         start = stop
     if error is not None:
         raise error

@@ -589,6 +589,7 @@ class ModelCheckpoint:
     Loading then saving is byte-identical. Each record owns its arrays:
     `load` and `from_bytes` read every array into a fresh one, `build_net`
     copies them into the net it builds, and `load_net` hands them to its net.
+    Only `from_net(..., copy=False)` makes records that share a net's arrays.
     """
 
     format_version: int
@@ -597,17 +598,20 @@ class ModelCheckpoint:
     records: Tuple[LayerRecord, ...]
 
     @classmethod
-    def from_net(cls, net: BlinkNet, epoch: int,
-                 validation_loss: float) -> "ModelCheckpoint":
+    def from_net(cls, net: BlinkNet, epoch: int, validation_loss: float,
+                 copy: bool = True) -> "ModelCheckpoint":
+        """A snapshot of `net`; with copy=False its records hold the net's
+        own arrays, so it shows the net as it is until it trains on."""
+        own = np.copy if copy else (lambda a: a)
         records: List[LayerRecord] = []
         for kind, layer in _layers_in_order(net):
             if kind == "linear":
-                records.append(LinearRecord(layer.weight.value.copy(),
-                                            layer.bias.value.copy()))
+                records.append(LinearRecord(own(layer.weight.value),
+                                            own(layer.bias.value)))
             else:
                 records.append(BatchNormRecord(
-                    layer.gamma.value.copy(), layer.beta.value.copy(),
-                    layer.running_mean.copy(), layer.running_var.copy(),
+                    own(layer.gamma.value), own(layer.beta.value),
+                    own(layer.running_mean), own(layer.running_var),
                     layer.momentum, layer.eps,
                 ))
         return cls(CHECKPOINT_FORMAT_VERSION, epoch, float(validation_loss),
@@ -887,13 +891,13 @@ def train(
         train_loss = total / n
         val_loss, val_acc = evaluate_loss(net, x_val, y_val)
         history.append(EpochStats(epoch, train_loss, val_loss, val_acc))
-        ckpt = ModelCheckpoint.from_net(net, epoch, val_loss)
-        if checkpoint_dir is not None:
-            ckpt.save(os.path.join(checkpoint_dir, f"epoch_{epoch:04d}.bnet"))
+        if checkpoint_dir is not None:  # written from the live arrays
+            ModelCheckpoint.from_net(net, epoch, val_loss, copy=False).save(
+                os.path.join(checkpoint_dir, f"epoch_{epoch:04d}.bnet"))
         if best is None or val_loss < best.validation_loss:
-            best = ckpt
+            best = ModelCheckpoint.from_net(net, epoch, val_loss)
             if checkpoint_dir is not None:
-                ckpt.save(os.path.join(checkpoint_dir, "best.bnet"))
+                best.save(os.path.join(checkpoint_dir, "best.bnet"))
         if log is not None:
             log(f"epoch {epoch}/{epochs} train_loss={train_loss:.6f} "
                 f"val_loss={val_loss:.6f} val_acc={val_acc:.4f}")

@@ -139,6 +139,20 @@ class BlinkSegmenter:
             )
         return None
 
+    def quiet_frames(self, features: np.ndarray) -> np.ndarray:
+        """Which rows of `features` (a frame's ten features each, float32 or
+        float64) `update` would take from the all-open state without a
+        change or an error: both eyes at or above their closure thresholds,
+        so `step` changes nothing and returns None, and a binocular gaze that
+        `binocular_gaze` accepts. Values are compared as float64, as `step`
+        compares them; a NaN openness or gaze is never quiet.
+        """
+        with np.errstate(invalid="ignore"):  # signalling NaN in the cast
+            left = np.asarray(features[:, 2], np.float64)
+            right = np.asarray(features[:, 3], np.float64)
+        return ((left >= self._close_left) & (right >= self._close_right)
+                & (binocular_norms(features) >= _DEGENERATE_NORM))
+
     def update(self, frame: ValidatedFrame) -> Tuple[EyeState, Optional[BlinkEvent]]:
         if self._last_open_gaze is None:
             self._last_open_gaze = _normalize(binocular_gaze(*frame.values[4:]))
@@ -171,13 +185,24 @@ def binocular_gaze(lx: float, ly: float, lz: float,
     Raises DegenerateDirection when it is near zero (`core._normalize`'s
     test and message). A stream must carry a usable binocular gaze on its
     first frame and on every frame with both eyes open: `BlinkSegmenter.
-    update` and the server's run loop apply that rule through here
-    (`dataset._label` applies it to whole columns).
+    update` and the server's run loop apply that rule through here;
+    `dataset._label` and `BlinkSegmenter.quiet_frames` apply it to whole
+    columns through `binocular_norms`.
     """
     x, y, z = lx + rx, ly + ry, lz + rz
     if math.sqrt(x * x + y * y + z * z) < _DEGENERATE_NORM:
         raise DegenerateDirection(f"direction {(x, y, z)} has near-zero norm")
     return x, y, z
+
+
+def binocular_norms(features: np.ndarray) -> np.ndarray:
+    """`binocular_gaze`'s norm for each row of `features` (the gaze in
+    columns 4-9), in float64 and summed in its order, so the two agree bit
+    for bit. A non-finite gaze gives inf or NaN, without a warning."""
+    with np.errstate(invalid="ignore"):  # signalling NaN in the cast, inf + -inf
+        gaze = np.add(features[:, 4:7], features[:, 7:10], dtype=np.float64)
+        return np.sqrt(gaze[:, 0] * gaze[:, 0] + gaze[:, 1] * gaze[:, 1]
+                       + gaze[:, 2] * gaze[:, 2])
 
 
 def effective_gaze(state: EyeState, frame: Optional[ValidatedFrame]) -> Vec3:

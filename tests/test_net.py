@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import builtins
+import dataclasses
 import errno
 import math
 import os
@@ -802,6 +803,26 @@ def test_train_writes_epoch_and_best_checkpoints(tmp_path):
     best_file = ModelCheckpoint.load(tmp_path / "best.bnet")
     assert best_file.to_bytes() == best.to_bytes()
     assert best_file.epoch == best.epoch
+
+
+def test_train_checkpoints_are_the_net_at_each_epoch(tmp_path):
+    """Each epoch file holds the net's parameters at the end of that epoch;
+    best.bnet and the returned checkpoint hold the best epoch's even after
+    the net trained on past it."""
+    tr = [(x, 1 - y) for x, y in cluster_pairs(40, 42)]  # validation loss rises
+    va = cluster_pairs(16, 43)
+    model = BlinkNet(input_dim=12, stem_width=6, block_dims=((6, 4),), seed=3)
+    shots = []
+    best, history = train(
+        tr, va, epochs=4, seed=2, lr=1e-2, net=model, checkpoint_dir=tmp_path,
+        log=lambda _: shots.append(ModelCheckpoint.from_net(model, 0, 0.0)))
+    assert best.epoch < len(history)
+    assert best.validation_loss == min(h.val_loss for h in history)
+    for h, shot in zip(history, shots):
+        want = dataclasses.replace(shot, epoch=h.epoch, validation_loss=h.val_loss)
+        assert (tmp_path / f"epoch_{h.epoch:04d}.bnet").read_bytes() == want.to_bytes()
+    best_bytes = (tmp_path / f"epoch_{best.epoch:04d}.bnet").read_bytes()
+    assert (tmp_path / "best.bnet").read_bytes() == best.to_bytes() == best_bytes
 
 
 def test_train_rejects_empty_splits():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import _thread
+import contextlib
 import errno
 import math
 import os
@@ -15,9 +16,10 @@ import numpy as np
 import pytest
 
 from blinkpipe import proto
-from blinkpipe.core import BlinkLabel
+from blinkpipe.core import BlinkLabel, CalibrationProfile
 from blinkpipe.net import BlinkNet
 from blinkpipe.proto import (
+    _SKIP_MIN_FRAMES,
     ACCEPT_RETRY_S,
     ASSOCIATION_WINDOW_NS,
     CONTROL_END,
@@ -50,6 +52,7 @@ from blinkpipe.proto import (
     validate_frames,
     validated_frame_from_msg,
 )
+from blinkpipe.segmenter import BlinkSegmenter
 
 from conftest import make_frame, square_blink_recording, tiny_net
 
@@ -637,6 +640,24 @@ def _unit(rng) -> list:
     return list(v / np.linalg.norm(v))
 
 
+def _with_frame_faults(rng, faults, feats: list, t: int, prev_ts) -> int:
+    """Apply the frame faults in `faults` to one frame's features (in place)
+    and timestamp; returns the timestamp."""
+    for bad in ("nan", "inf", "-inf"):
+        if bad in faults:
+            feats[int(rng.integers(10))] = float(bad)
+    if "ts_past_int64" in faults:
+        t = int(rng.choice([2**63, 2**64 - 1]))
+    if "ts_repeat" in faults and prev_ts is not None:
+        t = prev_ts
+    if "ts_back" in faults and prev_ts is not None:
+        t = max(0, prev_ts - int(rng.integers(1, 10**9)))
+    if {"cancel_first", "cancel_open"} & faults:
+        feats[2] = feats[3] = 1.0
+        feats[7:10] = [-x for x in feats[4:7]]
+    return t
+
+
 def random_wire_stream(rng):
     """One session's bytes and the prediction send that fails (or 0).
 
@@ -669,20 +690,8 @@ def random_wire_stream(rng):
         closed_left, closed_right = max(0, closed_left - 1), max(0, closed_right - 1)
         feats = [float(rng.uniform(2, 6)), float(rng.uniform(2, 6)), lo, ro,
                  *ldir, *rdir]
-        t = ts + i * 5_000_000
         here = faults if i == at else set()
-        for bad in ("nan", "inf", "-inf"):
-            if bad in here:
-                feats[int(rng.integers(10))] = float(bad)
-        if "ts_past_int64" in here:
-            t = int(rng.choice([2**63, 2**64 - 1]))
-        if "ts_repeat" in here and prev_ts is not None:
-            t = prev_ts
-        if "ts_back" in here and prev_ts is not None:
-            t = max(0, prev_ts - int(rng.integers(1, 10**9)))
-        if {"cancel_first", "cancel_open"} & here:
-            feats[2] = feats[3] = 1.0
-            feats[7:10] = [-x for x in feats[4:7]]
+        t = _with_frame_faults(rng, here, feats, ts + i * 5_000_000, prev_ts)
         if t > 2**64 - 1:
             break  # a stream that ran off the u64 range stops here
         msg = _GAZE_PACK.pack(MAGIC, 0, t, *feats)
@@ -749,9 +758,83 @@ def serve_cuts(srv: BlinkServer, cuts: list, fail_at: int):
     return bytes(back), conn.stats
 
 
+def openness_wire_stream(rng, openness, faults=None, t0: int = 10**12) -> bytes:
+    """Gaze messages on the 200 Hz grid with the given (left, right)
+    openness per frame and random unit gaze; `faults` maps a frame index to
+    a set of names from _FRAME_FAULTS."""
+    out, prev_ts = [], None
+    for i, (lo, ro) in enumerate(openness):
+        feats = [float(rng.uniform(2, 6)), float(rng.uniform(2, 6)), lo, ro,
+                 *_unit(rng), *_unit(rng)]
+        t = _with_frame_faults(rng, (faults or {}).get(i, set()), feats,
+                               t0 + i * 5_000_000, prev_ts)
+        out.append(_GAZE_PACK.pack(MAGIC, 0, t, *feats))
+        prev_ts = t
+    return b"".join(out)
+
+
+def frame_cuts(stream: bytes, sizes) -> list:
+    """The stream cut into reads of whole frames, cycling through `sizes`."""
+    cuts, off, i = [], 0, 0
+    while off < len(stream):
+        n = sizes[i % len(sizes)] * GAZE_MSG_SIZE
+        cuts.append(stream[off:off + n])
+        off, i = off + n, i + 1
+    return cuts
+
+
+_OPEN, _SHUT = (0.9, 0.9), (0.1, 0.1)
+
+
+@contextlib.contextmanager
+def server_pair(profile=None):
+    """A run-loop server and the per-frame reference on one tiny net
+    (window 17) with the given calibration profile."""
+    net = tiny_net(17, seed=17)
+    pair = (BlinkServer(net, port=0, window_frames=17, profile=profile),
+            PerFrameServer(net, port=0, window_frames=17, profile=profile))
+    try:
+        yield pair
+    finally:
+        for srv in pair:
+            srv.stop()
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """A counter of `BlinkSegmenter.step` calls, made by either path."""
+    calls = [0]
+    step = BlinkSegmenter.step
+
+    def counting(self, *args):
+        calls[0] += 1
+        return step(self, *args)
+
+    monkeypatch.setattr(BlinkSegmenter, "step", counting)
+    return calls
+
+
 class TestGazeRuns:
     """The server's run loop against the per-frame reference, over random
-    wire streams cut into random reads."""
+    wire streams cut into random reads, and over streams built to meet the
+    edges of its quiet-frame skip."""
+
+    @pytest.fixture
+    def servers(self):
+        with server_pair() as pair:
+            yield pair
+
+    @staticmethod
+    def skipped_vs_reference(servers, step_calls, cuts, fail_at=0) -> int:
+        """Serve `cuts` on both servers and check the run loop's bytes and
+        stats against the reference; returns how many frames the run loop
+        took without a `step` (skipped, plus one that failed before it)."""
+        before = step_calls[0]
+        got_bytes, got = serve_cuts(servers[0], cuts, fail_at)
+        steps = step_calls[0] - before
+        want_bytes, want = serve_cuts(servers[1], cuts, fail_at)
+        assert (got_bytes, got) == (want_bytes, want)
+        return got.frames_received - steps
 
     def test_run_loop_matches_per_frame_reference(self):
         rng = np.random.default_rng(20261018)
@@ -787,6 +870,87 @@ class TestGazeRuns:
                           "BadMagic", "UnknownType", "ClientNotReading",
                           "TruncatedMessage"}
         assert sent > 100
+
+    @pytest.mark.parametrize("fault", _FRAME_FAULTS)
+    def test_skip_stops_at_a_fault_on_either_end_of_a_quiet_stretch(
+            self, servers, step_calls, fault):
+        rng = np.random.default_rng(sum(map(ord, fault)))
+        length = 2 * _SKIP_MIN_FRAMES + 3
+        openness = ([_OPEN] * 5 + [_SHUT] * 6 + [_OPEN] * length + [_SHUT] * 6
+                    + [_OPEN] * length)
+        skipped = 0
+        for at in (11, 11 + length - 1):  # the stretch's first and last frame
+            stream = openness_wire_stream(rng, openness, {at: {fault}})
+            # One read; a read that starts on the fault; one that ends on it.
+            for cuts in ([stream], frame_cuts(stream, [at, len(openness)]),
+                         frame_cuts(stream, [at + 1, len(openness)]),
+                         random_cuts(rng, stream)):
+                skipped += self.skipped_vs_reference(servers, step_calls, cuts)
+        assert skipped > 2 * _SKIP_MIN_FRAMES
+
+    def test_closures_at_and_across_read_boundaries(self, servers, step_calls):
+        rng = np.random.default_rng(5)
+        t = _SKIP_MIN_FRAMES
+        openness = ([_OPEN] * 2 * t + [_SHUT] * 7 + [_OPEN] * 2 * t
+                    + [(0.1, 0.9)] * 4 + [_OPEN] * 2 * t + [_SHUT] * 9 + [_OPEN] * t)
+        stream = openness_wire_stream(rng, openness)
+        first_closure = 2 * t
+        skipped = 0
+        for sizes in ([first_closure, 4 * t],          # a read starts on a closure
+                      [first_closure + 3, 4 * t],      # a read ends inside one
+                      [first_closure + 7, 4 * t],      # a read starts on a reopen
+                      [t + 1, t, t + 2], [3 * t]):
+            skipped += self.skipped_vs_reference(servers, step_calls,
+                                                 frame_cuts(stream, sizes))
+        assert skipped > 10 * t
+
+    @pytest.mark.parametrize("profile", [
+        CalibrationProfile(),
+        CalibrationProfile(0.55, 0.62, 0.1),
+        CalibrationProfile(0.3, 0.8, 0.0),
+    ])
+    def test_openness_at_the_float32_threshold(self, step_calls, profile):
+        with server_pair(profile) as servers:
+            rng = np.random.default_rng(9)
+            thresholds = np.float32([profile.closed_threshold_left,
+                                     profile.closed_threshold_right])
+            # The wire's nearest values (0.7 rounds down, 0.55 up), and the
+            # float32 values on either side of them.
+            at, below, above = (tuple(v.tolist()) for v in (
+                thresholds, np.nextafter(thresholds, np.float32(0)),
+                np.nextafter(thresholds, np.float32(1))))
+            t = _SKIP_MIN_FRAMES
+            openness = ([_OPEN] * t + [at] + [_OPEN] * t + [at] * 3 + [above] * t
+                        + [(at[0], 0.9)] * 3 + [_OPEN] * t + [(0.9, at[1])] * 3
+                        + [_OPEN] * t + [below] * 3 + [above] * t
+                        + [(below[0], 0.9)] + [_OPEN] * t)
+            stream = openness_wire_stream(rng, openness)
+            skipped = 0
+            for cuts in ([stream], frame_cuts(stream, [t + 5]), random_cuts(rng, stream)):
+                skipped += self.skipped_vs_reference(servers, step_calls, cuts)
+        assert skipped > 3 * t
+
+    def test_random_streams_with_a_calibrated_profile(self, step_calls):
+        rng = np.random.default_rng(77)
+        skipped = 0
+        with server_pair(CalibrationProfile(0.45, 0.8, 0.12)) as servers:
+            for _ in range(40):
+                stream, fail_at = random_wire_stream(rng)
+                skipped += self.skipped_vs_reference(
+                    servers, step_calls, random_cuts(rng, stream), fail_at)
+        assert skipped > 1000
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_reads_at_the_skip_threshold(self, servers, step_calls, offset):
+        rng = np.random.default_rng(3)
+        t = _SKIP_MIN_FRAMES
+        openness = []
+        for i in range(12):  # blinks, a wink and quiet stretches of odd lengths
+            openness += [_OPEN] * (t + 7 * i) + ([(0.9, 0.1)] if i == 5 else [_SHUT]) * 5
+        stream = openness_wire_stream(rng, openness)
+        cuts = frame_cuts(stream, [t + offset])
+        skipped = self.skipped_vs_reference(servers, step_calls, cuts)
+        assert (skipped > 0) == (offset >= 0)
 
 
 class TestClientGate:

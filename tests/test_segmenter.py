@@ -8,6 +8,7 @@ from blinkpipe.core import (
     FRAME_INTERVAL_NS,
     BlinkKind,
     CalibrationProfile,
+    DegenerateDirection,
     FrameValidator,
     NoGazeYet,
 )
@@ -15,6 +16,7 @@ from blinkpipe.segmenter import (
     BlinkSegmenter,
     EyeOpenState,
     EyeState,
+    binocular_gaze,
     effective_gaze,
 )
 
@@ -194,3 +196,41 @@ def test_step_holds_the_closure_rules_update_applies():
     for f in frames[:200]:
         state, _ = seg.update(validator.validate(f))
         assert seg.any_closed == state.any_closed
+
+
+@pytest.mark.parametrize("profile", [None, CalibrationProfile(0.55, 0.62, 0.1)])
+def test_quiet_frames_are_the_frames_update_takes_without_a_change(profile):
+    rng = np.random.default_rng(31)
+    seg = BlinkSegmenter(profile)
+    thresholds = np.float32([seg.profile.closed_threshold_left,
+                             seg.profile.closed_threshold_right])
+    n = 4000
+    rows = rng.uniform(0.5, 1.0, (n, 10)).astype(np.float32)
+    for eye in (0, 1):  # openness at, just below and just above the threshold
+        t = thresholds[eye]
+        rows[:, 2 + eye] = rng.choice(np.float32([
+            t, np.nextafter(t, np.float32(0)), np.nextafter(t, np.float32(1)),
+            0.1, 1.0, np.nan]), n)
+    gaze = rng.normal(size=(n, 6)).astype(np.float32)
+    cancel = rng.random(n) < 0.2
+    gaze[cancel, 3:] = -gaze[cancel, :3]
+    tiny = rng.random(n) < 0.05
+    gaze[tiny, 3:] = -gaze[tiny, :3] + np.float32(1e-7)
+    for bad in (np.nan, np.inf, -np.inf):
+        gaze[rng.random(n) < 0.02, int(rng.integers(6))] = bad
+    rows[:, 4:] = gaze
+    with np.errstate(invalid="ignore"):
+        quiet = seg.quiet_frames(rows)
+        assert np.array_equal(quiet, seg.quiet_frames(rows.astype(np.float64)))
+    finite = np.isfinite(rows).all(axis=1)
+    assert not quiet[np.isnan(rows[:, 2:]).any(axis=1)].any()
+    for row, q in zip(rows[finite].tolist(), quiet[finite].tolist()):
+        fresh = BlinkSegmenter(profile)
+        unchanged = fresh.step(0, row[2], row[3]) is None and not fresh.any_closed
+        try:
+            binocular_gaze(*row[4:])
+        except DegenerateDirection:
+            unchanged = False
+        assert q == unchanged, row
+    assert quiet.sum() > 0.05 * n
+    assert (finite & ~quiet).sum() > 0.2 * n
