@@ -26,9 +26,8 @@ from .core import (
     NonMonotonicTimestamp,
     PinchSample,
     ValidatedFrame,
-    validate_frame,
 )
-from .segmenter import BlinkSegmenter, EyeState, effective_gaze
+from .segmenter import BlinkSegmenter, EyeState
 from .fsm import (
     InteractionEvent,
     InteractionMachine,
@@ -124,7 +123,6 @@ __all__ = [
     "classify_pinch_gesture",
     "dataset_stats",
     "decode",
-    "effective_gaze",
     "encode",
     "generate_session",
     "intersect_head_ray",
@@ -140,5 +138,4 @@ __all__ = [
     "split_by_participant",
     "step_blink_fsm",
     "train",
-    "validate_frame",
 ]

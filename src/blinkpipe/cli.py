@@ -282,6 +282,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     if args.epochs < 1:  # before any data is read or --out is made
         raise ValueError(f"epochs must be at least 1, got {args.epochs}")
+    if args.batch_size < 2:
+        raise ValueError(f"batch_size must be at least 2, got {args.batch_size}")
     recs = _load_recordings(args.data)
     profile = _load_profile(args.profile)
     try:

@@ -27,7 +27,7 @@ import itertools
 import math
 import os
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -130,10 +130,6 @@ class ValidatedFrame:
     right_openness = property(lambda self: self.values[3])
     left_dir = property(lambda self: self.values[4:7])
     right_dir = property(lambda self: self.values[7:10])
-
-    def features(self) -> Tuple[float, ...]:
-        """The 10 features in canonical order (see FEATURE_NAMES)."""
-        return self.values
 
     def binocular_dir(self) -> Vec3:
         """Renormalized mean of the two gaze directions."""
@@ -396,18 +392,6 @@ def validate_columns(frames: Sequence[GazeFrame]) -> Tuple[np.ndarray, np.ndarra
     if error is not None:
         raise error
     return ts, features, valid
-
-
-def validate_frame(frame: GazeFrame, last_timestamp_ns: Optional[int] = None) -> ValidatedFrame:
-    """One-shot validation of a single frame.
-
-    For streams prefer a FrameValidator instance, which also forward-fills
-    invalid frames.
-    """
-    v = FrameValidator()
-    if last_timestamp_ns is not None:
-        v._last_timestamp_ns = last_timestamp_ns
-    return v.validate(frame)
 
 
 @contextlib.contextmanager

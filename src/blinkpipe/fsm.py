@@ -28,9 +28,9 @@ from .segmenter import EyeState
 DEFAULT_PLANE_DISTANCE_M = 2.5
 DEFAULT_DEAD_ZONE_DEG = 0.5  # per-step head rotation below this is pose noise
 
-DEFAULT_PINCH_STRENGTH_THRESHOLD = 0.8
-DEFAULT_MIN_DRAG_DISTANCE_M = 0.07
-DEFAULT_MIN_DRAG_DURATION_NS = 300_000_000
+PINCH_STRENGTH_THRESHOLD = 0.8
+MIN_DRAG_DISTANCE_M = 0.07
+MIN_DRAG_DURATION_NS = 300_000_000
 
 
 class InteractionMode(enum.Enum):
@@ -251,33 +251,28 @@ class PinchGesture(enum.Enum):
     DRAG = "drag"
 
 
-def classify_pinch_gesture(
-    samples: Sequence[PinchSample],
-    strength_threshold: float = DEFAULT_PINCH_STRENGTH_THRESHOLD,
-    min_drag_distance_m: float = DEFAULT_MIN_DRAG_DISTANCE_M,
-    min_drag_duration_ns: int = DEFAULT_MIN_DRAG_DURATION_NS,
-) -> Optional[PinchGesture]:
+def classify_pinch_gesture(samples: Sequence[PinchSample]) -> Optional[PinchGesture]:
     """Disambiguate a pinch episode into a click or a drag.
 
-    An episode is a contiguous run of samples with strength at or above the
-    threshold. It becomes a drag as soon as the hand has moved at least
-    `min_drag_distance_m` from the episode start AND the episode has lasted
-    `min_drag_duration_ns`; an episode that ends without meeting both is a
+    An episode is a contiguous run of samples with strength at or above
+    PINCH_STRENGTH_THRESHOLD. It becomes a drag as soon as the hand has moved
+    at least MIN_DRAG_DISTANCE_M from the episode start AND the episode has
+    lasted MIN_DRAG_DURATION_NS; an episode that ends without meeting both is a
     click. Returns None when no episode completed. The first decidable
     episode in the sample list wins.
     """
     start: Optional[PinchSample] = None
     max_disp = 0.0
     for s in samples:
-        if s.pinch_strength >= strength_threshold:
+        if s.pinch_strength >= PINCH_STRENGTH_THRESHOLD:
             if start is None:
                 start = s
                 max_disp = 0.0
                 continue
             p, q = s.hand_position, start.hand_position
             max_disp = max(max_disp, _norm((p[0] - q[0], p[1] - q[1], p[2] - q[2])))
-            if (max_disp >= min_drag_distance_m
-                    and s.timestamp_ns - start.timestamp_ns >= min_drag_duration_ns):
+            if (max_disp >= MIN_DRAG_DISTANCE_M
+                    and s.timestamp_ns - start.timestamp_ns >= MIN_DRAG_DURATION_NS):
                 return PinchGesture.DRAG
         elif start is not None:
             return PinchGesture.CLICK

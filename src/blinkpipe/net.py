@@ -24,8 +24,7 @@ import os
 import stat
 import struct
 from dataclasses import dataclass
-from typing import (BinaryIO, Iterable, Iterator, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import BinaryIO, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -200,11 +199,11 @@ class BatchNormLayer:
     batch-composition invariant.
     """
 
-    def __init__(self, num_features: int, momentum: float = BN_MOMENTUM,
-                 eps: float = BN_EPS):
+    def __init__(self, num_features: int):
         self.num_features = num_features
-        self.momentum = momentum
-        self.eps = eps
+        # Checkpoints carry both, and loading one sets them.
+        self.momentum = BN_MOMENTUM
+        self.eps = BN_EPS
         self.gamma = Param(np.ones(num_features))
         self.beta = Param(np.zeros(num_features))
         self.running_mean = np.zeros(num_features)
@@ -849,6 +848,8 @@ def train(
     """
     if epochs < 1:
         raise ValueError(f"epochs must be at least 1, got {epochs}")
+    if batch_size < 2:  # train-mode batch norm needs two rows
+        raise ValueError(f"batch_size must be at least 2, got {batch_size}")
     train_pairs = list(train_set)
     val_pairs = list(val_set)
     if not train_pairs or not val_pairs:

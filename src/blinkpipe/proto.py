@@ -59,7 +59,7 @@ from .core import (
     _check_finite,
     _check_timestamp,
 )
-from .net import BlinkNet, ModelCheckpoint, classify
+from .net import BlinkNet, classify
 from .segmenter import BlinkSegmenter, binocular_gaze
 from .sim import replay
 from .window import DEFAULT_WINDOW_FRAMES, HistoryBuffer, NotReady
@@ -71,21 +71,21 @@ MSG_GAZE = 0
 MSG_PREDICTION = 1
 MSG_CONTROL = 2
 
-GAZE_MSG_SIZE = 53
-PREDICTION_MSG_SIZE = 26
-CONTROL_MSG_SIZE = 14
-_HEADER_SIZE = 5
-MESSAGE_SIZES = {
-    MSG_GAZE: GAZE_MSG_SIZE,
-    MSG_PREDICTION: PREDICTION_MSG_SIZE,
-    MSG_CONTROL: CONTROL_MSG_SIZE,
-}
+# One layout per message type, the header (magic, type) included; encode,
+# decode and the sizes all come from it.
+_GAZE = struct.Struct("<4sBQ10f")
+_PREDICTION = struct.Struct("<4sBQQBf")
+_CONTROL = struct.Struct("<4sBQB")
+_LAYOUTS = {MSG_GAZE: _GAZE, MSG_PREDICTION: _PREDICTION, MSG_CONTROL: _CONTROL}
+_HEADER_SIZE = struct.calcsize("<4sB")
+GAZE_MSG_SIZE = _GAZE.size
+PREDICTION_MSG_SIZE = _PREDICTION.size
+CONTROL_MSG_SIZE = _CONTROL.size
 
 CONTROL_END = 0
 CONTROL_RESET = 1
 
-# A run of whole gaze messages, read field by field and as numpy rows.
-_GAZE = struct.Struct("<4sBQ10f")
+# A run of whole gaze messages, read as numpy rows.
 _GAZE_ROWS = np.dtype([("magic", "<u4"), ("kind", "u1"), ("timestamp_ns", "<u8"),
                        ("features", "<f4", (NUM_FEATURES,))])
 _MAGIC_U4 = np.frombuffer(MAGIC, "<u4")[0]
@@ -99,6 +99,7 @@ _SKIP_MIN_FRAMES = 32
 DEFAULT_PORT = 48200
 ACCEPT_RETRY_S = 0.1  # pause after a failed accept(), e.g. out of fds
 ASSOCIATION_WINDOW_NS = 100_000_000
+ASSOCIATION_RETENTION_NS = 10_000_000_000  # how long the client keeps a blink end
 
 WARMUP_POLICIES = ("voluntary", "suppress")
 
@@ -154,11 +155,10 @@ def encode(msg: Message) -> bytes:
     if isinstance(msg, GazeFrameMsg):
         return _GAZE.pack(MAGIC, MSG_GAZE, msg.timestamp_ns, *msg.features)
     if isinstance(msg, PredictionMsg):
-        return struct.pack("<4sBQQBf", MAGIC, MSG_PREDICTION, msg.timestamp_ns,
-                           msg.blink_end_ns, msg.label.value, msg.confidence)
+        return _PREDICTION.pack(MAGIC, MSG_PREDICTION, msg.timestamp_ns,
+                                msg.blink_end_ns, msg.label.value, msg.confidence)
     if isinstance(msg, ControlMsg):
-        return struct.pack("<4sBQB", MAGIC, MSG_CONTROL, msg.timestamp_ns,
-                           msg.command)
+        return _CONTROL.pack(MAGIC, MSG_CONTROL, msg.timestamp_ns, msg.command)
     raise TypeError(f"not a protocol message: {type(msg).__name__}")
 
 
@@ -172,23 +172,22 @@ def decode(data: bytes, offset: int = 0) -> Tuple[Message, int]:
     if magic != MAGIC:
         raise BadMagic(f"expected {MAGIC!r}, got {bytes(magic)!r}")
     msg_type = data[offset + 4]
-    size = MESSAGE_SIZES.get(msg_type)
-    if size is None:
+    layout = _LAYOUTS.get(msg_type)
+    if layout is None:
         raise UnknownType(f"message type byte {msg_type}")
-    if len(data) - offset < size:
+    if len(data) - offset < layout.size:
         raise TruncatedMessage(
-            f"type {msg_type} needs {size} bytes, got {len(data) - offset}"
+            f"type {msg_type} needs {layout.size} bytes, got {len(data) - offset}"
         )
-    body, end = data[offset + _HEADER_SIZE:offset + size], offset + size
+    vals, end = layout.unpack_from(data, offset), offset + layout.size
     if msg_type == MSG_GAZE:
-        vals = struct.unpack("<Q10f", body)
-        return GazeFrameMsg(vals[0], vals[1:]), end
+        return GazeFrameMsg(vals[2], vals[3:]), end
     if msg_type == MSG_PREDICTION:
-        ts, blink_end, cls, conf = struct.unpack("<QQBf", body)
+        _, _, ts, blink_end, cls, conf = vals
         if cls not in (0, 1):
             raise UnknownType(f"prediction class byte {cls}")
-        return PredictionMsg(ts, blink_end, BlinkLabel(cls), float(conf)), end
-    ts, command = struct.unpack("<QB", body)
+        return PredictionMsg(ts, blink_end, BlinkLabel(cls), conf), end
+    _, _, ts, command = vals
     if command not in (CONTROL_END, CONTROL_RESET):
         raise UnknownType(f"control command byte {command}")
     return ControlMsg(ts, command), end
@@ -202,8 +201,8 @@ def read_message(sock: socket.socket) -> Optional[Message]:
         if not chunk:
             break  # decode() reports the message as truncated
         data += chunk
-        if len(data) == _HEADER_SIZE:  # decode() rejects an unknown type
-            need = MESSAGE_SIZES.get(data[4], _HEADER_SIZE)
+        if len(data) == _HEADER_SIZE and data[4] in _LAYOUTS:
+            need = _LAYOUTS[data[4]].size  # decode() rejects an unknown type
     return decode(data)[0] if data else None
 
 
@@ -351,14 +350,14 @@ class BlinkServer:
     runs it on one background thread until stop().
     """
 
-    def __init__(self, model: Union[BlinkNet, ModelCheckpoint],
+    def __init__(self, net: BlinkNet,
                  host: str = "127.0.0.1", port: int = DEFAULT_PORT,
                  warmup_policy: str = "voluntary",
                  profile: Optional[CalibrationProfile] = None,
                  window_frames: int = DEFAULT_WINDOW_FRAMES):
         if warmup_policy not in WARMUP_POLICIES:
             raise ValueError(f"warmup_policy must be one of {WARMUP_POLICIES}")
-        self.net = model.build_net() if isinstance(model, ModelCheckpoint) else model
+        self.net = net
         self.warmup_policy = warmup_policy
         self.profile = profile
         self.window_frames = window_frames
@@ -619,22 +618,19 @@ class ClientPredictionGate:
     by default (no action fires late).
     """
 
-    def __init__(self, window_ns: int = ASSOCIATION_WINDOW_NS,
-                 retention_ns: int = 10_000_000_000):
-        self.window_ns = window_ns
-        self.retention_ns = retention_ns
+    def __init__(self):
         self._blink_ends: List[int] = []
 
     def record_blink_end(self, blink_end_ns: int) -> None:
         self._blink_ends.append(blink_end_ns)
-        horizon = blink_end_ns - self.retention_ns
+        horizon = blink_end_ns - ASSOCIATION_RETENTION_NS
         while self._blink_ends and self._blink_ends[0] < horizon:
             self._blink_ends.pop(0)
 
     def associate(self, prediction: PredictionMsg,
                   now_ns: int) -> AssociationOutcome:
         if (prediction.blink_end_ns in self._blink_ends
-                and abs(now_ns - prediction.blink_end_ns) <= self.window_ns):
+                and abs(now_ns - prediction.blink_end_ns) <= ASSOCIATION_WINDOW_NS):
             return AssociationOutcome.ACCEPTED
         return AssociationOutcome.STALE
 

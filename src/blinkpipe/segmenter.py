@@ -79,10 +79,8 @@ class BlinkSegmenter:
     the closure rules alone, as offline labeling uses them).
     """
 
-    def __init__(self, profile: Optional[CalibrationProfile] = None,
-                 min_closure_samples: int = MIN_CLOSURE_SAMPLES):
+    def __init__(self, profile: Optional[CalibrationProfile] = None):
         self.profile = profile or CalibrationProfile()
-        self.min_closure_samples = min_closure_samples
         self.state = _ALL_OPEN
         self._last_frame: Optional[ValidatedFrame] = None
         self._last_open_gaze: Optional[Vec3] = None
@@ -125,7 +123,7 @@ class BlinkSegmenter:
             self._min_left = min(self._min_left, left_openness)
             self._min_right = min(self._min_right, right_openness)
             return None
-        if was_closed and self._closed_samples >= self.min_closure_samples:
+        if was_closed and self._closed_samples >= MIN_CLOSURE_SAMPLES:
             # Without a both-closed frame every closure frame had exactly
             # one eye closed, so the eye closed last names the wink.
             return BlinkEvent(
@@ -172,10 +170,14 @@ class BlinkSegmenter:
         return self.state, event
 
     def effective_gaze(self) -> Vec3:
-        """Current gaze ray: frozen during closures, binocular mean otherwise."""
+        """Gaze direction for interaction raycasts: the held direction while
+        any eye is closed, otherwise the renormalized mean of the latest
+        frame's two gaze directions."""
         if self._last_frame is None:
             raise NoGazeYet("no frame processed yet")
-        return effective_gaze(self.state, self._last_frame)
+        if self.state.any_closed:
+            return self.state.held_gaze_dir
+        return self._last_frame.binocular_dir()
 
 
 def binocular_gaze(lx: float, ly: float, lz: float,
@@ -203,19 +205,6 @@ def binocular_norms(features: np.ndarray) -> np.ndarray:
         gaze = np.add(features[:, 4:7], features[:, 7:10], dtype=np.float64)
         return np.sqrt(gaze[:, 0] * gaze[:, 0] + gaze[:, 1] * gaze[:, 1]
                        + gaze[:, 2] * gaze[:, 2])
-
-
-def effective_gaze(state: EyeState, frame: Optional[ValidatedFrame]) -> Vec3:
-    """Gaze direction for interaction raycasts.
-
-    Returns the held direction while any eye is closed, otherwise the
-    renormalized mean of the two current gaze directions.
-    """
-    if state.any_closed and state.held_gaze_dir is not None:
-        return state.held_gaze_dir
-    if frame is None:
-        raise NoGazeYet("no valid frame has been seen")
-    return frame.binocular_dir()
 
 
 def two_means_threshold(values: np.ndarray) -> Optional[float]:

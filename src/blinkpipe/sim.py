@@ -22,7 +22,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Iterator, List, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -49,26 +49,32 @@ STYLE_WINK_RIGHT = "wink_right"
 _BLINK_STYLES = (STYLE_SPONTANEOUS, STYLE_EXTENDED_HOLD, STYLE_FIRM_BRIEF)
 
 
+# Fixed simulator settings: closure shapes and spacing, gaze kinematics and
+# measurement noise.
+SPONTANEOUS_DURATION_MS = (100.0, 150.0)
+SPONTANEOUS_DEPTH = (0.55, 0.85)
+EXTENDED_HOLD_WEIGHT = 0.5  # share of voluntary blinks; the rest are FirmBrief
+MIN_GAP_MS = 260.0
+# At most 180 ms: the segmented blink end may sit a few frames off the
+# ledger's, and the press must stay inside dataset.INTENT_MARGIN_NS of it.
+PRESS_JITTER_MS = 140.0
+FIXATION_DURATION_S = (0.2, 0.8)
+SACCADE_AMPLITUDE_DEG = 15.0
+OPENNESS_NOISE = 0.005
+PUPIL_NOISE_MM = 0.01
+DIRECTION_NOISE = 0.0015
+CLOSED_DIRECTION_NOISE_FACTOR = 5.0
+
+
 @dataclass(frozen=True)
 class SimConfig:
     seed: int = 0
     duration_s: float = 60.0
     participant_id: str = "P00"
     spontaneous_rate_per_min: float = 17.0
-    spontaneous_duration_ms: Tuple[float, float] = (100.0, 150.0)
-    spontaneous_depth: Tuple[float, float] = (0.55, 0.85)
     voluntary_rate_per_min: float = 15.0
-    extended_hold_weight: float = 0.5  # remainder goes to FirmBrief
     wink_rate_per_min: float = 2.0
     hard_mode: bool = False
-    min_gap_ms: float = 260.0
-    press_jitter_ms: float = 140.0
-    fixation_duration_s: Tuple[float, float] = (0.2, 0.8)
-    saccade_amplitude_deg: float = 15.0
-    openness_noise: float = 0.005
-    pupil_noise_mm: float = 0.01
-    direction_noise: float = 0.0015
-    closed_direction_noise_factor: float = 5.0
 
     def __post_init__(self):
         if self.duration_s < 0:
@@ -77,19 +83,6 @@ class SimConfig:
                      "wink_rate_per_min"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        for name in ("spontaneous_duration_ms", "spontaneous_depth",
-                     "fixation_duration_s"):
-            lo, hi = getattr(self, name)
-            if not (0 < lo <= hi):
-                raise ValueError(f"{name} must be an increasing positive range")
-        if not 0.0 <= self.extended_hold_weight <= 1.0:
-            raise ValueError("extended_hold_weight must be in [0, 1]")
-        if self.min_gap_ms <= 0:
-            raise ValueError("min_gap_ms must be positive")
-        if not 0 <= self.press_jitter_ms <= 180:
-            # Jitter beyond 180 ms cannot guarantee press/blink association
-            # stays inside the 200 ms labeling margin.
-            raise ValueError("press_jitter_ms must be in [0, 180]")
 
 
 @dataclass(frozen=True)
@@ -160,8 +153,8 @@ def _draw_closure_params(cfg: SimConfig, style: str,
     """(width_s, depth, ramp_s) for one closure of the given style."""
     thr = DEFAULT_CLOSED_THRESHOLD
     if style == STYLE_SPONTANEOUS:
-        closed = rng.uniform(*cfg.spontaneous_duration_ms) / 1000.0
-        depth = rng.uniform(*cfg.spontaneous_depth)
+        closed = rng.uniform(*SPONTANEOUS_DURATION_MS) / 1000.0
+        depth = rng.uniform(*SPONTANEOUS_DEPTH)
         return _cosine_width_for_duration(closed, depth, thr), depth, 0.0
     if style == STYLE_EXTENDED_HOLD:
         if cfg.hard_mode:
@@ -208,7 +201,7 @@ def _schedule_closures(cfg: SimConfig, rng: np.random.Generator,
         arrivals.append((t, 0, STYLE_SPONTANEOUS))
     for t in _poisson_arrivals(cfg.voluntary_rate_per_min, duration_s, rng):
         style = (STYLE_EXTENDED_HOLD
-                 if rng.uniform() < cfg.extended_hold_weight
+                 if rng.uniform() < EXTENDED_HOLD_WEIGHT
                  else STYLE_FIRM_BRIEF)
         arrivals.append((t, 1, style))
     for t in _poisson_arrivals(cfg.wink_rate_per_min, duration_s, rng):
@@ -218,7 +211,7 @@ def _schedule_closures(cfg: SimConfig, rng: np.random.Generator,
 
     placed: List[_Closure] = []
     cursor = 0.2  # no closure straddling the stream start
-    gap = cfg.min_gap_ms / 1000.0
+    gap = MIN_GAP_MS / 1000.0
     tail_margin = 0.05
     for t_raw, _, style in arrivals:
         width, depth, ramp = _draw_closure_params(cfg, style, rng)
@@ -258,15 +251,14 @@ def _slerp(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
     return sa[:, None] * a[None, :] + sb[:, None] * b[None, :]
 
 
-def _gaze_track(cfg: SimConfig, rng: np.random.Generator,
-                n: int, dt: float) -> np.ndarray:
+def _gaze_track(rng: np.random.Generator, n: int, dt: float) -> np.ndarray:
     """(n, 3) unit gaze directions alternating fixations and saccades."""
     out = np.zeros((n, 3))
-    amp = math.radians(cfg.saccade_amplitude_deg)
+    amp = math.radians(SACCADE_AMPLITUDE_DEG)
     current = _dir_from_angles(rng.uniform(-amp, amp), rng.uniform(-amp * 0.6, amp * 0.6))
     i = 0
     while i < n:
-        fix_frames = max(1, int(round(rng.uniform(*cfg.fixation_duration_s) / dt)))
+        fix_frames = max(1, int(round(rng.uniform(*FIXATION_DURATION_S) / dt)))
         j = min(n, i + fix_frames)
         out[i:j] = current
         i = j
@@ -352,20 +344,20 @@ def generate_session(cfg: SimConfig) -> Tuple[Recording, GroundTruthLedger]:
         )
         entries.append(LedgerEntry(event, label, c.style))
         if kind is BlinkKind.BOTH_EYES and label is BlinkLabel.VOLUNTARY:
-            jitter_ns = int(round(rng.uniform(-cfg.press_jitter_ms,
-                                              cfg.press_jitter_ms) * 1e6))
+            jitter_ns = int(round(rng.uniform(-PRESS_JITTER_MS,
+                                              PRESS_JITTER_MS) * 1e6))
             press_times.append(event.offset_ns + jitter_ns)
 
     open_left = np.clip(1.0 - dip_left
-                        - np.abs(rng.normal(0.0, cfg.openness_noise, n)), 0.0, 1.0)
+                        - np.abs(rng.normal(0.0, OPENNESS_NOISE, n)), 0.0, 1.0)
     open_right = np.clip(1.0 - dip_right
-                         - np.abs(rng.normal(0.0, cfg.openness_noise, n)), 0.0, 1.0)
+                         - np.abs(rng.normal(0.0, OPENNESS_NOISE, n)), 0.0, 1.0)
 
-    gaze = _gaze_track(cfg, rng, n, dt)
-    jitter = rng.normal(0.0, cfg.direction_noise, (2, n, 3))
+    gaze = _gaze_track(rng, n, dt)
+    jitter = rng.normal(0.0, DIRECTION_NOISE, (2, n, 3))
     # Measurements degrade while the lid occludes the pupil.
-    factor_l = np.where(dip_left > 0.5, cfg.closed_direction_noise_factor, 1.0)
-    factor_r = np.where(dip_right > 0.5, cfg.closed_direction_noise_factor, 1.0)
+    factor_l = np.where(dip_left > 0.5, CLOSED_DIRECTION_NOISE_FACTOR, 1.0)
+    factor_r = np.where(dip_right > 0.5, CLOSED_DIRECTION_NOISE_FACTOR, 1.0)
     dir_left = gaze + jitter[0] * factor_l[:, None]
     dir_right = gaze + jitter[1] * factor_r[:, None]
     dir_left /= np.linalg.norm(dir_left, axis=1, keepdims=True)
@@ -385,7 +377,7 @@ def generate_session(cfg: SimConfig) -> Tuple[Recording, GroundTruthLedger]:
         u = (times_s[i0:i1] - start) / 0.5
         reflex[i0:i1] += 0.25 * 0.5 * (1.0 - np.cos(2.0 * math.pi
                                                     * np.clip(u, 0.0, 1.0)))
-    pupil_noise = rng.normal(0.0, cfg.pupil_noise_mm, (2, n))
+    pupil_noise = rng.normal(0.0, PUPIL_NOISE_MM, (2, n))
     pupil_left = np.clip(pupil - reflex + pupil_noise[0], 2.0, 8.0)
     pupil_right = np.clip(pupil + asymmetry - reflex + pupil_noise[1], 2.0, 8.0)
 

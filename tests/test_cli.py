@@ -113,6 +113,16 @@ class TestTrainAndEval:
         assert "epochs must be at least 1" in capsys.readouterr().err
         assert not out.exists()  # rejected before any data is read
 
+    @pytest.mark.parametrize("batch_size", ["-4", "0", "1"])
+    def test_train_batch_under_two_is_usage(self, tmp_path, capsys, batch_size):
+        out = tmp_path / "run"
+        # A missing --data would be an I/O error if it were read.
+        rc = run("train", "--data", str(tmp_path / "missing"), "--out", str(out),
+                 "--batch-size", batch_size, "--window", "100", "--arch", "small")
+        assert rc == EXIT_USAGE
+        assert "batch_size must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_needs_three_participants(self, tmp_path):
         data = str(tmp_path / "two")
         assert run("simulate", "--out", data, "--minutes", "0.5",

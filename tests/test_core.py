@@ -25,7 +25,6 @@ from blinkpipe.core import (
     NonFiniteFeature,
     NonMonotonicTimestamp,
     TimestampOutOfRange,
-    validate_frame,
 )
 
 from conftest import make_frame, random_frame_stream
@@ -37,11 +36,11 @@ def test_sampling_constants_consistent():
 
 
 def test_feature_vector_matches_named_order():
-    vf = validate_frame(make_frame(
+    vf = FrameValidator().validate(make_frame(
         0, lopen=0.25, ropen=0.75, ldir=(0.0, 0.0, 2.0), rdir=(0.0, 1.0, 0.0),
         lpupil=3.0, rpupil=5.0,
     ))
-    feats = vf.features()
+    feats = vf.values
     assert len(feats) == NUM_FEATURES
     named = dict(zip(FEATURE_NAMES, feats))
     assert named["left_pupil_mm"] == pytest.approx(3.0)
@@ -63,7 +62,7 @@ def test_named_accessors_index_the_feature_tuple():
         make_frame(2 * FRAME_INTERVAL_NS, lopen=0.0, valid=False),
     )]
     for vf in frames:
-        feats = vf.features()
+        feats = vf.values
         assert type(feats) is tuple and len(feats) == NUM_FEATURES
         for name in ("left_pupil_mm", "right_pupil_mm", "left_openness",
                      "right_openness"):
@@ -72,7 +71,7 @@ def test_named_accessors_index_the_feature_tuple():
             x = FEATURE_NAMES.index(f"{eye}_dir_x")
             assert FEATURE_NAMES[x:x + 3] == tuple(f"{eye}_dir_{c}" for c in "xyz")
             assert getattr(vf, f"{eye}_dir") == feats[x:x + 3]
-    assert frames[2].features() == frames[1].features()
+    assert frames[2].values == frames[1].values
     again = FrameValidator().validate(make_frame(
         FRAME_INTERVAL_NS, lopen=0.3, ropen=0.9, ldir=(0.0, 0.6, 0.8),
         rdir=(0.0, 0.0, 2.0), lpupil=3.5, rpupil=4.5))
@@ -81,12 +80,12 @@ def test_named_accessors_index_the_feature_tuple():
 
 
 def test_validation_clamps_and_quantizes():
-    vf = validate_frame(make_frame(0, lopen=1.7, ropen=-0.4, lpupil=-1.0))
+    vf = FrameValidator().validate(make_frame(0, lopen=1.7, ropen=-0.4, lpupil=-1.0))
     assert vf.left_openness == 1.0
     assert vf.right_openness == 0.0
     assert vf.left_pupil_mm == 0.0
     # Every feature is exactly representable in float32.
-    for v in vf.features():
+    for v in vf.values:
         assert v == float(np.float32(v))
 
 
@@ -121,8 +120,9 @@ def test_validation_quantizes_pupils_past_flt_max_to_inf():
     # A pupil that rounds past FLT_MAX quantizes to inf, which is rejected.
     halfway = 3.4028235677973366e38
     with pytest.raises(NonFiniteFeature):
-        validate_frame(make_frame(0, lpupil=halfway))
-    vf = validate_frame(make_frame(0, rpupil=float(np.nextafter(halfway, 0.0))))
+        FrameValidator().validate(make_frame(0, lpupil=halfway))
+    vf = FrameValidator().validate(
+        make_frame(0, rpupil=float(np.nextafter(halfway, 0.0))))
     assert vf.right_pupil_mm == float(np.finfo(np.float32).max)
 
 
@@ -143,7 +143,7 @@ def test_validation_rejects_non_finite_features(field, bad):
         # After a valid frame, an invalid one is forward-filled instead.
         filled = validator.validate(replace(
             good, timestamp_ns=FRAME_INTERVAL_NS, valid=False, **{field: bad}))
-        assert filled.features() == validate_frame(good).features()
+        assert filled.values == FrameValidator().validate(good).values
 
 
 def test_non_finite_feature_is_one_class_offline_and_on_the_wire():
@@ -151,7 +151,7 @@ def test_non_finite_feature_is_one_class_offline_and_on_the_wire():
 
 
 def test_validation_renormalizes_directions():
-    vf = validate_frame(make_frame(0, ldir=(3.0, 0.0, 4.0)))
+    vf = FrameValidator().validate(make_frame(0, ldir=(3.0, 0.0, 4.0)))
     x, y, z = vf.left_dir
     assert (x, y, z) == pytest.approx((0.6, 0.0, 0.8), abs=1e-6)
     assert x * x + y * y + z * z == pytest.approx(1.0, abs=1e-6)
@@ -171,7 +171,7 @@ def test_validation_is_idempotent_at_f32():
             rpupil=float(rng.uniform(2, 8)),
         )
         once = validator.validate(fr)
-        again = validate_frame(
+        again = FrameValidator().validate(
             make_frame(
                 once.timestamp_ns + 1,
                 lopen=once.left_openness, ropen=once.right_openness,
@@ -179,7 +179,7 @@ def test_validation_is_idempotent_at_f32():
                 lpupil=once.left_pupil_mm, rpupil=once.right_pupil_mm,
             )
         )
-        assert again.features() == once.features()
+        assert again.values == once.values
 
 
 def test_monotonic_timestamp_enforced():
@@ -213,11 +213,12 @@ def test_invalid_frame_before_any_valid_is_neutralized():
 
 def test_zero_direction_on_valid_frame_is_an_error():
     with pytest.raises(DegenerateDirection):
-        validate_frame(make_frame(0, ldir=(0.0, 0.0, 0.0)))
+        FrameValidator().validate(make_frame(0, ldir=(0.0, 0.0, 0.0)))
 
 
 def test_binocular_dir_is_unit_mean():
-    vf = validate_frame(make_frame(0, ldir=(1.0, 0.0, 1.0), rdir=(-1.0, 0.0, 1.0)))
+    vf = FrameValidator().validate(
+        make_frame(0, ldir=(1.0, 0.0, 1.0), rdir=(-1.0, 0.0, 1.0)))
     d = vf.binocular_dir()
     assert d == pytest.approx((0.0, 0.0, 1.0), abs=1e-6)
 
@@ -284,7 +285,7 @@ def test_validate_columns_matches_frame_validator_bit_for_bit(seed):
         assert ts.dtype == np.int64 and features.dtype == np.float64
         assert ts.tolist() == [w.timestamp_ns for w in want]
         assert valid.tolist() == [w.valid for w in want]
-        rows = np.array([w.features() for w in want], dtype=np.float64)
+        rows = np.array([w.values for w in want], dtype=np.float64)
         assert features.tobytes() == rows.reshape(-1, NUM_FEATURES).tobytes()
         if want_error is None:
             got = core.validate_columns(frames)
@@ -307,7 +308,7 @@ def test_validate_columns_matches_at_the_edge_of_the_no_divide_tolerance():
     frames = [make_frame(i, ldir=tuple(v), rdir=tuple(v[::-1])) for i, v in enumerate(d.tolist())]
     want, _ = _validate_one_by_one(frames)
     _, features, _ = core.validate_columns(frames)
-    assert features.tobytes() == np.array([w.features() for w in want]).tobytes()
+    assert features.tobytes() == np.array([w.values for w in want]).tobytes()
 
 
 def test_validate_columns_rejects_timestamps_outside_int64_with_a_typed_error():

@@ -391,7 +391,7 @@ class TestMaterializeWindows:
             for off in offsets
         ]
         validator = FrameValidator()
-        rows = np.array([validator.validate(fr).features() for fr in frames])
+        rows = np.array([validator.validate(fr).values for fr in frames])
         copies = int(seed % 3)
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = materialize_windows(rec, labeled, window, augment_copies=copies,

@@ -844,6 +844,19 @@ def test_train_rejects_fewer_than_one_epoch_before_any_work(tmp_path, epochs):
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("batch_size", [-4, 0, 1])
+def test_train_rejects_batches_under_two_before_any_work(tmp_path, batch_size):
+    def unread():
+        raise AssertionError("the data was read")
+        yield
+
+    ckpt = tmp_path / "ckpt"
+    with pytest.raises(ValueError, match="batch_size"):
+        train(unread(), unread(), epochs=1, batch_size=batch_size,
+              checkpoint_dir=ckpt)
+    assert not ckpt.exists()
+
+
 def test_evaluate_loss_reports_accuracy():
     tr = cluster_pairs(80, 34)
     va = cluster_pairs(30, 35)

@@ -21,6 +21,7 @@ from blinkpipe.net import BlinkNet
 from blinkpipe.proto import (
     _SKIP_MIN_FRAMES,
     ACCEPT_RETRY_S,
+    ASSOCIATION_RETENTION_NS,
     ASSOCIATION_WINDOW_NS,
     CONTROL_END,
     CONTROL_RESET,
@@ -188,15 +189,15 @@ class TestFrameBridging:
             msg, _ = decode(encode(gaze_msg_from_frame(vf)))
             back = validated_frame_from_msg(msg)
             assert back.timestamp_ns == vf.timestamp_ns
-            assert back.features() == vf.features()
+            assert back.values == vf.values
             assert back.valid
 
     def test_frame_from_a_list_built_message_is_an_immutable_tuple(self):
         want = validate_frames([make_frame(1000, lopen=0.5)])[0]
-        features = list(want.features())
+        features = list(want.values)
         back = validated_frame_from_msg(GazeFrameMsg(1000, features))
         features[2] = 0.0  # the frame keeps its own copy
-        assert type(back.features()) is tuple
+        assert type(back.values) is tuple
         assert back == want and hash(back) == hash(want)
 
     def test_read_message_over_a_socket(self):
@@ -383,7 +384,7 @@ class TestServerFaults:
         return next(e for e in errors if e is not None)
 
     def frame_msgs(self, n: int):
-        feats = validate_frames([make_frame(0)])[0].features()
+        feats = validate_frames([make_frame(0)])[0].values
         return [GazeFrameMsg(i * 5_000_000, feats) for i in range(n)]
 
     def test_duplicate_timestamp_ends_only_its_session(self):
@@ -982,8 +983,8 @@ class TestClientGate:
             vol, end + ASSOCIATION_WINDOW_NS + 1)
 
     def test_old_blink_ends_are_pruned(self):
-        gate = ClientPredictionGate(retention_ns=1_000_000_000)
+        gate = ClientPredictionGate()
         gate.record_blink_end(0)
-        gate.record_blink_end(2_000_000_000)
+        gate.record_blink_end(2 * ASSOCIATION_RETENTION_NS)
         pred = PredictionMsg(0, 0, BlinkLabel.VOLUNTARY, 0.9)
         assert gate.associate(pred, 50_000_000) is AssociationOutcome.STALE

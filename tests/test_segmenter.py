@@ -17,14 +17,13 @@ from blinkpipe.segmenter import (
     EyeOpenState,
     EyeState,
     binocular_gaze,
-    effective_gaze,
 )
 
 from conftest import make_frame, openness_frames
 
 
-def run_segmenter(frames, profile=None, min_closure_samples=2):
-    seg = BlinkSegmenter(profile, min_closure_samples)
+def run_segmenter(frames, profile=None):
+    seg = BlinkSegmenter(profile)
     validator = FrameValidator()
     states, events = [], []
     for fr in frames:
@@ -150,8 +149,6 @@ def test_effective_gaze_before_any_frame_raises():
     seg = BlinkSegmenter()
     with pytest.raises(NoGazeYet):
         seg.effective_gaze()
-    with pytest.raises(NoGazeYet):
-        effective_gaze(EyeState(), None)
 
 
 def test_eye_state_predicates():

@@ -13,8 +13,9 @@ from blinkpipe.core import (
     BlinkKind,
     BlinkLabel,
 )
-from blinkpipe.dataset import label_blinks, save_recording
+from blinkpipe.dataset import INTENT_MARGIN_NS, label_blinks, save_recording
 from blinkpipe.sim import (
+    PRESS_JITTER_MS,
     STYLE_EXTENDED_HOLD,
     STYLE_FIRM_BRIEF,
     STYLE_SPONTANEOUS,
@@ -100,7 +101,7 @@ class TestRatesAndStyles:
                if e.label is BlinkLabel.VOLUNTARY]
         assert 10.0 <= len(vol) / 4.0 <= 20.0
         assert len(led.button_presses) == len(vol)
-        jitter_ns = cfg.press_jitter_ms * 1e6
+        jitter_ns = PRESS_JITTER_MS * 1e6
         offsets = np.array([e.blink.offset_ns for e in vol])
         for p in led.button_presses:
             assert np.abs(offsets - p).min() <= jitter_ns + 1
@@ -161,17 +162,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(spontaneous_rate_per_min=-1.0)
 
-    def test_jitter_beyond_labeling_margin(self):
-        with pytest.raises(ValueError):
-            SimConfig(press_jitter_ms=181.0)
-
-    def test_bad_duration_range(self):
-        with pytest.raises(ValueError):
-            SimConfig(spontaneous_duration_ms=(150.0, 100.0))
-
-    def test_bad_gap(self):
-        with pytest.raises(ValueError):
-            SimConfig(min_gap_ms=0.0)
+    def test_press_jitter_stays_inside_the_labeling_margin(self):
+        # A press lands up to PRESS_JITTER_MS from its ledger blink end, and
+        # the segmented end may sit a few frames off that: 180 ms keeps 20 ms
+        # of INTENT_MARGIN_NS for it.
+        assert 0 <= PRESS_JITTER_MS <= 180
+        assert 180 * 1_000_000 + 20_000_000 <= INTENT_MARGIN_NS
+        rec, led = generate_session(SimConfig(seed=19, duration_s=240.0))
+        offsets = np.array([lb.blink.offset_ns for lb in label_blinks(rec)])
+        assert led.button_presses
+        for p in led.button_presses:
+            assert np.abs(offsets - p).min() <= INTENT_MARGIN_NS
 
 
 class TestSegmenterAgreement:

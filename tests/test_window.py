@@ -9,8 +9,8 @@ from blinkpipe.core import (
     NUM_FEATURES,
     BlinkEvent,
     BlinkKind,
+    FrameValidator,
     NonMonotonicTimestamp,
-    validate_frame,
 )
 from blinkpipe.window import (
     MAX_SHIFT_FRAMES,
@@ -25,8 +25,8 @@ from conftest import make_frame
 def frame_at(i: int, seed_val: float = 0.0):
     # Distinct openness per frame makes window contents traceable.
     lo = float(np.float32(((i * 13 + 7) % 97) / 97.0))
-    return validate_frame(make_frame(i * FRAME_INTERVAL_NS, lopen=lo,
-                                     ropen=1.0 - lo / 2))
+    return FrameValidator().validate(make_frame(i * FRAME_INTERVAL_NS, lopen=lo,
+                                                ropen=1.0 - lo / 2))
 
 
 def blink_ending_at(ts_ns: int) -> BlinkEvent:
@@ -46,7 +46,7 @@ def test_window_matches_bruteforce_tail():
         shadow.append(vf)
         if i + 1 >= cap:
             w = buf.snapshot_at_blink_end(blink_ending_at(vf.timestamp_ns))
-            expect = np.array([f.features() for f in shadow[-cap:]])
+            expect = np.array([f.values for f in shadow[-cap:]])
             np.testing.assert_array_equal(w.as_matrix(), expect)
             assert w.end_timestamp_ns == vf.timestamp_ns
             assert w.values.shape == (cap * NUM_FEATURES,)
@@ -108,7 +108,7 @@ def test_augment_shift_stays_in_bounds_and_hits_both_signs():
         assert abs(k) <= MAX_SHIFT_FRAMES
         end_idx = 100 + int(k)
         expect = np.array(
-            [f.features() for f in frames[end_idx - cap + 1:end_idx + 1]]
+            [f.values for f in frames[end_idx - cap + 1:end_idx + 1]]
         )
         np.testing.assert_array_equal(shifted.as_matrix(), expect)
     assert min(shifts) < 0 < max(shifts)
@@ -158,9 +158,9 @@ def test_ring_reads_match_list_oracle(cap, look):
         t += int(data_rng.integers(1, 3)) * FRAME_INTERVAL_NS
         if data_rng.random() < 0.1:
             t += int(data_rng.integers(1, 10**10))
-        vf = validate_frame(make_frame(t, lopen=float(data_rng.random()),
-                                       ropen=float(data_rng.random()),
-                                       lpupil=float(data_rng.uniform(2, 8))))
+        vf = FrameValidator().validate(make_frame(
+            t, lopen=float(data_rng.random()), ropen=float(data_rng.random()),
+            lpupil=float(data_rng.uniform(2, 8))))
         buf.push(vf)
         frames.append(vf)
         ts.append(t)
@@ -174,7 +174,7 @@ def test_ring_reads_match_list_oracle(cap, look):
         def oracle_window(end):
             if end is None or end - cap + 1 < oldest:
                 return None
-            return np.array([f.features() for f in frames[end - cap + 1:end + 1]])
+            return np.array([f.values for f in frames[end - cap + 1:end + 1]])
 
         queries = {ts[0] - 1, ts[oldest] - 1, ts[oldest], ts[-1], ts[-1] + 1,
                    ts[-1] + 10**12}
@@ -231,14 +231,14 @@ def test_fill_count_and_monotonicity_across_compaction():
             buf.push(frame_at(i - 1))
     # A rejected push changes nothing: the newest window is still intact.
     w = buf.snapshot_at_blink_end(blink_ending_at(i * FRAME_INTERVAL_NS))
-    want = np.array([frame_at(k).features() for k in range(i - cap + 1, i + 1)])
+    want = np.array([frame_at(k).values for k in range(i - cap + 1, i + 1)])
     np.testing.assert_array_equal(w.as_matrix(), want)
 
 
 def test_from_columns_is_pushing_every_row():
     frames = [frame_at(i) for i in range(130)]
     ts = np.array([f.timestamp_ns for f in frames], dtype=np.int64)
-    rows = np.array([f.features() for f in frames])
+    rows = np.array([f.values for f in frames])
     for cap in (1, 50, 130, 200):
         pushed = HistoryBuffer(cap, max(0, len(frames) - cap))
         for f in frames:
@@ -276,7 +276,7 @@ def test_extend_in_any_chunks_is_pushing_every_row():
     frames = [frame_at(i) for i in range(300)]
     # The server extends from wire columns: u64 timestamps, f32 features.
     ts = np.array([f.timestamp_ns for f in frames], dtype=np.uint64)
-    rows = np.array([f.features() for f in frames], dtype=np.float32)
+    rows = np.array([f.values for f in frames], dtype=np.float32)
     rng = np.random.default_rng(9)
     for cap, look in ((1, 0), (7, 0), (7, 3), (40, 0), (40, 25)):
         pushed, extended = HistoryBuffer(cap, look), HistoryBuffer(cap, look)
