@@ -401,7 +401,12 @@ def cmd_fsm_trace(args: argparse.Namespace) -> int:
         state, _ = segmenter.update(vf)
         # No head tracker channel in recordings: the binocular gaze ray
         # stands in for head forward so winks plus eye motion drive drags.
-        head = HeadPose(vf.timestamp_ns, (0.0, 0.0, 0.0), vf.binocular_dir())
+        # A closed frame's two directions may cancel; the held ray stands in.
+        try:
+            forward = vf.binocular_dir()
+        except DegenerateDirection:
+            forward = segmenter.effective_gaze()
+        head = HeadPose(vf.timestamp_ns, (0.0, 0.0, 0.0), forward)
         events = machine.step(state, head)
         lines.append(format_trace_line(vf.timestamp_ns, machine.state.mode, events))
     text = "\n".join(lines)

@@ -69,20 +69,18 @@ class UIPlane:
 
     origin: Vec3
     normal: Vec3
-    distance_m: float = DEFAULT_PLANE_DISTANCE_M
 
     def __post_init__(self):
         n = _norm(self.normal)
         if abs(n - 1.0) > 1e-3:
             raise ValueError(f"plane normal norm {n:.6f} not within 1e-3 of 1")
-        if self.distance_m <= 0:
-            raise ValueError("plane distance must be positive")
 
     @classmethod
     def facing_user(cls, distance_m: float = DEFAULT_PLANE_DISTANCE_M) -> "UIPlane":
         """Vertical plane `distance_m` ahead of the origin, normal toward the user."""
-        return cls(origin=(0.0, 0.0, distance_m), normal=(0.0, 0.0, -1.0),
-                   distance_m=distance_m)
+        if distance_m <= 0:
+            raise ValueError("plane distance must be positive")
+        return cls(origin=(0.0, 0.0, distance_m), normal=(0.0, 0.0, -1.0))
 
     def basis(self) -> Tuple[Vec3, Vec3]:
         """In-plane right/up axes used to express 2-D drag deltas."""

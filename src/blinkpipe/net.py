@@ -316,24 +316,23 @@ class BlinkNet:
 
     def __init__(self, input_dim: int = INPUT_DIM, stem_width: int = STEM_WIDTH,
                  block_dims: Optional[Sequence[Tuple[int, int]]] = None,
-                 n_classes: int = N_CLASSES, seed: int = 0,
-                 rng: Optional[np.random.Generator] = None):
+                 seed: int = 0, rng: Optional[np.random.Generator] = None):
         if rng is None:
             rng = np.random.default_rng(seed)
-        self._build(input_dim, stem_width, block_dims, n_classes, rng)
+        self._build(input_dim, stem_width, block_dims, rng)
 
     @classmethod
     def zero_initialized(cls, input_dim: int = INPUT_DIM,
                          stem_width: int = STEM_WIDTH,
-                         block_dims: Optional[Sequence[Tuple[int, int]]] = None,
-                         n_classes: int = N_CLASSES) -> "BlinkNet":
+                         block_dims: Optional[Sequence[Tuple[int, int]]] = None
+                         ) -> "BlinkNet":
         """All linear weights and biases zero; batch-norm at gamma=1, beta=0."""
         net = cls.__new__(cls)
-        net._build(input_dim, stem_width, block_dims, n_classes, None)
+        net._build(input_dim, stem_width, block_dims, None)
         return net
 
     def _build(self, input_dim: int, stem_width: int,
-               block_dims: Optional[Sequence[Tuple[int, int]]], n_classes: int,
+               block_dims: Optional[Sequence[Tuple[int, int]]],
                rng: Optional[np.random.Generator]) -> None:
         """Check the block chain and create the layers; with `rng` None every
         linear layer is zero and no random number is drawn."""
@@ -350,12 +349,11 @@ class BlinkNet:
         self.input_dim = input_dim
         self.stem_width = stem_width
         self.block_dims = block_dims
-        self.n_classes = n_classes
         self.stem_lin = LinearLayer(input_dim, stem_width, rng)
         self.stem_bn = BatchNormLayer(stem_width)
         self.stem_act = MishActivation()
         self.blocks = [ResNetBlock(a, b, rng) for a, b in block_dims]
-        self.head = LinearLayer(width, n_classes, rng)
+        self.head = LinearLayer(width, N_CLASSES, rng)
 
     def params(self) -> List[Param]:
         out = self.stem_lin.params() + self.stem_bn.params()
@@ -591,7 +589,6 @@ class ModelCheckpoint:
     Only `from_net(..., copy=False)` makes records that share a net's arrays.
     """
 
-    format_version: int
     epoch: int
     validation_loss: float
     records: Tuple[LayerRecord, ...]
@@ -613,12 +610,11 @@ class ModelCheckpoint:
                     own(layer.running_mean), own(layer.running_var),
                     layer.momentum, layer.eps,
                 ))
-        return cls(CHECKPOINT_FORMAT_VERSION, epoch, float(validation_loss),
-                   tuple(records))
+        return cls(epoch, float(validation_loss), tuple(records))
 
     def _parts(self) -> Iterator[Union[bytes, memoryview]]:
         """The file's bytes in order: packed headers and views of the arrays."""
-        yield struct.pack("<4sIId", CHECKPOINT_MAGIC, self.format_version,
+        yield struct.pack("<4sIId", CHECKPOINT_MAGIC, CHECKPOINT_FORMAT_VERSION,
                           self.epoch, self.validation_loss)
         for rec in self.records:
             if isinstance(rec, LinearRecord):
@@ -668,7 +664,7 @@ class ModelCheckpoint:
                                                momentum, eps))
             else:
                 raise CheckpointFormatError(f"unknown layer tag 0x{tag:02x}")
-        return cls(version, epoch, val_loss, tuple(records))
+        return cls(epoch, val_loss, tuple(records))
 
     def save(self, path) -> None:
         """Write the bytes of `to_bytes` so that `path` is either complete or
@@ -729,10 +725,8 @@ class ModelCheckpoint:
                         f"missing projection record for block ending at record {i}"
                     )
                 i += 1
-        head = recs[-1]
         net = BlinkNet.zero_initialized(input_dim=input_dim, stem_width=stem_width,
-                                        block_dims=block_dims,
-                                        n_classes=head.weight.shape[0])
+                                        block_dims=block_dims)
         for rec, (kind, layer) in zip(recs, _layers_in_order(net)):
             if kind == "linear":
                 layer.weight.value = _installed(layer.weight.value, rec.weight, copy)
@@ -796,14 +790,16 @@ class EpochStats:
     val_accuracy: float
 
 
-def _as_xy(dataset, input_dim: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
+def _as_xy(dataset, input_dim: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
     xs: List[np.ndarray] = []
     ys: List[int] = []
     for features, label in dataset:
         if isinstance(features, WindowTensor):
             features = features.values
         v = np.asarray(features, dtype=np.float64).reshape(-1)
-        if input_dim is not None and v.shape[0] != input_dim:
+        if input_dim is None:  # the first example sets the width
+            input_dim = v.shape[0]
+        elif v.shape[0] != input_dim:
             raise ShapeMismatch(
                 f"example has {v.shape[0]} features, expected {input_dim}"
             )
@@ -830,7 +826,6 @@ def train(
     batch_size: int = DEFAULT_BATCH_SIZE,
     checkpoint_dir=None,
     net: Optional[BlinkNet] = None,
-    input_dim: Optional[int] = None,
     stem_width: int = STEM_WIDTH,
     block_dims: Optional[Sequence[Tuple[int, int]]] = None,
     log=None,
@@ -854,7 +849,7 @@ def train(
     val_pairs = list(val_set)
     if not train_pairs or not val_pairs:
         raise EmptySplit("train and validation sets must both be non-empty")
-    x_train, y_train = _as_xy(train_pairs, input_dim)
+    x_train, y_train = _as_xy(train_pairs)
     x_val, y_val = _as_xy(val_pairs, x_train.shape[1])
 
     rng = np.random.default_rng(seed)

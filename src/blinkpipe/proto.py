@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import logging
 import math
 import selectors
@@ -357,10 +358,8 @@ class BlinkServer:
                  window_frames: int = DEFAULT_WINDOW_FRAMES):
         if warmup_policy not in WARMUP_POLICIES:
             raise ValueError(f"warmup_policy must be one of {WARMUP_POLICIES}")
-        self.net = net
-        self.warmup_policy = warmup_policy
-        self.profile = profile
-        self.window_frames = window_frames
+        self._new_pipeline = functools.partial(
+            SessionPipeline, net, profile, window_frames, warmup_policy)
         self._listener = socket.create_server((host, port))
         self._listener.setblocking(False)
         self.host, self.port = self._listener.getsockname()[:2]
@@ -376,10 +375,6 @@ class BlinkServer:
     @property
     def address(self) -> Tuple[str, int]:
         return self.host, self.port
-
-    def _new_pipeline(self) -> SessionPipeline:
-        return SessionPipeline(self.net, self.profile, self.window_frames,
-                               self.warmup_policy)
 
     def start(self) -> None:
         self._thread = threading.Thread(target=self.serve_forever,

@@ -16,7 +16,6 @@ openness values of a recording (the `calibrate` command).
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -38,37 +37,33 @@ from .core import (
 MIN_CLOSURE_SAMPLES = 2  # 10 ms at 200 Hz; single-sample dips are glitches
 
 
-class EyeOpenState(enum.Enum):
-    OPEN = "open"
-    CLOSED = "closed"
-
-
 @dataclass(frozen=True)
 class EyeState:
-    """Instantaneous per-eye state plus the frozen gaze during closures."""
+    """Which eyes are closed on a frame."""
 
-    left: EyeOpenState = EyeOpenState.OPEN
-    right: EyeOpenState = EyeOpenState.OPEN
-    held_gaze_dir: Optional[Vec3] = None
+    left_closed: bool = False
+    right_closed: bool = False
 
     @property
     def both_open(self) -> bool:
-        return self.left is EyeOpenState.OPEN and self.right is EyeOpenState.OPEN
+        return not (self.left_closed or self.right_closed)
 
     @property
     def both_closed(self) -> bool:
-        return self.left is EyeOpenState.CLOSED and self.right is EyeOpenState.CLOSED
+        return self.left_closed and self.right_closed
 
     @property
     def any_closed(self) -> bool:
-        return not self.both_open
+        return self.left_closed or self.right_closed
 
     @property
     def exactly_one_closed(self) -> bool:
-        return self.any_closed and not self.both_closed
+        return self.left_closed != self.right_closed
 
 
-_ALL_OPEN = EyeState()
+# `update`'s result for each (left closed, right closed) pair.
+_EYE_STATES = {(left, right): EyeState(left, right)
+               for left in (False, True) for right in (False, True)}
 
 
 class BlinkSegmenter:
@@ -81,8 +76,8 @@ class BlinkSegmenter:
 
     def __init__(self, profile: Optional[CalibrationProfile] = None):
         self.profile = profile or CalibrationProfile()
-        self.state = _ALL_OPEN
-        self._last_frame: Optional[ValidatedFrame] = None
+        # Binocular gaze of the latest frame with both eyes open (of the
+        # first frame until one has them open): the ray held during closures.
         self._last_open_gaze: Optional[Vec3] = None
         self._close_left = self.profile.closed_threshold_left
         self._close_right = self.profile.closed_threshold_right
@@ -154,30 +149,18 @@ class BlinkSegmenter:
     def update(self, frame: ValidatedFrame) -> Tuple[EyeState, Optional[BlinkEvent]]:
         if self._last_open_gaze is None:
             self._last_open_gaze = _normalize(binocular_gaze(*frame.values[4:]))
-        prev = self.state
         event = self.step(frame.timestamp_ns, frame.values[2], frame.values[3])
-        if self._left_closed or self._right_closed:
-            held = prev.held_gaze_dir if prev.any_closed else self._last_open_gaze
-            self.state = EyeState(
-                left=EyeOpenState.CLOSED if self._left_closed else EyeOpenState.OPEN,
-                right=EyeOpenState.CLOSED if self._right_closed else EyeOpenState.OPEN,
-                held_gaze_dir=held,
-            )
-        else:
-            self.state = _ALL_OPEN
+        if not (self._left_closed or self._right_closed):
             self._last_open_gaze = _normalize(binocular_gaze(*frame.values[4:]))
-        self._last_frame = frame
-        return self.state, event
+        return _EYE_STATES[self._left_closed, self._right_closed], event
 
     def effective_gaze(self) -> Vec3:
-        """Gaze direction for interaction raycasts: the held direction while
-        any eye is closed, otherwise the renormalized mean of the latest
-        frame's two gaze directions."""
-        if self._last_frame is None:
+        """Gaze direction for interaction raycasts: the held ray, which is
+        the latest frame's renormalized binocular gaze while both eyes are
+        open and stays frozen while any eye is closed."""
+        if self._last_open_gaze is None:
             raise NoGazeYet("no frame processed yet")
-        if self.state.any_closed:
-            return self.state.held_gaze_dir
-        return self._last_frame.binocular_dir()
+        return self._last_open_gaze
 
 
 def binocular_gaze(lx: float, ly: float, lz: float,

@@ -44,14 +44,17 @@ class WindowTensor:
 
     values: np.ndarray  # shape (window_frames * NUM_FEATURES,), float64
     end_timestamp_ns: int
-    window_frames: int
 
     def __post_init__(self):
-        if self.values.shape != (self.window_frames * NUM_FEATURES,):
+        if self.values.ndim != 1 or self.values.size % NUM_FEATURES:
             raise ValueError(
-                f"values shape {self.values.shape} does not match"
-                f" {self.window_frames} frames x {NUM_FEATURES} features"
+                f"values shape {self.values.shape} is not whole frames"
+                f" of {NUM_FEATURES} features"
             )
+
+    @property
+    def window_frames(self) -> int:
+        return self.values.size // NUM_FEATURES
 
     def as_matrix(self) -> np.ndarray:
         return self.values.reshape(self.window_frames, NUM_FEATURES)
@@ -169,7 +172,6 @@ class HistoryBuffer:
         return WindowTensor(
             values=self._features[start:end_row + 1].flatten(),  # a copy, never a view
             end_timestamp_ns=int(self._timestamps[end_row]),
-            window_frames=self.capacity,
         )
 
     def snapshot_at_blink_end(self, blink: BlinkEvent) -> WindowTensor:

@@ -62,15 +62,15 @@ from blinkpipe.proto import (
     replay_over_tcp,
     validate_frames,
 )
-from blinkpipe.segmenter import EyeOpenState, EyeState
+from blinkpipe.segmenter import EyeState
 from blinkpipe.sim import SimConfig, generate_session
 
 from conftest import square_blink_offset_ns, square_blink_recording
 
-OO = EyeState(EyeOpenState.OPEN, EyeOpenState.OPEN)
-CC = EyeState(EyeOpenState.CLOSED, EyeOpenState.CLOSED)
-LC = EyeState(EyeOpenState.CLOSED, EyeOpenState.OPEN)
-RC = EyeState(EyeOpenState.OPEN, EyeOpenState.CLOSED)
+OO = EyeState(False, False)
+CC = EyeState(True, True)
+LC = EyeState(True, False)
+RC = EyeState(False, True)
 EYES = {"oo": OO, "cc": CC, "lc": LC, "rc": RC}
 
 

@@ -1,11 +1,13 @@
 """End-to-end command line runs through main() with temp directories."""
 from __future__ import annotations
 
+import dataclasses
 import gzip
 import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from blinkpipe import cli
@@ -17,7 +19,7 @@ from blinkpipe.cli import (
     main,
 )
 from blinkpipe.dataset import load_recording, save_recording
-from blinkpipe.net import ModelCheckpoint
+from blinkpipe.net import LinearRecord, ModelCheckpoint
 from blinkpipe.proto import BlinkServer
 
 from conftest import square_blink_recording, tiny_net
@@ -193,6 +195,30 @@ class TestExitCodes:
         assert run("eval", "--checkpoint", str(ckpt),
                    "--test", str(rec)) == EXIT_DATA
 
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("command", ["eval", "serve"])
+    def test_checkpoint_head_not_two_wide_is_data_error(self, tmp_path,
+                                                        monkeypatch, capsys,
+                                                        command, width):
+        ckpt = ModelCheckpoint.from_net(tiny_net(20), 1, 0.5)
+        in_dim = ckpt.records[-1].weight.shape[1]
+        path = str(tmp_path / "model.bnet")
+        dataclasses.replace(ckpt, records=ckpt.records[:-1] + (
+            LinearRecord(np.ones((width, in_dim)), np.zeros(width)),)).save(path)
+        rec = tmp_path / "rec.csv"
+        save_recording(square_blink_recording([40]), str(rec))
+
+        def stop_once_listening(*args, **kwargs):
+            print(*args, **kwargs)
+            if str(args[0]).startswith("listening on"):
+                raise KeyboardInterrupt  # a server that starts stops at once
+
+        monkeypatch.setattr(cli, "print", stop_once_listening, raising=False)
+        args = {"eval": ["--test", str(rec)],
+                "serve": ["--listen", "127.0.0.1:0"]}[command]
+        assert run(command, "--checkpoint", path, *args) == EXIT_DATA
+        assert "CheckpointFormatError" in capsys.readouterr().err
+
     def test_missing_input_is_io_error(self, tmp_path):
         assert run("stats", "--data",
                    str(tmp_path / "nowhere.csv")) == EXIT_IO
@@ -355,6 +381,22 @@ class TestFsmTrace:
         assert lines[10].split("\t")[1:3] == ["selection", "select"]
         assert lines[11].split("\t")[1:3] == ["selection", "none"]
         assert lines[30].split("\t")[1] == "default"
+
+    def test_closed_frame_whose_gaze_cancels_keeps_the_held_ray(self, tmp_path,
+                                                                capsys):
+        # Both eyes closed and the two directions opposite: labeling and the
+        # server accept such a frame, and its trace line is the same as if
+        # both eyes had looked ahead.
+        rec = square_blink_recording([10], closed_frames=20, n_frames=40)
+        path = str(tmp_path / "rec.csv")
+        save_recording(rec, path)
+        assert run("fsm-trace", "--in", path) == EXIT_OK
+        want = capsys.readouterr().out
+        rec.frames[15] = dataclasses.replace(rec.frames[15],
+                                             right_dir=(0.0, 0.0, -1.0))
+        save_recording(rec, path)
+        assert run("fsm-trace", "--in", path) == EXIT_OK
+        assert capsys.readouterr().out == want
 
     def test_trace_to_file(self, tmp_path):
         rec = square_blink_recording([10], closed_frames=20, n_frames=40)

@@ -1,7 +1,6 @@
 """Recording I/O, blink labeling, window materialization, and splits."""
 from __future__ import annotations
 
-import gzip
 import math
 import os
 import time

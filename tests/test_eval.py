@@ -3,12 +3,10 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from blinkpipe.core import BlinkLabel
 from blinkpipe.eval import (
-    BaselineReport,
     ConfusionMatrix,
     EmptyMatrix,
     Metrics,

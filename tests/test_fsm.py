@@ -8,7 +8,6 @@ import pytest
 
 from blinkpipe.core import HeadPose, PinchSample
 from blinkpipe.fsm import (
-    DEFAULT_PLANE_DISTANCE_M,
     EventKind,
     InteractionMachine,
     InteractionMode,
@@ -21,12 +20,12 @@ from blinkpipe.fsm import (
     intersect_head_ray,
     step_blink_fsm,
 )
-from blinkpipe.segmenter import EyeOpenState, EyeState
+from blinkpipe.segmenter import EyeState
 
-OO = EyeState(EyeOpenState.OPEN, EyeOpenState.OPEN)
-CC = EyeState(EyeOpenState.CLOSED, EyeOpenState.CLOSED)
-LC = EyeState(EyeOpenState.CLOSED, EyeOpenState.OPEN)
-RC = EyeState(EyeOpenState.OPEN, EyeOpenState.CLOSED)
+OO = EyeState(False, False)
+CC = EyeState(True, True)
+LC = EyeState(True, False)
+RC = EyeState(False, True)
 
 
 def head_yaw(ts_ns: int, yaw_deg: float, position=(0.0, 0.0, 0.0)) -> HeadPose:
@@ -77,9 +76,9 @@ def test_displacement_grows_with_plane_distance():
 
 def test_plane_validation():
     with pytest.raises(ValueError):
-        UIPlane(origin=(0.0, 0.0, 1.0), normal=(0.0, 0.0, -2.0), distance_m=1.0)
+        UIPlane(origin=(0.0, 0.0, 1.0), normal=(0.0, 0.0, -2.0))
     with pytest.raises(ValueError):
-        UIPlane(origin=(0.0, 0.0, 1.0), normal=(0.0, 0.0, -1.0), distance_m=0.0)
+        UIPlane.facing_user(0.0)
 
 
 def test_plane_coords_axes():

@@ -431,7 +431,7 @@ def test_zero_net_predicts_half_half_and_ties_go_involuntary():
 def test_classify_accepts_window_tensor():
     net = BlinkNet.zero_initialized(input_dim=20, stem_width=8,
                                     block_dims=((8, 8),))
-    w = WindowTensor(values=np.zeros(20), end_timestamp_ns=5, window_frames=2)
+    w = WindowTensor(values=np.zeros(20), end_timestamp_ns=5)
     label, conf = classify(net, w)
     assert label is BlinkLabel.INVOLUNTARY
 
@@ -515,7 +515,7 @@ def test_saved_file_is_to_bytes(tmp_path):
     ckpt = ModelCheckpoint.from_net(make_small_net(), epoch=4, validation_loss=0.5)
     stem = ckpt.records[0]
     # A column-major record array is still written row-major.
-    ckpt = ModelCheckpoint(ckpt.format_version, ckpt.epoch, ckpt.validation_loss,
+    ckpt = ModelCheckpoint(ckpt.epoch, ckpt.validation_loss,
                            (LinearRecord(np.asfortranarray(stem.weight), stem.bias),)
                            + ckpt.records[1:])
     path = tmp_path / "model.bnet"
@@ -578,10 +578,25 @@ def test_record_that_does_not_fit_its_layer_is_a_format_error():
     wide = BatchNormRecord(*(np.append(a, 0.0) for a in (
         bn.gamma, bn.beta, bn.running_mean, bn.running_var)),
         bn.momentum, bn.eps)
-    bad = ModelCheckpoint(ckpt.format_version, 1, 0.5,
+    bad = ModelCheckpoint(1, 0.5,
                           ckpt.records[:1] + (wide,) + ckpt.records[2:])
     with pytest.raises(CheckpointFormatError):
         ModelCheckpoint.from_bytes(bad.to_bytes()).build_net()
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_head_that_is_not_two_wide_is_a_format_error(tmp_path, width):
+    # `classify` and `evaluate_loss` read logit columns 0 and 1 alone.
+    ckpt = ModelCheckpoint.from_net(make_small_net(), 1, 0.5)
+    in_dim = ckpt.records[-1].weight.shape[1]
+    bad = dataclasses.replace(ckpt, records=ckpt.records[:-1] + (
+        LinearRecord(np.ones((width, in_dim)), np.zeros(width)),))
+    path = tmp_path / "model.bnet"
+    bad.save(path)
+    with pytest.raises(CheckpointFormatError):
+        ModelCheckpoint.load(path).build_net()
+    with pytest.raises(CheckpointFormatError):
+        load_net(path)
 
 
 class _HalfWriter:
@@ -823,6 +838,15 @@ def test_train_checkpoints_are_the_net_at_each_epoch(tmp_path):
         assert (tmp_path / f"epoch_{h.epoch:04d}.bnet").read_bytes() == want.to_bytes()
     best_bytes = (tmp_path / f"epoch_{best.epoch:04d}.bnet").read_bytes()
     assert (tmp_path / "best.bnet").read_bytes() == best.to_bytes() == best_bytes
+
+
+def test_train_examples_of_mixed_width_are_a_shape_mismatch():
+    pairs = cluster_pairs(4, 32)
+    narrow = [(np.asarray(x)[:-1], y) for x, y in pairs[:2]]
+    with pytest.raises(ShapeMismatch):
+        train(pairs + narrow, pairs, epochs=1)
+    with pytest.raises(ShapeMismatch):
+        train(pairs, pairs + narrow, epochs=1)
 
 
 def test_train_rejects_empty_splits():

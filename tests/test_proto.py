@@ -29,6 +29,7 @@ from blinkpipe.proto import (
     GAZE_MSG_SIZE,
     MAGIC,
     MSG_CONTROL,
+    MSG_GAZE,
     MSG_PREDICTION,
     PREDICTION_MSG_SIZE,
     AssociationOutcome,
@@ -170,6 +171,29 @@ class TestEncodeDecode:
         msg, off = decode(data)
         assert msg.command == CONTROL_END
         assert off == CONTROL_MSG_SIZE
+
+    def test_gaze_columns_read_what_the_gaze_struct_packs(self):
+        # The run loop reads one read's gaze messages twice: as columns
+        # through the `_GAZE_ROWS` dtype and frame by frame through `_GAZE`.
+        assert proto._GAZE_ROWS.itemsize == proto._GAZE.size == GAZE_MSG_SIZE
+        rng = np.random.default_rng(5)
+        odd = (math.nan, math.inf, -math.inf, -0.0, 3.4e38, -1e-45)
+        timestamps = [0, 1, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1,
+                      *rng.integers(0, 2**63, 14).tolist()]
+        features = [[f32(v) for v in rng.normal(size=10)] for _ in timestamps]
+        for i, row in enumerate(features):
+            row[i % 10] = odd[i % len(odd)]
+        data = b"".join(proto._GAZE.pack(MAGIC, MSG_GAZE, ts, *row)
+                        for ts, row in zip(timestamps, features))
+        rows = np.frombuffer(data, proto._GAZE_ROWS)
+        assert rows["magic"].tobytes() == MAGIC * len(timestamps)
+        assert (rows["magic"] == proto._MAGIC_U4).all()
+        assert rows["kind"].tolist() == [MSG_GAZE] * len(timestamps)
+        assert rows["timestamp_ns"].tolist() == timestamps
+        np.testing.assert_array_equal(rows["features"],
+                                      np.array(features, np.float32))
+        assert rows["features"].tobytes() == b"".join(
+            struct.pack("<10f", *row) for row in features)
 
 
 class TestFrameBridging:

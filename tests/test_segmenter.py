@@ -14,7 +14,6 @@ from blinkpipe.core import (
 )
 from blinkpipe.segmenter import (
     BlinkSegmenter,
-    EyeOpenState,
     EyeState,
     binocular_gaze,
 )
@@ -132,10 +131,9 @@ def test_gaze_held_at_last_both_open_direction():
     seg = BlinkSegmenter()
     validator = FrameValidator()
     for fr in frames:
-        state, _ = seg.update(validator.validate(fr))
+        seg.update(validator.validate(fr))
     held = seg.effective_gaze()
     assert held == pytest.approx((0.0, 0.0, 1.0), abs=1e-6)
-    assert state.held_gaze_dir == pytest.approx((0.0, 0.0, 1.0), abs=1e-6)
 
 
 def test_effective_gaze_tracks_when_open():
@@ -152,9 +150,9 @@ def test_effective_gaze_before_any_frame_raises():
 
 
 def test_eye_state_predicates():
-    oo = EyeState(EyeOpenState.OPEN, EyeOpenState.OPEN)
-    cc = EyeState(EyeOpenState.CLOSED, EyeOpenState.CLOSED)
-    co = EyeState(EyeOpenState.CLOSED, EyeOpenState.OPEN)
+    oo = EyeState(False, False)
+    cc = EyeState(True, True)
+    co = EyeState(True, False)
     assert oo.both_open and not oo.any_closed
     assert cc.both_closed and cc.any_closed and not cc.exactly_one_closed
     assert co.exactly_one_closed and co.any_closed and not co.both_closed

@@ -132,9 +132,8 @@ def test_augment_shift_clips_at_stream_end():
 
 def test_window_tensor_shape_checks():
     with pytest.raises(ValueError):
-        WindowTensor(values=np.zeros(25), end_timestamp_ns=0, window_frames=5)
-    w = WindowTensor(values=np.zeros(5 * NUM_FEATURES), end_timestamp_ns=0,
-                     window_frames=5)
+        WindowTensor(values=np.zeros(25), end_timestamp_ns=0)
+    w = WindowTensor(values=np.zeros(5 * NUM_FEATURES), end_timestamp_ns=0)
     assert w.as_matrix().shape == (5, NUM_FEATURES)
 
 
