@@ -24,7 +24,8 @@ import os
 import stat
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (BinaryIO, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -356,11 +357,19 @@ class BlinkNet:
         self.head = LinearLayer(width, N_CLASSES, rng)
 
     def params(self) -> List[Param]:
-        out = self.stem_lin.params() + self.stem_bn.params()
-        for b in self.blocks:
-            out += b.params()
-        out += self.head.params()
-        return out
+        return [p for _, layer in _layers_in_order(self) for p in layer.params()]
+
+    def copy(self) -> "BlinkNet":
+        """A net of the same architecture with copies of this one's values
+        (weights, biases, batch-norm parameters and running statistics);
+        gradients and forward caches are not copied."""
+        twin = BlinkNet.zero_initialized(self.input_dim, self.stem_width,
+                                         self.block_dims)
+        return _install(twin, (
+            tuple(np.array(v, dtype=np.float64, order="C")
+                  if isinstance(v, np.ndarray) else v
+                  for v in _layer_values(layer))
+            for _, layer in _layers_in_order(self)))
 
     def _as_batch(self, x) -> np.ndarray:
         if isinstance(x, WindowTensor):
@@ -501,25 +510,6 @@ class Adam:
 # checkpoints
 
 
-@dataclass(frozen=True)
-class LinearRecord:
-    weight: np.ndarray  # (out, in), row-major
-    bias: np.ndarray
-
-
-@dataclass(frozen=True)
-class BatchNormRecord:
-    gamma: np.ndarray
-    beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    momentum: float
-    eps: float
-
-
-LayerRecord = Union[LinearRecord, BatchNormRecord]
-
-
 def _f64_bytes(a: np.ndarray) -> memoryview:
     """The array's little-endian float64 bytes, without a copy when it is
     already C-contiguous native float64."""
@@ -569,7 +559,7 @@ class _Reader:
 
 @dataclass(frozen=True)
 class ModelCheckpoint:
-    """Snapshot of every parameter and running statistic of a BlinkNet.
+    """A BlinkNet with the epoch and validation loss it was saved at.
 
     Byte layout (all little-endian):
       header: magic "BNET" (4 bytes), format_version u32, epoch u32,
@@ -582,62 +572,47 @@ class ModelCheckpoint:
         batch norm: tag u8 = 0x02, features u32, u32 = 0,
                     gamma, beta, running_mean, running_var (features f64
                     each), momentum f64, eps f64
+      Every dimension is at least 1.
 
-    Loading then saving is byte-identical. Each record owns its arrays:
-    `load` and `from_bytes` read every array into a fresh one, `build_net`
-    copies them into the net it builds, and `load_net` hands them to its net.
-    Only `from_net(..., copy=False)` makes records that share a net's arrays.
+    Loading then saving is byte-identical. `load` and `from_bytes` read
+    every array into a fresh one and install it in the net they build, so
+    the checkpoint's net holds the only copy of the weights; `build_net`
+    copies that net.
     """
 
     epoch: int
     validation_loss: float
-    records: Tuple[LayerRecord, ...]
+    net: BlinkNet
 
     @classmethod
-    def from_net(cls, net: BlinkNet, epoch: int, validation_loss: float,
-                 copy: bool = True) -> "ModelCheckpoint":
-        """A snapshot of `net`; with copy=False its records hold the net's
-        own arrays, so it shows the net as it is until it trains on."""
-        own = np.copy if copy else (lambda a: a)
-        records: List[LayerRecord] = []
-        for kind, layer in _layers_in_order(net):
-            if kind == "linear":
-                records.append(LinearRecord(own(layer.weight.value),
-                                            own(layer.bias.value)))
-            else:
-                records.append(BatchNormRecord(
-                    own(layer.gamma.value), own(layer.beta.value),
-                    own(layer.running_mean), own(layer.running_var),
-                    layer.momentum, layer.eps,
-                ))
-        return cls(epoch, float(validation_loss), tuple(records))
+    def from_net(cls, net: BlinkNet, epoch: int,
+                 validation_loss: float) -> "ModelCheckpoint":
+        """A snapshot of `net`: the checkpoint holds a copy of it, which
+        stays as it is while `net` trains on."""
+        return cls(epoch, float(validation_loss), net.copy())
 
     def _parts(self) -> Iterator[Union[bytes, memoryview]]:
         """The file's bytes in order: packed headers and views of the arrays."""
         yield struct.pack("<4sIId", CHECKPOINT_MAGIC, CHECKPOINT_FORMAT_VERSION,
                           self.epoch, self.validation_loss)
-        for rec in self.records:
-            if isinstance(rec, LinearRecord):
-                out_dim, in_dim = rec.weight.shape
+        for kind, layer in _layers_in_order(self.net):
+            values = _layer_values(layer)
+            if kind == "linear":
+                out_dim, in_dim = values[0].shape
                 yield struct.pack("<BII", _TAG_LINEAR, out_dim, in_dim)
-                yield _f64_bytes(rec.weight)
-                yield _f64_bytes(rec.bias)
+                yield from map(_f64_bytes, values)
             else:
-                n = rec.gamma.shape[0]
-                yield struct.pack("<BII", _TAG_BATCHNORM, n, 0)
-                yield _f64_bytes(rec.gamma)
-                yield _f64_bytes(rec.beta)
-                yield _f64_bytes(rec.running_mean)
-                yield _f64_bytes(rec.running_var)
-                yield struct.pack("<dd", rec.momentum, rec.eps)
+                yield struct.pack("<BII", _TAG_BATCHNORM, values[0].shape[0], 0)
+                yield from map(_f64_bytes, values[:4])
+                yield struct.pack("<dd", *values[4:])
 
     def to_bytes(self) -> bytes:
         return b"".join(self._parts())
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ModelCheckpoint":
-        """Parse the bytes of `to_bytes` into records with arrays of their
-        own; `data` is not kept."""
+        """Parse the bytes of `to_bytes` into a net with arrays of its own;
+        `data` is not kept."""
         return cls._read(_Reader(io.BytesIO(data), len(data)))
 
     @classmethod
@@ -647,24 +622,29 @@ class ModelCheckpoint:
             raise CheckpointFormatError(f"bad magic {magic!r}")
         if version != CHECKPOINT_FORMAT_VERSION:
             raise CheckpointFormatError(f"unsupported format version {version}")
-        records: List[LayerRecord] = []
+        tags: List[int] = []
+        values: List[tuple] = []  # per record, laid out as _layer_values
         while not r.exhausted:
             tag, d0, d1 = struct.unpack("<BII", r.take(9))
+            where = f"record {len(tags)}"
             if tag == _TAG_LINEAR:
-                weight = r.f64_array(d0 * d1).reshape(d0, d1)
-                bias = r.f64_array(d0)
-                records.append(LinearRecord(weight, bias))
+                if d0 == 0 or d1 == 0:
+                    raise CheckpointFormatError(f"{where}: linear layer of shape {d0}x{d1}")
+                values.append((r.f64_array(d0 * d1).reshape(d0, d1),
+                               r.f64_array(d0)))
             elif tag == _TAG_BATCHNORM:
-                gamma = r.f64_array(d0)
-                beta = r.f64_array(d0)
-                rmean = r.f64_array(d0)
-                rvar = r.f64_array(d0)
-                momentum, eps = struct.unpack("<dd", r.take(16))
-                records.append(BatchNormRecord(gamma, beta, rmean, rvar,
-                                               momentum, eps))
+                if d0 == 0:
+                    raise CheckpointFormatError(f"{where}: batch norm of 0 features")
+                if d1 != 0:
+                    raise CheckpointFormatError(
+                        f"{where}: batch norm reserved field is {d1}, not 0")
+                values.append(tuple(r.f64_array(d0) for _ in range(4))
+                              + struct.unpack("<dd", r.take(16)))
             else:
                 raise CheckpointFormatError(f"unknown layer tag 0x{tag:02x}")
-        return cls(epoch, val_loss, tuple(records))
+            tags.append(tag)
+        net = BlinkNet.zero_initialized(*_architecture(tags, values))
+        return cls(epoch, val_loss, _install(net, values))
 
     def save(self, path) -> None:
         """Write the bytes of `to_bytes` so that `path` is either complete or
@@ -693,54 +673,9 @@ class ModelCheckpoint:
         return cls.from_bytes(data)
 
     def build_net(self) -> BlinkNet:
-        """Reconstruct the network from the stored records, in arrays of its
-        own: the net can train or serve while the checkpoint stays as it is."""
-        return self._net(copy=True)
-
-    def _net(self, copy: bool) -> BlinkNet:
-        """Check that the records form a stem/blocks/head stack and install
-        them into a net of that architecture, as copies or as they are."""
-        recs = self.records
-        if (len(recs) < 3 or not isinstance(recs[0], LinearRecord)
-                or not isinstance(recs[1], BatchNormRecord)
-                or not isinstance(recs[-1], LinearRecord)):
-            raise CheckpointFormatError("records do not form a stem/blocks/head stack")
-        stem_w = recs[0].weight
-        input_dim, stem_width = stem_w.shape[1], stem_w.shape[0]
-        block_dims: List[Tuple[int, int]] = []
-        i = 2
-        while i < len(recs) - 1:
-            group = recs[i:i + 4]
-            if (len(group) < 4 or not isinstance(group[0], LinearRecord)
-                    or not isinstance(group[1], BatchNormRecord)
-                    or not isinstance(group[2], LinearRecord)
-                    or not isinstance(group[3], BatchNormRecord)):
-                raise CheckpointFormatError(f"malformed block at record {i}")
-            out_dim, in_dim = group[0].weight.shape
-            block_dims.append((in_dim, out_dim))
-            i += 4
-            if in_dim != out_dim:
-                if i >= len(recs) - 1 or not isinstance(recs[i], LinearRecord):
-                    raise CheckpointFormatError(
-                        f"missing projection record for block ending at record {i}"
-                    )
-                i += 1
-        net = BlinkNet.zero_initialized(input_dim=input_dim, stem_width=stem_width,
-                                        block_dims=block_dims)
-        for rec, (kind, layer) in zip(recs, _layers_in_order(net)):
-            if kind == "linear":
-                layer.weight.value = _installed(layer.weight.value, rec.weight, copy)
-                layer.bias.value = _installed(layer.bias.value, rec.bias, copy)
-            else:
-                layer.gamma.value = _installed(layer.gamma.value, rec.gamma, copy)
-                layer.beta.value = _installed(layer.beta.value, rec.beta, copy)
-                layer.running_mean = _installed(layer.running_mean,
-                                                rec.running_mean, copy)
-                layer.running_var = _installed(layer.running_var,
-                                               rec.running_var, copy)
-                layer.momentum = rec.momentum
-                layer.eps = rec.eps
-        return net
+        """A copy of the stored network: it can train or serve while the
+        checkpoint stays as it is."""
+        return self.net.copy()
 
 
 def load_net(path) -> BlinkNet:
@@ -748,19 +683,77 @@ def load_net(path) -> BlinkNet:
     just read from the file: one copy of the weights, where
     `ModelCheckpoint.load(path).build_net()` makes a second while the first
     is alive."""
-    return ModelCheckpoint.load(path)._net(copy=False)
+    return ModelCheckpoint.load(path).net
 
 
-def _installed(current: np.ndarray, stored: np.ndarray, copy: bool) -> np.ndarray:
+def _architecture(tags: List[int], values: List[tuple]
+                  ) -> Tuple[int, int, List[Tuple[int, int]]]:
+    """The (input_dim, stem_width, block_dims) of the stem/blocks/head stack
+    that records of these tags and values form; a CheckpointFormatError
+    when they form none."""
+    linear, bn = _TAG_LINEAR, _TAG_BATCHNORM
+    head = len(tags) - 1
+    if len(tags) < 3 or tags[:2] != [linear, bn] or tags[head] != linear:
+        raise CheckpointFormatError("records do not form a stem/blocks/head stack")
+    stem_width, input_dim = values[0][0].shape
+    block_dims: List[Tuple[int, int]] = []
+    width = stem_width
+    i = 2
+    while i < head:
+        if tags[i:i + 4] != [linear, bn, linear, bn]:
+            raise CheckpointFormatError(f"malformed block at record {i}")
+        out_dim, in_dim = values[i][0].shape
+        if in_dim != width:
+            raise CheckpointFormatError(
+                f"block at record {i} takes {in_dim} features where the "
+                f"layer before it gives {width}")
+        block_dims.append((in_dim, out_dim))
+        width = out_dim
+        i += 4
+        if in_dim != out_dim:
+            if i >= head or tags[i] != linear:
+                raise CheckpointFormatError(
+                    f"missing projection record for block ending at record {i}"
+                )
+            i += 1
+    return input_dim, stem_width, block_dims
+
+
+def _layer_values(layer) -> tuple:
+    """A layer's stored values in file order: (weight, bias) of a linear
+    layer; (gamma, beta, running_mean, running_var, momentum, eps) of a
+    batch norm."""
+    if isinstance(layer, LinearLayer):
+        return layer.weight.value, layer.bias.value
+    return (layer.gamma.value, layer.beta.value, layer.running_mean,
+            layer.running_var, layer.momentum, layer.eps)
+
+
+def _install(net: BlinkNet, values: Iterable[tuple]) -> BlinkNet:
+    """Set the layers of `net`, in `_layers_in_order`, to `values`, one
+    tuple per layer laid out as `_layer_values`; the arrays are kept, not
+    copied, where `_fitted` allows."""
+    for vals, (kind, layer) in zip(values, _layers_in_order(net), strict=True):
+        if kind == "linear":
+            layer.weight.value = _fitted(layer.weight.value, vals[0])
+            layer.bias.value = _fitted(layer.bias.value, vals[1])
+        else:
+            gamma, beta, mean, var, layer.momentum, layer.eps = vals
+            layer.gamma.value = _fitted(layer.gamma.value, gamma)
+            layer.beta.value = _fitted(layer.beta.value, beta)
+            layer.running_mean = _fitted(layer.running_mean, mean)
+            layer.running_var = _fitted(layer.running_var, var)
+    return net
+
+
+def _fitted(current: np.ndarray, stored: np.ndarray) -> np.ndarray:
     """`stored` as a C-contiguous, aligned, writeable native float64 array,
-    copied when `copy` is set or when it is not already one; it must have
-    the shape of the layer array `current` it replaces."""
+    itself when it is one already; it must have the shape of the layer
+    array `current` it replaces."""
     if stored.shape != current.shape:
         raise CheckpointFormatError(
             f"record array of shape {stored.shape} where the layer needs {current.shape}"
         )
-    if copy:
-        return np.array(stored, dtype=np.float64, order="C")
     return np.require(stored, np.float64, "CAW")
 
 
@@ -888,7 +881,7 @@ def train(
         val_loss, val_acc = evaluate_loss(net, x_val, y_val)
         history.append(EpochStats(epoch, train_loss, val_loss, val_acc))
         if checkpoint_dir is not None:  # written from the live arrays
-            ModelCheckpoint.from_net(net, epoch, val_loss, copy=False).save(
+            ModelCheckpoint(epoch, val_loss, net).save(
                 os.path.join(checkpoint_dir, f"epoch_{epoch:04d}.bnet"))
         if best is None or val_loss < best.validation_loss:
             best = ModelCheckpoint.from_net(net, epoch, val_loss)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import struct
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,6 +87,82 @@ def tiny_net(window_frames: int, seed: int = 0) -> BlinkNet:
         block_dims=((16, 16), (16, 8)),
         seed=seed,
     )
+
+
+def pack_checkpoint(epoch: int, validation_loss: float, records) -> bytes:
+    """Checkpoint bytes packed with `struct` straight from the byte layout
+    in ModelCheckpoint's docstring, without its encoder.
+
+    `records` holds ("linear", weight, bias) and ("bn", gamma, beta,
+    running_mean, running_var, momentum, eps, reserved) tuples."""
+    parts = [struct.pack("<4sIId", b"BNET", 1, epoch, validation_loss)]
+    for kind, *values in records:
+        if kind == "linear":
+            arrays = values
+            parts.append(struct.pack("<BII", 0x01, *np.shape(values[0])))
+            tail = b""
+        else:
+            *arrays, momentum, eps, reserved = values
+            parts.append(struct.pack("<BII", 0x02, len(arrays[0]), reserved))
+            tail = struct.pack("<dd", momentum, eps)
+        for a in arrays:
+            flat = np.asarray(a, dtype=np.float64).ravel()
+            parts.append(struct.pack(f"<{flat.size}d", *flat))
+        parts.append(tail)
+    return b"".join(parts)
+
+
+def checkpoint_records(net: BlinkNet) -> list:
+    """`pack_checkpoint` records of `net`'s layers in the documented order:
+    stem linear and batch norm; per block lin1, bn1, lin2, bn2 and the
+    projection, if any; then the head."""
+    def linear(layer):
+        return ("linear", layer.weight.value, layer.bias.value)
+
+    def bn(layer):
+        return ("bn", layer.gamma.value, layer.beta.value, layer.running_mean,
+                layer.running_var, layer.momentum, layer.eps, 0)
+
+    records = [linear(net.stem_lin), bn(net.stem_bn)]
+    for block in net.blocks:
+        records += [linear(block.lin1), bn(block.bn1),
+                    linear(block.lin2), bn(block.bn2)]
+        if block.skip is not None:
+            records.append(linear(block.skip))
+    return records + [linear(net.head)]
+
+
+def _linear_record(out_dim: int, in_dim: int):
+    return ("linear", np.ones((out_dim, in_dim)), np.zeros(out_dim))
+
+
+def _bn_record(n: int, reserved: int = 0):
+    return ("bn", np.ones(n), np.zeros(n), np.zeros(n), np.ones(n), 0.1, 1e-5,
+            reserved)
+
+
+# Record lists with one defect each; all else about them is well formed, and
+# each input width is a whole number of frames.
+_MALFORMED = {
+    "zero_input_width": [_linear_record(4, 0), _bn_record(4), _linear_record(2, 4)],
+    "zero_stem_width": [_linear_record(0, 2 * NUM_FEATURES), _bn_record(0),
+                        _linear_record(2, 0)],
+    # The block takes 6 features where the stem gives 8.
+    "broken_block_chain": [
+        _linear_record(8, 2 * NUM_FEATURES), _bn_record(8),
+        _linear_record(4, 6), _bn_record(4), _linear_record(4, 4), _bn_record(4),
+        _linear_record(4, 6), _linear_record(2, 4)],
+    "batch_norm_reserved_field_set": [
+        _linear_record(8, 2 * NUM_FEATURES), _bn_record(8, reserved=7),
+        _linear_record(2, 8)],
+}
+MALFORMED_CHECKPOINTS = tuple(_MALFORMED)
+
+
+def malformed_checkpoint(kind: str) -> bytes:
+    """The hand-packed checkpoint with defect `kind`, one of
+    MALFORMED_CHECKPOINTS."""
+    return pack_checkpoint(1, 0.5, _MALFORMED[kind])
 
 
 _FLT_MAX = float(np.finfo(np.float32).max)

@@ -21,13 +21,11 @@ from blinkpipe.net import (
     ADAM_BLOCK,
     ADAM_EPS,
     BatchNormLayer,
-    BatchNormRecord,
     BatchTooSmallForTrainMode,
     BlinkNet,
     CheckpointFormatError,
     EmptySplit,
     LinearLayer,
-    LinearRecord,
     MishActivation,
     ModelCheckpoint,
     Adam,
@@ -47,6 +45,9 @@ from blinkpipe.net import (
     train,
 )
 from blinkpipe.window import WindowTensor
+
+from conftest import (MALFORMED_CHECKPOINTS, checkpoint_records,
+                      malformed_checkpoint, pack_checkpoint)
 
 mpmath.mp.dps = 50
 
@@ -513,17 +514,15 @@ def test_checkpoint_file_roundtrip(tmp_path):
 
 def test_saved_file_is_to_bytes(tmp_path):
     ckpt = ModelCheckpoint.from_net(make_small_net(), epoch=4, validation_loss=0.5)
-    stem = ckpt.records[0]
-    # A column-major record array is still written row-major.
-    ckpt = ModelCheckpoint(ckpt.epoch, ckpt.validation_loss,
-                           (LinearRecord(np.asfortranarray(stem.weight), stem.bias),)
-                           + ckpt.records[1:])
+    stem = ckpt.net.stem_lin.weight
+    # A column-major layer array is still written row-major.
+    stem.value = np.asfortranarray(stem.value)
     path = tmp_path / "model.bnet"
     ckpt.save(path)
     blob = path.read_bytes()
     assert blob == ckpt.to_bytes()
-    assert ModelCheckpoint.from_bytes(blob).records[0].weight.tobytes() == \
-        np.ascontiguousarray(stem.weight).tobytes()
+    assert ModelCheckpoint.from_bytes(blob).net.stem_lin.weight.value.tobytes() == \
+        np.ascontiguousarray(stem.value).tobytes()
 
 
 def _net_arrays(net):
@@ -536,23 +535,13 @@ def _net_arrays(net):
     return out
 
 
-def _record_arrays(ckpt):
-    out = []
-    for rec in ckpt.records:
-        if isinstance(rec, LinearRecord):
-            out += [rec.weight, rec.bias]
-        else:
-            out += [rec.gamma, rec.beta, rec.running_mean, rec.running_var]
-    return out
-
-
 def test_built_nets_share_no_array_with_each_other_or_the_checkpoint(tmp_path):
     path = tmp_path / "model.bnet"
     ModelCheckpoint.from_net(make_small_net(), 2, 0.5).save(path)
     ckpt = ModelCheckpoint.load(path)
     blob = ckpt.to_bytes()
     a, b = ckpt.build_net(), ckpt.build_net()
-    arrays = _net_arrays(a) + _net_arrays(b) + _record_arrays(ckpt)
+    arrays = _net_arrays(a) + _net_arrays(b) + _net_arrays(ckpt.net)
     for i, x in enumerate(arrays):
         for y in arrays[i + 1:]:
             assert not np.shares_memory(x, y)
@@ -573,13 +562,11 @@ def test_loaded_weights_are_contiguous_aligned_float64(tmp_path):
 
 
 def test_record_that_does_not_fit_its_layer_is_a_format_error():
-    ckpt = ModelCheckpoint.from_net(make_small_net(), 1, 0.5)
-    bn = ckpt.records[1]
-    wide = BatchNormRecord(*(np.append(a, 0.0) for a in (
-        bn.gamma, bn.beta, bn.running_mean, bn.running_var)),
-        bn.momentum, bn.eps)
-    bad = ModelCheckpoint(1, 0.5,
-                          ckpt.records[:1] + (wide,) + ckpt.records[2:])
+    bad = ModelCheckpoint.from_net(make_small_net(), 1, 0.5)
+    bn = bad.net.stem_bn
+    bn.gamma.value, bn.beta.value, bn.running_mean, bn.running_var = (
+        np.append(a, 0.0) for a in (
+            bn.gamma.value, bn.beta.value, bn.running_mean, bn.running_var))
     with pytest.raises(CheckpointFormatError):
         ModelCheckpoint.from_bytes(bad.to_bytes()).build_net()
 
@@ -587,16 +574,41 @@ def test_record_that_does_not_fit_its_layer_is_a_format_error():
 @pytest.mark.parametrize("width", [1, 3])
 def test_head_that_is_not_two_wide_is_a_format_error(tmp_path, width):
     # `classify` and `evaluate_loss` read logit columns 0 and 1 alone.
-    ckpt = ModelCheckpoint.from_net(make_small_net(), 1, 0.5)
-    in_dim = ckpt.records[-1].weight.shape[1]
-    bad = dataclasses.replace(ckpt, records=ckpt.records[:-1] + (
-        LinearRecord(np.ones((width, in_dim)), np.zeros(width)),))
+    bad = ModelCheckpoint.from_net(make_small_net(), 1, 0.5)
+    head = bad.net.head
+    in_dim = head.weight.value.shape[1]
+    head.weight.value, head.bias.value = np.ones((width, in_dim)), np.zeros(width)
     path = tmp_path / "model.bnet"
     bad.save(path)
     with pytest.raises(CheckpointFormatError):
         ModelCheckpoint.load(path).build_net()
     with pytest.raises(CheckpointFormatError):
         load_net(path)
+
+
+def test_hand_packed_layout_is_the_checkpoint_format(tmp_path):
+    # An encoder of its own, written from the documented layout, pins the
+    # format whatever ModelCheckpoint keeps inside.
+    net = make_small_net()
+    blob = pack_checkpoint(7, 0.375, checkpoint_records(net))
+    assert ModelCheckpoint.from_net(net, 7, 0.375).to_bytes() == blob
+    path = tmp_path / "model.bnet"
+    path.write_bytes(blob)
+    x = np.random.default_rng(25).normal(size=(5, 12))
+    for loaded in (ModelCheckpoint.load(path).build_net(), load_net(path)):
+        np.testing.assert_array_equal(loaded.forward(x), net.forward(x))
+
+
+@pytest.mark.parametrize("kind", MALFORMED_CHECKPOINTS)
+def test_malformed_checkpoint_is_a_format_error(tmp_path, kind):
+    blob = malformed_checkpoint(kind)
+    with pytest.raises(CheckpointFormatError):
+        ModelCheckpoint.from_bytes(blob)
+    path = tmp_path / "model.bnet"
+    path.write_bytes(blob)
+    for loader in (ModelCheckpoint.load, load_net):
+        with pytest.raises(CheckpointFormatError):
+            loader(path)
 
 
 class _HalfWriter:
@@ -703,8 +715,9 @@ def test_checkpoint_loads_from_a_pipe(tmp_path):
     ckpt = ModelCheckpoint.load(path)
     writer.join(timeout=10)
     assert not writer.is_alive()
-    assert [type(r) for r in ckpt.records] == [type(r) for r in reference.records]
-    for got, want in zip(_record_arrays(ckpt), _record_arrays(reference)):
+    assert [kind for kind, _ in net_module._layers_in_order(ckpt.net)] == \
+        [kind for kind, _ in net_module._layers_in_order(reference.net)]
+    for got, want in zip(_net_arrays(ckpt.net), _net_arrays(reference.net)):
         np.testing.assert_array_equal(got, want)
     assert ckpt.to_bytes() == reference.to_bytes() == blob
     writer = _feed_pipe(path, blob)
