@@ -29,7 +29,7 @@ import json
 import logging
 import os
 import sys
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .core import (
     DEFAULT_HYSTERESIS_BAND,
@@ -127,21 +127,21 @@ _DATA_ERRORS = (
 _SMALL_BLOCK_DIMS = ((64, 64), (64, 32), (32, 32))
 
 
-def _coerce(text: str):
-    low = text.lower()
-    if low == "true":
-        return True
-    if low == "false":
-        return False
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    return text
+def _config_value(action: argparse.Action, text: str):
+    """`text` converted and checked as argparse does the flag's value (its
+    `type` and `choices`); a switch takes true or false."""
+    if action.nargs == 0:  # store_true
+        if text.lower() not in ("true", "false"):
+            raise ValueError(f"expected true or false, got {text!r}")
+        return text.lower() == "true"
+    value = text if action.type is None else action.type(text)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"{value!r} is not one of {', '.join(action.choices)}")
+    return value
 
 
-def _load_config_file(path: str, known_keys: Set[str]) -> Dict[str, object]:
+def _load_config_file(path: str, actions: Dict[str, argparse.Action]
+                      ) -> Dict[str, object]:
     pairs: Dict[str, object] = {}
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -150,11 +150,14 @@ def _load_config_file(path: str, known_keys: Set[str]) -> Dict[str, object]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, val = line.split("=", 1)
-            dest = key.strip().replace("-", "_")
-            if dest not in known_keys:
-                raise ValueError(f"{path}:{lineno}: unknown option {key.strip()!r}")
-            pairs[dest] = _coerce(val.strip())
+            key, val = (part.strip() for part in line.split("=", 1))
+            dest = key.replace("-", "_")
+            if dest not in actions:
+                raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
+            try:
+                pairs[dest] = _config_value(actions[dest], val)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return pairs
 
 
@@ -460,27 +463,28 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 @dataclasses.dataclass
 class _CommandSpec:
-    """One subcommand's parser plus the option dests it accepts."""
+    """One subcommand's parser plus the options it accepts, by dest."""
 
     parser: argparse.ArgumentParser
-    dests: Set[str]
+    actions: Dict[str, argparse.Action]
 
     def opt(self, *names: str, **kwargs) -> None:
-        self.dests.add(self.parser.add_argument(*names, **kwargs).dest)
+        action = self.parser.add_argument(*names, **kwargs)
+        self.actions[action.dest] = action
 
 
 def _build_parser() -> Tuple[argparse.ArgumentParser, List[_CommandSpec]]:
     common = argparse.ArgumentParser(add_help=False)
-    common_dests = {
+    common_actions = {action.dest: action for action in (
         common.add_argument("--seed", type=int, default=0,
-                            help="RNG seed (default 0)").dest,
+                            help="RNG seed (default 0)"),
         common.add_argument("--log-level",
                             choices=("debug", "info", "warning", "error"),
-                            default=None, help="overrides BLINKPIPE_LOG").dest,
+                            default=None, help="overrides BLINKPIPE_LOG"),
         common.add_argument("--config", metavar="FILE", default=None,
                             help="key = value defaults file; explicit"
-                                 " flags win").dest,
-    }
+                                 " flags win"),
+    )}
 
     parser = argparse.ArgumentParser(
         prog="blinkpipe",
@@ -492,7 +496,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, List[_CommandSpec]]:
     def new_command(name: str, func, help_text: str) -> _CommandSpec:
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.set_defaults(func=func)
-        spec = _CommandSpec(p, set(common_dests))
+        spec = _CommandSpec(p, dict(common_actions))
         commands.append(spec)
         return spec
 
@@ -579,9 +583,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser, commands = _build_parser()
     cfg_path = _scan_config_flag(args_list)
     if cfg_path is not None:
-        known_keys = set().union(*(c.dests for c in commands))
+        actions = {dest: a for c in commands for dest, a in c.actions.items()}
         try:
-            pairs = _load_config_file(cfg_path, known_keys)
+            pairs = _load_config_file(cfg_path, actions)
         except OSError as exc:
             print(f"blinkpipe: {exc}", file=sys.stderr)
             return EXIT_IO
@@ -592,7 +596,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # must land on each subparser, filtered to the options it accepts.
         for c in commands:
             c.parser.set_defaults(
-                **{k: v for k, v in pairs.items() if k in c.dests}
+                **{k: v for k, v in pairs.items() if k in c.actions}
             )
     try:
         args = parser.parse_args(args_list)

@@ -33,12 +33,11 @@ from .core import (
     BlinkLabel,
     BlinkPipeError,
     CalibrationProfile,
-    DegenerateDirection,
     GazeFrame,
     TimestampOutOfRange,
     atomic_path,
 )
-from .segmenter import BlinkSegmenter, binocular_norms
+from .segmenter import BlinkSegmenter
 from .window import (
     DEFAULT_LOOKBACK_FRAMES,
     DEFAULT_WINDOW_FRAMES,
@@ -219,28 +218,16 @@ def label_blinks(rec: Recording,
 
 def _label(rec: Recording, columns, profile: Optional[CalibrationProfile]
            ) -> List[LabeledBlink]:
-    """`label_blinks` over `core.validated_prefix(rec.frames)`.
-
-    Runs `BlinkSegmenter.step` over the openness columns, and raises what
-    `BlinkSegmenter.update` would over the validated frames: DegenerateDirection
-    for a zero binocular gaze on the first frame or on a frame with both eyes
-    open, else the validation error that ends the prefix.
-    """
+    """`label_blinks` over `core.validated_prefix(rec.frames)`: `BlinkSegmenter.
+    step_frame` on the rows `rows_to_step` marks. It raises what `update`
+    would over the validated frames (DegenerateDirection for a zero binocular
+    gaze on the first or a both-open frame), else the prefix's error."""
     ts, features, _, error = columns
     seg = BlinkSegmenter(profile)
-    norm = binocular_norms(features)
-    ts, left, right = ts.tolist(), features[:, 2].tolist(), features[:, 3].tolist()
-    events: List[BlinkEvent] = []
-    start = 0
-    for k in np.flatnonzero(norm < core._DEGENERATE_NORM).tolist() + [len(ts)]:
-        stop = min(k + 1, len(ts))
-        events += [e for e in map(seg.step, ts[start:stop], left[start:stop],
-                                  right[start:stop]) if e is not None]
-        if k < len(ts) and (k == 0 or not seg.any_closed):
-            raise DegenerateDirection(
-                f"direction {tuple((features[k, 4:7] + features[k, 7:10]).tolist())}"
-                " has near-zero norm")
-        start = stop
+    rows = np.flatnonzero(seg.rows_to_step(features))
+    events = [e for e in map(seg.step_frame, ts[rows].tolist(),
+                             *features[rows, 2:].T.tolist(), (rows == 0).tolist())
+              if e is not None]
     if error is not None:
         raise error
     presses = np.asarray(sorted(rec.button_presses), dtype=np.int64)

@@ -572,7 +572,8 @@ class ModelCheckpoint:
         batch norm: tag u8 = 0x02, features u32, u32 = 0,
                     gamma, beta, running_mean, running_var (features f64
                     each), momentum f64, eps f64
-      Every dimension is at least 1.
+      Every dimension is at least 1; every running_var entry is finite and
+      >= 0, momentum is in [0, 1], and eps is finite and > 0.
 
     Loading then saving is byte-identical. `load` and `from_bytes` read
     every array into a fresh one and install it in the net they build, so
@@ -638,8 +639,15 @@ class ModelCheckpoint:
                 if d1 != 0:
                     raise CheckpointFormatError(
                         f"{where}: batch norm reserved field is {d1}, not 0")
-                values.append(tuple(r.f64_array(d0) for _ in range(4))
-                              + struct.unpack("<dd", r.take(16)))
+                gamma, beta, mean, var = (r.f64_array(d0) for _ in range(4))
+                momentum, eps = struct.unpack("<dd", r.take(16))
+                # NaN fails every comparison.
+                if not (0.0 <= var.min() and var.max() < math.inf
+                        and 0.0 <= momentum <= 1.0 and 0.0 < eps < math.inf):
+                    raise CheckpointFormatError(
+                        f"{where}: batch norm running variance from {var.min()} to"
+                        f" {var.max()}, momentum {momentum}, eps {eps}")
+                values.append((gamma, beta, mean, var, momentum, eps))
             else:
                 raise CheckpointFormatError(f"unknown layer tag 0x{tag:02x}")
             tags.append(tag)

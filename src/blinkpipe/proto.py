@@ -22,14 +22,13 @@ The server is one `selectors` loop on one thread that feeds each session's
 frames to its pipeline in arrival order; backpressure is TCP flow control.
 The gaze frames of one socket read are handled as one run: one loop unpacks,
 checks and segments them, and their rows reach the history buffer in bulk
-copies. In a long run, one numpy pass first finds the quiet frames (eyes
-open, every check passing), and the loop jumps over them.
+copies. In a long run, one numpy pass first marks the rows that need the
+loop (`_rows_to_check`), and the loop takes only those.
 `SessionPipeline.ingest` is the same work one frame at a time, the
 in-process reference the server's output must equal.
 """
 from __future__ import annotations
 
-import bisect
 import enum
 import functools
 import logging
@@ -61,7 +60,7 @@ from .core import (
     _check_timestamp,
 )
 from .net import BlinkNet, classify
-from .segmenter import BlinkSegmenter, binocular_gaze
+from .segmenter import BlinkSegmenter
 from .sim import replay
 from .window import DEFAULT_WINDOW_FRAMES, HistoryBuffer, NotReady
 
@@ -90,11 +89,10 @@ CONTROL_RESET = 1
 _GAZE_ROWS = np.dtype([("magic", "<u4"), ("kind", "u1"), ("timestamp_ns", "<u8"),
                        ("features", "<f4", (NUM_FEATURES,))])
 _MAGIC_U4 = np.frombuffer(MAGIC, "<u4")[0]
-# A run of at least this many frames finds its quiet frames in one numpy
-# pass (`_loud_frames`) and skips them; shorter runs, such as paced reads of
-# one frame, take every frame one at a time. Near 32 frames the pass costs
-# what the skip saves: with skipping, reads of 16 frames got slower and reads
-# of 48 faster.
+# A run of at least this many frames lists the rows it must take in one numpy
+# pass (`_rows_to_check`); shorter runs, such as paced reads of one frame, take
+# every row. Near 32 frames the pass costs what the skip saves: with it, reads
+# of 16 frames got slower and reads of 48 faster.
 _SKIP_MIN_FRAMES = 32
 
 DEFAULT_PORT = 48200
@@ -313,30 +311,22 @@ class _Connection:
     buf: bytes = b""  # the start of a message whose rest has not arrived
 
 
-def _loud_frames(rows: np.ndarray, last: int, seg: BlinkSegmenter) -> List[int]:
-    """The indices of a gaze run's rows that are not quiet, in order, then
-    the run's length.
-
-    A quiet row passes the run loop's checks (the gaze header, a timestamp
-    within int64 and after the previous row's, or after `last` for the
-    first row, and ten finite features), and `seg.quiet_frames` holds for
-    it: from the all-open state the loop's segmenting changes nothing on it.
-    """
+def _rows_to_check(rows: np.ndarray, last: int, seg: BlinkSegmenter) -> List[int]:
+    """The indices, in order, of a gaze run's rows that fail one of the run
+    loop's checks (the gaze header, a timestamp within int64 and after the
+    previous row's, or after `last` for the first row, ten finite features)
+    or that `seg.rows_to_step` marks: the rows the loop cannot skip."""
     ts = rows["timestamp_ns"]
-    quiet = (rows["magic"] == _MAGIC_U4) & (rows["kind"] == MSG_GAZE)
-    quiet &= ts <= np.uint64(_TS_MAX)
-    quiet[0] &= int(ts[0]) > last
-    quiet[1:] &= ts[1:] > ts[:-1]  # uint64 against uint64: no wrap-around
-    features = rows["features"]
-    # Ten float32 values cannot overflow their float64 sum: it is finite
-    # exactly when they all are. Signalling NaN in the cast and inf - inf
-    # meet it by design.
-    with np.errstate(invalid="ignore"):
-        quiet &= np.isfinite(features.sum(axis=1, dtype=np.float64))
-    quiet &= seg.quiet_frames(features)
-    loud = np.flatnonzero(~quiet).tolist()
-    loud.append(len(rows))
-    return loud
+    ok = (rows["magic"] == _MAGIC_U4) & (rows["kind"] == MSG_GAZE)
+    ok &= ts <= np.uint64(_TS_MAX)
+    ok[0] &= int(ts[0]) > last
+    ok[1:] &= ts[1:] > ts[:-1]  # uint64 against uint64: no wrap-around
+    # One contiguous float64 row per feature. Ten float32 values cannot overflow
+    # their float64 sum, so it is finite exactly when they all are.
+    with np.errstate(invalid="ignore"):  # signalling NaN in the cast, inf - inf
+        columns = rows["features"].T.astype(np.float64, order="C")
+        ok &= np.isfinite(columns.sum(axis=0))
+    return np.flatnonzero(~ok | seg.rows_to_step(columns.T)).tolist()
 
 
 class BlinkServer:
@@ -480,13 +470,12 @@ class BlinkServer:
 
         Each frame gets `validated_frame_from_msg`'s and `SessionPipeline.
         ingest`'s checks, in their order and with their errors, and
-        `BlinkSegmenter.step`, except that in a run of at least
-        _SKIP_MIN_FRAMES frames the quiet ones (`_loud_frames`) are skipped
-        in bulk while no eye is closed: those checks pass on them and `step`
-        changes nothing. Each row reaches the history buffer in a bulk copy:
-        up to each both-eye blink end before that blink is cut, and at the
-        end of the run. A frame that fails a check still counts as received;
-        none after a blink whose answer could not be sent does.
+        `BlinkSegmenter.step_frame`, save the frames a run of _SKIP_MIN_FRAMES
+        or more skips (`_rows_to_check`). Each row reaches the history buffer
+        in a bulk copy: up to each both-eye blink end before that blink is
+        cut, and at the end of the run. A frame that fails a check still
+        counts as received; none after a blink whose answer could not be sent
+        does.
         """
         count = (len(data) - off) // GAZE_MSG_SIZE
         if not count:
@@ -496,49 +485,40 @@ class BlinkServer:
         rows = np.frombuffer(data, _GAZE_ROWS, count, off)
         timestamps, features = rows["timestamp_ns"], rows["features"]
         last = hist.newest_timestamp_ns
-        first = last is None
-        if first:
+        if last is None:
             last = -1  # wire timestamps are unsigned
-        skip = count >= _SKIP_MIN_FRAMES
-        loud = _loud_frames(rows, last, seg) if skip else ()
+        todo = (range(count) if count < _SKIP_MIN_FRAMES
+                else _rows_to_check(rows, last, seg))
         done = copied = 0  # frames taken from the run / copied into hist
         try:
-            while done < count:
-                if skip and not seg.any_closed:
-                    end = loud[bisect.bisect_left(loud, done)]
-                    if end > done:
-                        done, first = end, False
-                        last = int(timestamps[end - 1])
-                        continue
-                for (magic, kind, ts, lp, rp, lo, ro, lx, ly, lz, rx, ry, rz
-                     ) in _GAZE.iter_unpack(memoryview(data)[
-                        off + done * GAZE_MSG_SIZE:off + count * GAZE_MSG_SIZE]):
-                    if magic != MAGIC or kind != MSG_GAZE:
-                        count = done  # the run ends before this message
-                        break
-                    done += 1
-                    if ts > _TS_MAX:
-                        _check_timestamp(ts)
-                    # A sum of ten float32 values cannot overflow a float.
-                    if not math.isfinite(lp + rp + lo + ro + lx + ly + lz + rx + ry + rz):
-                        _check_finite(ts, (lp, rp, lo, ro, lx, ly, lz, rx, ry, rz))
-                    if ts <= last:
-                        raise NonMonotonicTimestamp(f"timestamp {ts} not after {last}")
-                    last = ts
-                    event = seg.step(ts, lo, ro)
-                    if first or not seg.any_closed:
-                        binocular_gaze(lx, ly, lz, rx, ry, rz)
-                        first = False
-                    if event is not None and event.kind is BlinkKind.BOTH_EYES:
-                        hist.extend(timestamps[copied:done], features[copied:done])
-                        copied = done
-                        try:
-                            conn.sock.sendall(encode(pipe._answer(event)))
-                        except BlockingIOError:
-                            raise ClientNotReading("send buffer full") from None
-                        stats.predictions_sent += 1
-                    if skip and not seg.any_closed:
-                        break  # quiet frames may follow: skip them
+            for i in todo:
+                (magic, kind, ts, lp, rp, lo, ro, lx, ly, lz, rx, ry, rz
+                 ) = _GAZE.unpack_from(data, off + i * GAZE_MSG_SIZE)
+                if magic != MAGIC or kind != MSG_GAZE:
+                    count = i  # the run ends before this message
+                    break
+                if i > done:  # after skipped rows, which passed every check
+                    last = int(timestamps[i - 1])
+                done = i + 1
+                if ts > _TS_MAX:
+                    _check_timestamp(ts)
+                # A sum of ten float32 values cannot overflow a float.
+                if not math.isfinite(lp + rp + lo + ro + lx + ly + lz + rx + ry + rz):
+                    _check_finite(ts, (lp, rp, lo, ro, lx, ly, lz, rx, ry, rz))
+                if ts <= last:
+                    raise NonMonotonicTimestamp(f"timestamp {ts} not after {last}")
+                # last < 0 before the session's first frame.
+                event = seg.step_frame(ts, lo, ro, lx, ly, lz, rx, ry, rz, last < 0)
+                last = ts
+                if event is not None and event.kind is BlinkKind.BOTH_EYES:
+                    hist.extend(timestamps[copied:done], features[copied:done])
+                    copied = done
+                    try:
+                        conn.sock.sendall(encode(pipe._answer(event)))
+                    except BlockingIOError:
+                        raise ClientNotReading("send buffer full") from None
+                    stats.predictions_sent += 1
+            done = count
         finally:
             stats.frames_received += done
         if done > copied:

@@ -70,8 +70,8 @@ class BlinkSegmenter:
     """Converts a validated frame stream into eye states and BlinkEvents.
 
     One instance per stream; feed frames in timestamp order, either whole
-    (`update`, which also tracks the gaze) or as openness values (`step`,
-    the closure rules alone, as offline labeling uses them).
+    (`update`, the per-frame reference, which also tracks the gaze) or as
+    values (`step_frame`, on the rows `rows_to_step` marks).
     """
 
     def __init__(self, profile: Optional[CalibrationProfile] = None):
@@ -132,19 +132,49 @@ class BlinkSegmenter:
             )
         return None
 
-    def quiet_frames(self, features: np.ndarray) -> np.ndarray:
-        """Which rows of `features` (a frame's ten features each, float32 or
-        float64) `update` would take from the all-open state without a
-        change or an error: both eyes at or above their closure thresholds,
-        so `step` changes nothing and returns None, and a binocular gaze that
-        `binocular_gaze` accepts. Values are compared as float64, as `step`
-        compares them; a NaN openness or gaze is never quiet.
+    def step_frame(self, timestamp_ns: int, left_openness: float,
+                   right_openness: float, lx: float, ly: float, lz: float,
+                   rx: float, ry: float, rz: float,
+                   first: bool = False) -> Optional[BlinkEvent]:
+        """`step`, then the gaze rule: on the stream's `first` frame and on
+        every frame with both eyes open after `step`, `binocular_gaze` must
+        accept the left (lx, ly, lz) and right (rx, ry, rz) directions."""
+        event = self.step(timestamp_ns, left_openness, right_openness)
+        if first or not (self._left_closed or self._right_closed):
+            binocular_gaze(lx, ly, lz, rx, ry, rz)
+        return event
+
+    def rows_to_step(self, features: np.ndarray) -> np.ndarray:
+        """Which rows of `features` (ten features a frame, float32 or
+        float64), fed on from the current state, `step_frame` must see: each
+        row that leaves an eye closed, the row after it (row 0 while an eye
+        is closed now), and each row whose binocular gaze norm, summed as
+        `binocular_gaze` sums it, is under `_DEGENERATE_NORM`. On every other
+        row `step_frame` changes nothing, returns None and passes.
         """
-        with np.errstate(invalid="ignore"):  # signalling NaN in the cast
-            left = np.asarray(features[:, 2], np.float64)
-            right = np.asarray(features[:, 3], np.float64)
-        return ((left >= self._close_left) & (right >= self._close_right)
-                & (binocular_norms(features) >= _DEGENERATE_NORM))
+        with np.errstate(invalid="ignore"):  # signalling NaN in the cast, inf + -inf
+            x, y, z = (np.add(features[:, k], features[:, k + 3], dtype=np.float64)
+                       for k in (4, 5, 6))
+            rows = np.sqrt(x * x + y * y + z * z) < _DEGENERATE_NORM
+            closed = np.zeros(len(features), bool)
+            for column, close, reopen, was_closed in (
+                    (2, self._close_left, self._reopen_left, self._left_closed),
+                    (3, self._close_right, self._reopen_right, self._right_closed)):
+                openness = np.asarray(features[:, column], np.float64)
+                below = openness < reopen  # NaN opens the eye, as in `step`
+                if below.any():
+                    # A row that closes the eye codes as 2 * row + 1, one that
+                    # opens it as 2 * row, one in between as -1 or -2 (closed or
+                    # open at the start): the running maximum's parity says
+                    # whether the latest deciding row closed the eye.
+                    at = np.arange(0, 2 * len(openness), 2)
+                    code = np.where(below, np.where(
+                        openness < close, at + 1, -1 if was_closed else -2), at)
+                    closed |= (np.maximum.accumulate(code) & 1).astype(bool)
+        rows |= closed
+        rows[1:] |= closed[:-1]
+        rows[:1] |= self.any_closed
+        return rows
 
     def update(self, frame: ValidatedFrame) -> Tuple[EyeState, Optional[BlinkEvent]]:
         if self._last_open_gaze is None:
@@ -170,24 +200,13 @@ def binocular_gaze(lx: float, ly: float, lz: float,
     Raises DegenerateDirection when it is near zero (`core._normalize`'s
     test and message). A stream must carry a usable binocular gaze on its
     first frame and on every frame with both eyes open: `BlinkSegmenter.
-    update` and the server's run loop apply that rule through here;
-    `dataset._label` and `BlinkSegmenter.quiet_frames` apply it to whole
-    columns through `binocular_norms`.
+    update` and `step_frame` apply that rule through here, and
+    `rows_to_step` finds the rows it could fail on over whole columns.
     """
     x, y, z = lx + rx, ly + ry, lz + rz
     if math.sqrt(x * x + y * y + z * z) < _DEGENERATE_NORM:
         raise DegenerateDirection(f"direction {(x, y, z)} has near-zero norm")
     return x, y, z
-
-
-def binocular_norms(features: np.ndarray) -> np.ndarray:
-    """`binocular_gaze`'s norm for each row of `features` (the gaze in
-    columns 4-9), in float64 and summed in its order, so the two agree bit
-    for bit. A non-finite gaze gives inf or NaN, without a warning."""
-    with np.errstate(invalid="ignore"):  # signalling NaN in the cast, inf + -inf
-        gaze = np.add(features[:, 4:7], features[:, 7:10], dtype=np.float64)
-        return np.sqrt(gaze[:, 0] * gaze[:, 0] + gaze[:, 1] * gaze[:, 1]
-                       + gaze[:, 2] * gaze[:, 2])
 
 
 def two_means_threshold(values: np.ndarray) -> Optional[float]:

@@ -132,6 +132,23 @@ def checkpoint_records(net: BlinkNet) -> list:
     return records + [linear(net.head)]
 
 
+_BN_FIELDS = ("gamma", "beta", "running_mean", "running_var", "momentum", "eps",
+              "reserved")
+
+
+def checkpoint_with_stem_batch_norm(net: BlinkNet, field: str, value: float) -> bytes:
+    """`pack_checkpoint` bytes of `net` with one field of its stem batch
+    norm set to `value`: "momentum" or "eps", or the first entry of an
+    array field such as "running_var"."""
+    records = checkpoint_records(net)
+    fields = dict(zip(_BN_FIELDS, records[1][1:]))
+    if isinstance(fields[field], np.ndarray):
+        value = np.concatenate([[value], fields[field][1:]])
+    fields[field] = value
+    records[1] = ("bn", *fields.values())
+    return pack_checkpoint(1, 0.5, records)
+
+
 def _linear_record(out_dim: int, in_dim: int):
     return ("linear", np.ones((out_dim, in_dim)), np.zeros(out_dim))
 

@@ -26,8 +26,8 @@ from blinkpipe.dataset import load_recording, save_recording
 from blinkpipe.net import ModelCheckpoint
 from blinkpipe.proto import BlinkServer
 
-from conftest import (MALFORMED_CHECKPOINTS, malformed_checkpoint,
-                      square_blink_recording, tiny_net)
+from conftest import (MALFORMED_CHECKPOINTS, checkpoint_with_stem_batch_norm,
+                      malformed_checkpoint, square_blink_recording, tiny_net)
 
 
 def run(*argv: str) -> int:
@@ -240,6 +240,13 @@ class TestExitCodes:
         assert _run_on_checkpoint(command, str(path), tmp_path, monkeypatch) == EXIT_DATA
         assert "CheckpointFormatError" in capsys.readouterr().err
 
+    def test_checkpoint_with_a_nan_batch_norm_eps_is_data_error(
+            self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "model.bnet"
+        path.write_bytes(checkpoint_with_stem_batch_norm(tiny_net(20), "eps", math.nan))
+        assert _run_on_checkpoint("eval", str(path), tmp_path, monkeypatch) == EXIT_DATA
+        assert "CheckpointFormatError" in capsys.readouterr().err
+
     def test_missing_input_is_io_error(self, tmp_path):
         assert run("stats", "--data",
                    str(tmp_path / "nowhere.csv")) == EXIT_IO
@@ -315,6 +322,28 @@ class TestConfigFile:
     def test_missing_config_is_io_error(self, tmp_path):
         assert run("simulate", "--out", str(tmp_path / "x"),
                    "--config", str(tmp_path / "none.cfg")) == EXIT_IO
+
+    @pytest.mark.parametrize("line, key", [
+        ("epochs = 1.5", "epochs"),        # not an int
+        ("arch = tiny", "arch"),           # not one of the choices
+        ("log-level = loud", "log-level"),
+        ("augment = many", "augment"),
+        ("hard_mode = yes", "hard_mode"),  # a switch takes true or false
+    ])
+    def test_value_a_flag_would_reject_is_usage(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# defaults\n{line}\n")
+        assert run("train", "--data", str(tmp_path / "d"), "--out", str(tmp_path / "o"),
+                   "--config", str(cfg)) == EXIT_USAGE
+        assert f"bad.cfg:2: {key}:" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_switch_from_config(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("minutes = 0.01\ngzip = TRUE\n")
+        out = tmp_path / "out"
+        assert run("simulate", "--out", str(out), "--config", str(cfg)) == EXIT_OK
+        assert os.path.exists(out / "P00.csv.gz")
 
 
 class TestCalibrate:

@@ -528,6 +528,33 @@ class TestColumnarPathMatchesScalarReference:
             assert got_rng.integers(2**62) == want_rng.integers(2**62)
         assert blinks > 100 and 10 < errors < 90
 
+    def test_labeling_steps_only_the_closures(self, monkeypatch):
+        steps = [0]
+        step = BlinkSegmenter.step
+
+        def counting(seg, *args):
+            steps[0] += 1
+            return step(seg, *args)
+
+        rec = square_blink_recording([40, 120, 200], closed_frames=20, n_frames=300)
+        want = self.reference_label(rec, None)
+        monkeypatch.setattr(BlinkSegmenter, "step", counting)
+        assert label_blinks(rec) == want and len(want) == 3
+        assert steps[0] == 3 * (20 + 1)  # each closed frame and its reopen frame
+
+    @pytest.mark.parametrize("k, blink_start, fails", [
+        (80, 40, True),   # both eyes open
+        (0, 0, True),     # the first frame, eyes shut
+        (1, 0, False),    # eyes shut
+    ])
+    def test_zero_gaze_outcome_matches_the_reference(self, k, blink_start, fails):
+        rec = square_blink_recording([blink_start], closed_frames=20, n_frames=100)
+        rec.frames[k].left_dir, rec.frames[k].right_dir = (0.0, 0.6, 0.8), (0.0, -0.6, -0.8)
+        got = self.outcome(label_blinks, rec, None)
+        want = self.outcome(self.reference_label, rec, None)
+        assert got == want
+        assert (want[1] is not None and want[1][0] is DegenerateDirection) == fails
+
 
 # --------------------------------------------------------------------------
 # splits

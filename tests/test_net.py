@@ -47,7 +47,8 @@ from blinkpipe.net import (
 from blinkpipe.window import WindowTensor
 
 from conftest import (MALFORMED_CHECKPOINTS, checkpoint_records,
-                      malformed_checkpoint, pack_checkpoint)
+                      checkpoint_with_stem_batch_norm, malformed_checkpoint,
+                      pack_checkpoint)
 
 mpmath.mp.dps = 50
 
@@ -609,6 +610,27 @@ def test_malformed_checkpoint_is_a_format_error(tmp_path, kind):
     for loader in (ModelCheckpoint.load, load_net):
         with pytest.raises(CheckpointFormatError):
             loader(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eps", math.nan), ("eps", -1.0), ("eps", 0.0), ("eps", math.inf),
+    ("momentum", -0.1), ("momentum", 1.5), ("momentum", math.nan),
+    ("running_var", -1.0), ("running_var", math.nan), ("running_var", math.inf),
+])
+def test_bad_batch_norm_setting_is_a_format_error(tmp_path, field, value):
+    path = tmp_path / "model.bnet"
+    path.write_bytes(checkpoint_with_stem_batch_norm(make_small_net(), field, value))
+    for loader in (ModelCheckpoint.load, load_net):
+        with pytest.raises(CheckpointFormatError, match="batch norm"):
+            loader(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eps", 1e-300), ("momentum", 0.0), ("momentum", 1.0), ("running_var", 0.0),
+])
+def test_batch_norm_settings_at_their_limits_load(field, value):
+    blob = checkpoint_with_stem_batch_norm(make_small_net(), field, value)
+    assert ModelCheckpoint.from_bytes(blob).to_bytes() == blob
 
 
 class _HalfWriter:

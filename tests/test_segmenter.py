@@ -12,11 +12,7 @@ from blinkpipe.core import (
     FrameValidator,
     NoGazeYet,
 )
-from blinkpipe.segmenter import (
-    BlinkSegmenter,
-    EyeState,
-    binocular_gaze,
-)
+from blinkpipe.segmenter import BlinkSegmenter, EyeState
 
 from conftest import make_frame, openness_frames
 
@@ -193,39 +189,73 @@ def test_step_holds_the_closure_rules_update_applies():
         assert seg.any_closed == state.any_closed
 
 
-@pytest.mark.parametrize("profile", [None, CalibrationProfile(0.55, 0.62, 0.1)])
-def test_quiet_frames_are_the_frames_update_takes_without_a_change(profile):
-    rng = np.random.default_rng(31)
-    seg = BlinkSegmenter(profile)
-    thresholds = np.float32([seg.profile.closed_threshold_left,
-                             seg.profile.closed_threshold_right])
-    n = 4000
-    rows = rng.uniform(0.5, 1.0, (n, 10)).astype(np.float32)
-    for eye in (0, 1):  # openness at, just below and just above the threshold
-        t = thresholds[eye]
-        rows[:, 2 + eye] = rng.choice(np.float32([
-            t, np.nextafter(t, np.float32(0)), np.nextafter(t, np.float32(1)),
-            0.1, 1.0, np.nan]), n)
+def mask_test_rows(rng, seg, n):
+    """n float32 feature rows in closures of random length, with openness on
+    and next to both float32 thresholds of each eye, NaN openness, and gaze
+    pairs that cancel, nearly cancel or hold NaN or inf."""
+    p = seg.profile
+    levels = []
+    for t in (p.closed_threshold_left, p.closed_threshold_right,
+              p.reopen_threshold_left(), p.reopen_threshold_right()):
+        t = np.float32(t)
+        levels += [t, np.nextafter(t, np.float32(0)), np.nextafter(t, np.float32(1))]
+    levels = np.float32(levels + [0.1, 0.5, 0.95, 1.0, np.nan])
+    rows = rng.uniform(2, 6, (n, 10)).astype(np.float32)
+    closed, left = False, 0
+    for i in range(n):
+        if left == 0:
+            closed, left = rng.random() < 0.3, int(rng.integers(1, 12))
+        left -= 1
+        for eye in (2, 3):
+            if closed or rng.random() < 0.3:
+                rows[i, eye] = levels[int(rng.integers(len(levels)))]
+            else:
+                rows[i, eye] = np.float32(rng.uniform(0.8, 1.0))
     gaze = rng.normal(size=(n, 6)).astype(np.float32)
-    cancel = rng.random(n) < 0.2
+    cancel = rng.random(n) < 0.05
     gaze[cancel, 3:] = -gaze[cancel, :3]
-    tiny = rng.random(n) < 0.05
+    tiny = rng.random(n) < 0.02
     gaze[tiny, 3:] = -gaze[tiny, :3] + np.float32(1e-7)
     for bad in (np.nan, np.inf, -np.inf):
-        gaze[rng.random(n) < 0.02, int(rng.integers(6))] = bad
+        gaze[rng.random(n) < 0.01, int(rng.integers(6))] = bad
     rows[:, 4:] = gaze
-    with np.errstate(invalid="ignore"):
-        quiet = seg.quiet_frames(rows)
-        assert np.array_equal(quiet, seg.quiet_frames(rows.astype(np.float64)))
-    finite = np.isfinite(rows).all(axis=1)
-    assert not quiet[np.isnan(rows[:, 2:]).any(axis=1)].any()
-    for row, q in zip(rows[finite].tolist(), quiet[finite].tolist()):
-        fresh = BlinkSegmenter(profile)
-        unchanged = fresh.step(0, row[2], row[3]) is None and not fresh.any_closed
-        try:
-            binocular_gaze(*row[4:])
-        except DegenerateDirection:
-            unchanged = False
-        assert q == unchanged, row
-    assert quiet.sum() > 0.05 * n
-    assert (finite & ~quiet).sum() > 0.2 * n
+    return rows
+
+
+@pytest.mark.parametrize("profile", [
+    None,
+    CalibrationProfile(0.55, 0.62, 0.1),
+    CalibrationProfile(0.45, 0.8, 0.12),
+    CalibrationProfile(0.3, 0.8, 0.0),
+])
+def test_rows_to_step_marks_every_row_step_frame_would_act_on(profile):
+    rng = np.random.default_rng(31)
+    seg = BlinkSegmenter(profile)
+    rows = mask_test_rows(rng, seg, 6000)
+    cut = np.sort(rng.choice(np.arange(1, len(rows)), 150, replace=False))
+    starts_closed = skipped = t = 0
+    for chunk in np.split(rows, cut):  # each one run, fed on from the last
+        mask = seg.rows_to_step(chunk)
+        assert np.array_equal(mask, seg.rows_to_step(chunk.astype(np.float64)))
+        starts_closed += seg.any_closed
+        for row, marked in zip(chunk.tolist(), mask.tolist()):
+            before = dict(vars(seg))
+            t += FRAME_INTERVAL_NS
+            try:
+                event = seg.step_frame(t, *row[2:], first=t == FRAME_INTERVAL_NS)
+                fails = False
+            except DegenerateDirection:
+                event, fails = None, True
+            acts = event is not None or fails or vars(seg) != before
+            # The mask holds exactly the rows that step_frame acts on, plus
+            # the rows that leave an eye closed, without a change or with.
+            assert marked == (acts or seg.any_closed), row
+            skipped += not marked
+    assert starts_closed > 10
+    assert 0.2 * len(rows) < skipped < 0.8 * len(rows)
+
+
+def test_rows_to_step_of_no_rows():
+    seg = BlinkSegmenter()
+    seg.step(0, 0.1, 0.1)
+    assert seg.rows_to_step(np.zeros((0, 10), np.float32)).shape == (0,)
