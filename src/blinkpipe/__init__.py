@@ -24,7 +24,6 @@ from .core import (
     GazeFrame,
     HeadPose,
     NonMonotonicTimestamp,
-    PinchSample,
     ValidatedFrame,
 )
 from .segmenter import BlinkSegmenter, EyeState
@@ -33,7 +32,6 @@ from .fsm import (
     InteractionMachine,
     InteractionMode,
     UIPlane,
-    classify_pinch_gesture,
     intersect_head_ray,
     step_blink_fsm,
 )
@@ -107,7 +105,6 @@ __all__ = [
     "NonMonotonicTimestamp",
     "NotReady",
     "NUM_FEATURES",
-    "PinchSample",
     "PredictionMsg",
     "Recording",
     "RecordingFormatError",
@@ -120,7 +117,6 @@ __all__ = [
     "ValidatedFrame",
     "WindowTensor",
     "classify",
-    "classify_pinch_gesture",
     "dataset_stats",
     "decode",
     "encode",

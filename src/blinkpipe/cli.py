@@ -15,7 +15,8 @@ Every subcommand accepts --seed, --log-level, and --config. A config file
 holds one ``key = value`` pair per line (keys are the long flag names,
 dashes or underscores); values given on the command line win over the
 file. ``#`` starts a comment. The BLINKPIPE_LOG environment variable sets
-the default log level; --log-level overrides it.
+the default log level; --log-level overrides it. ``serve`` stops on
+Ctrl-C, SIGINT or SIGTERM, closing every session first.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 I/O error,
 5 internal invariant violation.
@@ -28,6 +29,7 @@ import dataclasses
 import json
 import logging
 import os
+import signal
 import sys
 from typing import Dict, List, Optional, Tuple
 
@@ -159,15 +161,6 @@ def _load_config_file(path: str, actions: Dict[str, argparse.Action]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return pairs
-
-
-def _scan_config_flag(argv: List[str]) -> Optional[str]:
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
 
 
 def _setup_logging(flag_level: Optional[str]) -> None:
@@ -374,8 +367,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
         profile=profile,
         window_frames=window_frames,
     )
-    server.serve_forever(on_ready=lambda: print(
-        f"listening on {server.host}:{server.port}", flush=True))
+    # SIGTERM, and SIGINT even where the shell ignores it, raise Ctrl-C's
+    # KeyboardInterrupt: serve_forever closes every session before it returns.
+    previous = {sig: signal.signal(sig, signal.default_int_handler)
+                for sig in (signal.SIGINT, signal.SIGTERM)}
+    try:
+        server.serve_forever(on_ready=lambda: print(
+            f"listening on {server.host}:{server.port}", flush=True))
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
     return EXIT_OK
 
 
@@ -422,7 +423,7 @@ def cmd_fsm_trace(args: argparse.Namespace) -> int:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     rec = load_recording(args.input)
-    _, features, _ = validate_columns(rec.frames)
+    _, features = validate_columns(rec.frames)
     if not len(features):
         raise RecordingFormatError(f"{args.input}: recording has no frames")
     thresholds = {}
@@ -473,7 +474,7 @@ class _CommandSpec:
         self.actions[action.dest] = action
 
 
-def _build_parser() -> Tuple[argparse.ArgumentParser, List[_CommandSpec]]:
+def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, _CommandSpec]]:
     common = argparse.ArgumentParser(add_help=False)
     common_actions = {action.dest: action for action in (
         common.add_argument("--seed", type=int, default=0,
@@ -491,13 +492,12 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, List[_CommandSpec]]:
         description="Blink-driven interaction toolkit: simulate, train, serve.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    commands: List[_CommandSpec] = []
+    commands: Dict[str, _CommandSpec] = {}
 
     def new_command(name: str, func, help_text: str) -> _CommandSpec:
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.set_defaults(func=func)
-        spec = _CommandSpec(p, dict(common_actions))
-        commands.append(spec)
+        spec = commands[name] = _CommandSpec(p, dict(common_actions))
         return spec
 
     c = new_command("simulate", cmd_simulate,
@@ -581,30 +581,22 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, List[_CommandSpec]]:
 def main(argv: Optional[List[str]] = None) -> int:
     args_list = list(sys.argv[1:] if argv is None else argv)
     parser, commands = _build_parser()
-    cfg_path = _scan_config_flag(args_list)
-    if cfg_path is not None:
-        actions = {dest: a for c in commands for dest, a in c.actions.items()}
-        try:
-            pairs = _load_config_file(cfg_path, actions)
-        except OSError as exc:
-            print(f"blinkpipe: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except ValueError as exc:
-            print(f"blinkpipe: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        # Subcommands parse into a fresh namespace, so file-sourced defaults
-        # must land on each subparser, filtered to the options it accepts.
-        for c in commands:
-            c.parser.set_defaults(
-                **{k: v for k, v in pairs.items() if k in c.actions}
-            )
     try:
         args = parser.parse_args(args_list)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
+        if args.config is not None:
+            actions = {dest: a for c in commands.values()
+                       for dest, a in c.actions.items()}
+            pairs = _load_config_file(args.config, actions)
+            # The file's values become the subcommand's defaults, filtered to
+            # the options it accepts; a second parse lets the flags win.
+            command = commands[args.command]
+            command.parser.set_defaults(
+                **{k: v for k, v in pairs.items() if k in command.actions})
+            args = parser.parse_args(args_list)
         _setup_logging(args.log_level)
         return args.func(args)
+    except SystemExit as exc:  # from argparse
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except ValueError as exc:
         print(f"blinkpipe: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -122,14 +122,6 @@ class ValidatedFrame:
 
     timestamp_ns: int
     values: Tuple[float, ...]
-    valid: bool = True
-
-    left_pupil_mm = property(lambda self: self.values[0])
-    right_pupil_mm = property(lambda self: self.values[1])
-    left_openness = property(lambda self: self.values[2])
-    right_openness = property(lambda self: self.values[3])
-    left_dir = property(lambda self: self.values[4:7])
-    right_dir = property(lambda self: self.values[7:10])
 
     def binocular_dir(self) -> Vec3:
         """Renormalized mean of the two gaze directions."""
@@ -147,17 +139,6 @@ class HeadPose:
         n = _norm(self.forward)
         if abs(n - 1.0) > _DIR_NORM_TOL:
             raise ValueError(f"head forward vector norm {n:.6f} not within 1e-3 of 1")
-
-
-@dataclass(frozen=True)
-class PinchSample:
-    timestamp_ns: int
-    pinch_strength: float
-    hand_position: Vec3
-
-    def __post_init__(self):
-        if not 0.0 <= self.pinch_strength <= 1.0:
-            raise ValueError(f"pinch strength {self.pinch_strength} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -276,10 +257,6 @@ class FrameValidator:
         self._last_timestamp_ns: Optional[int] = None
         self._last_valid: Optional[Tuple[float, ...]] = None
 
-    @property
-    def last_timestamp_ns(self) -> Optional[int]:
-        return self._last_timestamp_ns
-
     def validate(self, frame: GazeFrame) -> ValidatedFrame:
         _check_timestamp(frame.timestamp_ns)
         if self._last_timestamp_ns is not None and frame.timestamp_ns <= self._last_timestamp_ns:
@@ -287,8 +264,7 @@ class FrameValidator:
                 f"timestamp {frame.timestamp_ns} not after {self._last_timestamp_ns}"
             )
 
-        valid = bool(frame.valid)
-        if valid or self._last_valid is None:
+        if frame.valid or self._last_valid is None:
             # An invalid frame before anything valid arrived is validated the
             # same way, except that a degenerate direction falls back to a
             # neutral one, so tensors never carry sentinel values.
@@ -299,13 +275,13 @@ class FrameValidator:
                 _clamp01(frame.left_openness), _clamp01(frame.right_openness),
                 *left_dir, *right_dir))
             _check_finite(frame.timestamp_ns, features)
-            if valid:
+            if frame.valid:
                 self._last_valid = features
         else:
             # Forward fill: keep the previous valid features, new timestamp.
             features = self._last_valid
         self._last_timestamp_ns = frame.timestamp_ns
-        return ValidatedFrame(frame.timestamp_ns, features, valid)
+        return ValidatedFrame(frame.timestamp_ns, features)
 
 
 def _unit_columns(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -316,10 +292,10 @@ def _unit_columns(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def validated_prefix(frames: Sequence[GazeFrame]) -> Tuple[
-        np.ndarray, np.ndarray, np.ndarray, Optional[BlinkPipeError]]:
+        np.ndarray, np.ndarray, Optional[BlinkPipeError]]:
     """`validate_columns` up to the first bad frame.
 
-    Returns (timestamps, features, valid, error): the columns of the frames
+    Returns (timestamps, features, error): the columns of the frames
     before the first one `FrameValidator` rejects, and the error it raises
     there (None when every frame passes). The offline labeler needs the
     prefix: segmenting it can fail before that frame.
@@ -329,11 +305,11 @@ def validated_prefix(frames: Sequence[GazeFrame]) -> Tuple[
         ts = np.fromiter((f.timestamp_ns for f in frames), np.int64, n)
     except OverflowError:
         k = next(i for i, f in enumerate(frames) if not _TS_MIN <= f.timestamp_ns <= _TS_MAX)
-        ts, features, valid, error = validated_prefix(frames[:k])
+        ts, features, error = validated_prefix(frames[:k])
         if error is None:
             error = TimestampOutOfRange(
                 f"timestamp {frames[k].timestamp_ns} outside the int64 range")
-        return ts, features, valid, error
+        return ts, features, error
     valid = np.fromiter((f.valid for f in frames), bool, n)
     raw = np.fromiter(
         itertools.chain.from_iterable(
@@ -373,25 +349,25 @@ def validated_prefix(frames: Sequence[GazeFrame]) -> Tuple[
         else:
             error = NonFiniteFeature(
                 f"frame {t} features {tuple(quantized[:, k].tolist())}")
-        ts, valid, own, quantized = ts[:k], valid[:k], own[:k], quantized[:, :k]
+        ts, own, quantized = ts[:k], own[:k], quantized[:, :k]
     features = np.ascontiguousarray(quantized.T, dtype=np.float64)
     if not own.all():
         features = features[np.maximum.accumulate(np.where(own, np.arange(len(own)), 0))]
-    return ts, features, valid, error
+    return ts, features, error
 
 
-def validate_columns(frames: Sequence[GazeFrame]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def validate_columns(frames: Sequence[GazeFrame]) -> Tuple[np.ndarray, np.ndarray]:
     """Validate a whole recording in one vectorized pass.
 
-    Returns (timestamps int64[n], features float64[n, 10], valid bool[n]),
-    where row i equals `FrameValidator().validate` of frame i within the
-    stream, bit for bit. On bad input it raises what `FrameValidator` raises
-    at the first bad frame.
+    Returns (timestamps int64[n], features float64[n, 10]), where row i
+    equals `FrameValidator().validate` of frame i within the stream, bit for
+    bit. On bad input it raises what `FrameValidator` raises at the first
+    bad frame.
     """
-    ts, features, valid, error = validated_prefix(frames)
+    ts, features, error = validated_prefix(frames)
     if error is not None:
         raise error
-    return ts, features, valid
+    return ts, features
 
 
 @contextlib.contextmanager

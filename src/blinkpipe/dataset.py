@@ -222,7 +222,7 @@ def _label(rec: Recording, columns, profile: Optional[CalibrationProfile]
     step_frame` on the rows `rows_to_step` marks. It raises what `update`
     would over the validated frames (DegenerateDirection for a zero binocular
     gaze on the first or a both-open frame), else the prefix's error."""
-    ts, features, _, error = columns
+    ts, features, error = columns
     seg = BlinkSegmenter(profile)
     rows = np.flatnonzero(seg.rows_to_step(features))
     events = [e for e in map(seg.step_frame, ts[rows].tolist(),
@@ -262,7 +262,7 @@ def materialize_windows(
     """
     if augment_copies > 0 and rng is None:
         raise ValueError("augmentation requires an rng")
-    ts, features, _ = core.validate_columns(rec.frames)
+    ts, features = core.validate_columns(rec.frames)
     return _cut(ts, features, labeled, window_frames, augment_copies, rng)
 
 
@@ -297,22 +297,22 @@ def _labeled_windows(rec: Recording, profile: Optional[CalibrationProfile],
 # splits
 
 
+# Shares of the participants that validation and test draw when a split's
+# sets are not given; training takes the rest (80/10/10).
+VAL_FRACTION = 0.1
+TEST_FRACTION = 0.1
+
+
 @dataclass(frozen=True)
 class SplitSpec:
-    """Participant split: either explicit id sets or 80/10/10-style ratios."""
+    """Participant split: explicit id sets, or none to draw them by the
+    VAL_FRACTION and TEST_FRACTION shares (see assign_participants)."""
 
-    train_frac: float = 0.8
-    val_frac: float = 0.1
-    test_frac: float = 0.1
     train: Optional[FrozenSet[str]] = None
     val: Optional[FrozenSet[str]] = None
     test: Optional[FrozenSet[str]] = None
 
     def __post_init__(self):
-        if abs(self.train_frac + self.val_frac + self.test_frac - 1.0) > 1e-9:
-            raise ValueError("split fractions must sum to 1")
-        if min(self.train_frac, self.val_frac, self.test_frac) <= 0:
-            raise ValueError("split fractions must be positive")
         explicit = [self.train, self.val, self.test]
         if any(s is not None for s in explicit):
             if any(s is None for s in explicit):
@@ -331,7 +331,8 @@ def assign_participants(participant_ids: Iterable[str], spec: SplitSpec,
     """Resolve ratio-based splitting into explicit disjoint participant sets.
 
     Validation and test each receive at least one participant
-    (max(1, round(frac * n))); training takes the remainder.
+    (max(1, round(VAL_FRACTION * n)), likewise for TEST_FRACTION); training
+    takes the remainder.
     """
     pids = sorted(set(participant_ids))
     n = len(pids)
@@ -346,8 +347,8 @@ def assign_participants(participant_ids: Iterable[str], spec: SplitSpec,
         return spec
     rng = np.random.default_rng(seed)
     order = [pids[i] for i in rng.permutation(n)]
-    n_val = max(1, round(n * spec.val_frac))
-    n_test = max(1, round(n * spec.test_frac))
+    n_val = max(1, round(n * VAL_FRACTION))
+    n_test = max(1, round(n * TEST_FRACTION))
     if n_val + n_test >= n:
         n_val = n_test = 1
     val = frozenset(order[:n_val])

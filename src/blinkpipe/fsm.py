@@ -1,5 +1,4 @@
-"""Five-state gaze+blink interaction machine, drag geometry, and the
-pinch click-vs-drag disambiguator for the hand-gesture baseline.
+"""Five-state gaze+blink interaction machine and its drag geometry.
 
 State machine (Mealy, stepped once per frame):
 
@@ -22,15 +21,11 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .core import HeadPose, PinchSample, Vec3, _dot, _norm, _normalize
+from .core import HeadPose, Vec3, _dot, _norm, _normalize
 from .segmenter import EyeState
 
 DEFAULT_PLANE_DISTANCE_M = 2.5
 DEFAULT_DEAD_ZONE_DEG = 0.5  # per-step head rotation below this is pose noise
-
-PINCH_STRENGTH_THRESHOLD = 0.8
-MIN_DRAG_DISTANCE_M = 0.07
-MIN_DRAG_DURATION_NS = 300_000_000
 
 
 class InteractionMode(enum.Enum):
@@ -243,35 +238,3 @@ def format_trace_line(timestamp_ns: int, mode: InteractionMode,
         return f"{timestamp_ns}\t{mode.value}\t{ev.kind.value}\t{dx!r}\t{dy!r}"
     return f"{timestamp_ns}\t{mode.value}\tnone\t0.0\t0.0"
 
-
-class PinchGesture(enum.Enum):
-    CLICK = "click"
-    DRAG = "drag"
-
-
-def classify_pinch_gesture(samples: Sequence[PinchSample]) -> Optional[PinchGesture]:
-    """Disambiguate a pinch episode into a click or a drag.
-
-    An episode is a contiguous run of samples with strength at or above
-    PINCH_STRENGTH_THRESHOLD. It becomes a drag as soon as the hand has moved
-    at least MIN_DRAG_DISTANCE_M from the episode start AND the episode has
-    lasted MIN_DRAG_DURATION_NS; an episode that ends without meeting both is a
-    click. Returns None when no episode completed. The first decidable
-    episode in the sample list wins.
-    """
-    start: Optional[PinchSample] = None
-    max_disp = 0.0
-    for s in samples:
-        if s.pinch_strength >= PINCH_STRENGTH_THRESHOLD:
-            if start is None:
-                start = s
-                max_disp = 0.0
-                continue
-            p, q = s.hand_position, start.hand_position
-            max_disp = max(max_disp, _norm((p[0] - q[0], p[1] - q[1], p[2] - q[2])))
-            if (max_disp >= MIN_DRAG_DISTANCE_M
-                    and s.timestamp_ns - start.timestamp_ns >= MIN_DRAG_DURATION_NS):
-                return PinchGesture.DRAG
-        elif start is not None:
-            return PinchGesture.CLICK
-    return None

@@ -441,8 +441,7 @@ ADAM_BLOCK = 32768
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState,
-              lr: float = DEFAULT_LR, beta1: float = ADAM_BETA1,
-              beta2: float = ADAM_BETA2, eps: float = ADAM_EPS) -> AdamState:
+              lr: float = DEFAULT_LR) -> AdamState:
     """One bias-corrected Adam update of `param`, `state.m` and `state.v`,
     all in place.
 
@@ -450,14 +449,15 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState,
     buffers, so no temporary the size of the parameter is made. Every
     element goes through the same operations in the same order as in the
     whole-array form m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g);
-    param -= lr * (m/c1) / (sqrt(v/c2) + eps), so the result is
+    param -= lr * (m/c1) / (sqrt(v/c2) + eps), with b1, b2 and eps the
+    ADAM_BETA1, ADAM_BETA2 and ADAM_EPS constants, so the result is
     bit-identical to it.
     """
     if not param.shape == grad.shape == state.m.shape == state.v.shape:
         raise ShapeMismatch("gradient or Adam state shape does not match parameter shape")
     state.t += 1
-    c1 = 1.0 - beta1 ** state.t
-    c2 = 1.0 - beta2 ** state.t
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
     # reshape gives views of C-contiguous arrays; any other layout is
     # updated in a flat copy and written back below.
     p, m, v = param.reshape(-1), state.m.reshape(-1), state.v.reshape(-1)
@@ -469,16 +469,16 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState,
         hi = min(lo + ADAM_BLOCK, size)
         pb, mb, vb, gb = p[lo:hi], m[lo:hi], v[lo:hi], g[lo:hi]
         a, b = scratch_a[:hi - lo], scratch_b[:hi - lo]
-        np.multiply(mb, beta1, out=mb)
-        np.multiply(gb, 1.0 - beta1, out=a)
+        np.multiply(mb, ADAM_BETA1, out=mb)
+        np.multiply(gb, 1.0 - ADAM_BETA1, out=a)
         np.add(mb, a, out=mb)
-        np.multiply(vb, beta2, out=vb)
+        np.multiply(vb, ADAM_BETA2, out=vb)
         np.multiply(gb, gb, out=a)
-        np.multiply(a, 1.0 - beta2, out=a)
+        np.multiply(a, 1.0 - ADAM_BETA2, out=a)
         np.add(vb, a, out=vb)
         np.divide(vb, c2, out=a)
         np.sqrt(a, out=a)
-        np.add(a, eps, out=a)
+        np.add(a, ADAM_EPS, out=a)
         np.divide(mb, c1, out=b)
         np.multiply(b, lr, out=b)
         np.divide(b, a, out=b)
@@ -490,20 +490,15 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState,
 
 
 class Adam:
-    def __init__(self, params: Sequence[Param], lr: float = DEFAULT_LR,
-                 beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2,
-                 eps: float = ADAM_EPS):
+    def __init__(self, params: Sequence[Param], lr: float = DEFAULT_LR):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.states = [AdamState(np.zeros(p.value.shape), np.zeros(p.value.shape))
                        for p in self.params]
 
     def step(self) -> None:
         for p, s in zip(self.params, self.states):
-            adam_step(p.value, p.grad, s, self.lr, self.beta1, self.beta2, self.eps)
+            adam_step(p.value, p.grad, s, self.lr)
 
 
 # --------------------------------------------------------------------------

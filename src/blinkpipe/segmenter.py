@@ -53,10 +53,6 @@ class EyeState:
         return self.left_closed and self.right_closed
 
     @property
-    def any_closed(self) -> bool:
-        return self.left_closed or self.right_closed
-
-    @property
     def exactly_one_closed(self) -> bool:
         return self.left_closed != self.right_closed
 

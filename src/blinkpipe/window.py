@@ -56,9 +56,6 @@ class WindowTensor:
     def window_frames(self) -> int:
         return self.values.size // NUM_FEATURES
 
-    def as_matrix(self) -> np.ndarray:
-        return self.values.reshape(self.window_frames, NUM_FEATURES)
-
 
 class HistoryBuffer:
     """Validated frames in one contiguous store, cut into windows by timestamp.
@@ -101,11 +98,6 @@ class HistoryBuffer:
         buf = cls(capacity, max(0, n - capacity))
         buf.extend(timestamps, features)
         return buf
-
-    @property
-    def fill_count(self) -> int:
-        """Number of frames currently available, saturating at capacity."""
-        return min(self._end, self.capacity)
 
     @property
     def _oldest(self) -> int:

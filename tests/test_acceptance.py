@@ -495,7 +495,7 @@ def test_c05_simulated_corpus_is_learnable(tmp_path):
     assert len(blinks) >= 2000
 
     ids = sorted({b.participant_id for b in blinks})
-    assignment = assign_participants(ids, SplitSpec(0.8, 0.1, 0.1), seed=5)
+    assignment = assign_participants(ids, SplitSpec(), seed=5)
     buckets = {"train": [], "val": [], "test": []}
     for b in blinks:
         if b.participant_id in assignment.train:

@@ -110,3 +110,24 @@ def test_serving_start_up_records_one_checkpoint_load(tmp_path):
     finally:
         tracer.uninstall()
     assert tracer.durations("net.checkpoint_load").size == 1
+
+
+def test_split_the_offline_worker_draws():
+    ids = [f"P{i:02d}" for i in range(5)]
+    spec = dataset.assign_participants(ids, dataset.SplitSpec(), 3)
+    assert spec.train | spec.val | spec.test == set(ids)
+    assert not (spec.train & spec.val or spec.train & spec.test or spec.val & spec.test)
+
+
+def test_train_takes_the_offline_workers_keywords():
+    inspect.signature(net.train).bind(
+        [], [], epochs=1, seed=0, batch_size=32, checkpoint_dir="model",
+        stem_width=16, block_dims=((16, 16),), log=print)
+
+
+def test_net_built_as_the_serving_workload_builds_it():
+    model = net.BlinkNet(input_dim=30 * 10, stem_width=16, block_dims=((16, 8),),
+                         seed=4)
+    assert model.input_dim == 300
+    full = net.BlinkNet(input_dim=30 * 10, stem_width=128, block_dims=None, seed=4)
+    assert full.input_dim == 300

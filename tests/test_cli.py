@@ -8,6 +8,12 @@ import json
 import math
 import os
 import pkgutil
+import re
+import signal
+import socket
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -24,7 +30,8 @@ from blinkpipe.cli import (
 from blinkpipe.core import BlinkPipeError
 from blinkpipe.dataset import load_recording, save_recording
 from blinkpipe.net import ModelCheckpoint
-from blinkpipe.proto import BlinkServer
+from blinkpipe.proto import (BlinkServer, PredictionMsg, encode, gaze_msg_from_frame,
+                             read_message, validate_frames)
 
 from conftest import (MALFORMED_CHECKPOINTS, checkpoint_with_stem_batch_norm,
                       malformed_checkpoint, square_blink_recording, tiny_net)
@@ -289,6 +296,65 @@ class TestExitCodes:
         assert run("calibrate", "--in", str(rec), "--band", "0.5") == EXIT_USAGE
 
 
+def _serve_in_a_subprocess(tmp_path, ignore_sigint: bool) -> subprocess.Popen:
+    """`blinkpipe serve` on a free port at --log-level info, started with
+    SIGINT ignored when `ignore_sigint` (as a shell does for `cmd &`)."""
+    ckpt = tmp_path / "m.bnet"
+    ModelCheckpoint.from_net(tiny_net(20), 1, 0.5).save(ckpt)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blinkpipe.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+    def ignore():
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+    return subprocess.Popen(
+        [sys.executable, "-m", "blinkpipe.cli", "serve", "--checkpoint", str(ckpt),
+         "--listen", "127.0.0.1:0", "--log-level", "info"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        preexec_fn=ignore if ignore_sigint else None)
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
+@pytest.mark.parametrize("sig, ignore_sigint", [
+    (signal.SIGTERM, False), (signal.SIGINT, True)],
+    ids=["sigterm", "sigint_after_the_shell_ignored_it"])
+def test_signal_stops_serve_and_closes_every_session(tmp_path, sig, ignore_sigint):
+    proc = _serve_in_a_subprocess(tmp_path, ignore_sigint)
+    clients = []
+    try:
+        killer = threading.Timer(30, proc.kill)  # bounds the readline below
+        killer.start()
+        try:
+            line = proc.stdout.readline()
+        finally:
+            killer.cancel()
+        assert line.startswith("listening on 127.0.0.1:"), line
+        port = int(line.rsplit(":", 1)[1])
+        # The blink ends on the last frame, so its answer means the server
+        # has read everything that was sent.
+        rec = square_blink_recording([30], closed_frames=10, n_frames=41)
+        payload = b"".join(encode(gaze_msg_from_frame(vf))
+                           for vf in validate_frames(rec.frames))
+        for _ in range(2):
+            clients.append(socket.create_connection(("127.0.0.1", port), timeout=10))
+            clients[-1].sendall(payload)
+        for client in clients:
+            assert isinstance(read_message(client), PredictionMsg)
+        proc.send_signal(sig)
+        _, err = proc.communicate(timeout=10)
+        assert proc.returncode == EXIT_OK, err
+        assert len(re.findall(r"session 127\.0\.0\.1:\d+ closed: 41 frames", err)) == 2, err
+        for client in clients:
+            assert client.recv(1) == b""  # the server closed it: EOF
+    finally:
+        for client in clients:
+            client.close()
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
@@ -344,6 +410,25 @@ class TestConfigFile:
         out = tmp_path / "out"
         assert run("simulate", "--out", str(out), "--config", str(cfg)) == EXIT_OK
         assert os.path.exists(out / "P00.csv.gz")
+
+    @pytest.mark.parametrize("flag", [("--conf", "{}"), ("--config={}",)],
+                             ids=["abbreviated", "equals_sign"])
+    def test_config_flag_in_any_form_argparse_accepts(self, tmp_path, flag):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("participants = 2\nminutes = 0.01\n")
+        out = tmp_path / "out"
+        assert run("simulate", "--out", str(out),
+                   *(part.format(cfg) for part in flag)) == EXIT_OK
+        assert len(load_recording(str(out / "P01.csv")).frames) == 120
+
+    def test_last_of_two_config_flags_is_read(self, tmp_path):
+        first, last = tmp_path / "first.cfg", tmp_path / "last.cfg"
+        first.write_text("minutes = 0.25\n")
+        last.write_text("minutes = 0.01\n")
+        out = tmp_path / "out"
+        assert run("simulate", "--out", str(out), "--config", str(first),
+                   "--config", str(last)) == EXIT_OK
+        assert len(load_recording(str(out / "P00.csv")).frames) == 120
 
 
 class TestCalibrate:

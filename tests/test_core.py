@@ -52,7 +52,11 @@ def test_feature_vector_matches_named_order():
     assert named["right_dir_y"] == pytest.approx(1.0)
 
 
-def test_named_accessors_index_the_feature_tuple():
+def _named(vf):
+    return dict(zip(FEATURE_NAMES, vf.values))
+
+
+def test_every_frame_kind_is_a_timestamp_and_one_feature_tuple():
     # Pre-first-valid, valid and forward-filled frames share one layout.
     validator = FrameValidator()
     frames = [validator.validate(f) for f in (
@@ -62,28 +66,24 @@ def test_named_accessors_index_the_feature_tuple():
         make_frame(2 * FRAME_INTERVAL_NS, lopen=0.0, valid=False),
     )]
     for vf in frames:
-        feats = vf.values
-        assert type(feats) is tuple and len(feats) == NUM_FEATURES
-        for name in ("left_pupil_mm", "right_pupil_mm", "left_openness",
-                     "right_openness"):
-            assert getattr(vf, name) == feats[FEATURE_NAMES.index(name)]
-        for eye in ("left", "right"):
-            x = FEATURE_NAMES.index(f"{eye}_dir_x")
-            assert FEATURE_NAMES[x:x + 3] == tuple(f"{eye}_dir_{c}" for c in "xyz")
-            assert getattr(vf, f"{eye}_dir") == feats[x:x + 3]
-    assert frames[2].values == frames[1].values
+        assert type(vf.values) is tuple and len(vf.values) == NUM_FEATURES
+    for eye in ("left", "right"):
+        x = FEATURE_NAMES.index(f"{eye}_dir_x")
+        assert FEATURE_NAMES[x:x + 3] == tuple(f"{eye}_dir_{c}" for c in "xyz")
+    # A forward-filled frame is the frame it copies at its own timestamp.
+    assert frames[2] == replace(frames[1], timestamp_ns=2 * FRAME_INTERVAL_NS)
     again = FrameValidator().validate(make_frame(
         FRAME_INTERVAL_NS, lopen=0.3, ropen=0.9, ldir=(0.0, 0.6, 0.8),
         rdir=(0.0, 0.0, 2.0), lpupil=3.5, rpupil=4.5))
     assert again == frames[1] and hash(again) == hash(frames[1])
-    assert again != replace(again, valid=False)
 
 
 def test_validation_clamps_and_quantizes():
     vf = FrameValidator().validate(make_frame(0, lopen=1.7, ropen=-0.4, lpupil=-1.0))
-    assert vf.left_openness == 1.0
-    assert vf.right_openness == 0.0
-    assert vf.left_pupil_mm == 0.0
+    named = _named(vf)
+    assert named["left_openness"] == 1.0
+    assert named["right_openness"] == 0.0
+    assert named["left_pupil_mm"] == 0.0
     # Every feature is exactly representable in float32.
     for v in vf.values:
         assert v == float(np.float32(v))
@@ -123,7 +123,7 @@ def test_validation_quantizes_pupils_past_flt_max_to_inf():
         FrameValidator().validate(make_frame(0, lpupil=halfway))
     vf = FrameValidator().validate(
         make_frame(0, rpupil=float(np.nextafter(halfway, 0.0))))
-    assert vf.right_pupil_mm == float(np.finfo(np.float32).max)
+    assert _named(vf)["right_pupil_mm"] == float(np.finfo(np.float32).max)
 
 
 @pytest.mark.parametrize("field,bad", [
@@ -137,8 +137,8 @@ def test_validation_rejects_non_finite_features(field, bad):
         validator = FrameValidator()
         with pytest.raises(NonFiniteFeature):
             validator.validate(replace(good, valid=valid, **{field: bad}))
-        # The rejected frame leaves the stream where it was.
-        assert validator.last_timestamp_ns is None
+        # The rejected frame leaves the stream where it was: a frame at its
+        # timestamp still passes.
         validator.validate(good)
         # After a valid frame, an invalid one is forward-filled instead.
         filled = validator.validate(replace(
@@ -152,7 +152,7 @@ def test_non_finite_feature_is_one_class_offline_and_on_the_wire():
 
 def test_validation_renormalizes_directions():
     vf = FrameValidator().validate(make_frame(0, ldir=(3.0, 0.0, 4.0)))
-    x, y, z = vf.left_dir
+    x, y, z = vf.values[4:7]
     assert (x, y, z) == pytest.approx((0.6, 0.0, 0.8), abs=1e-6)
     assert x * x + y * y + z * z == pytest.approx(1.0, abs=1e-6)
 
@@ -171,12 +171,13 @@ def test_validation_is_idempotent_at_f32():
             rpupil=float(rng.uniform(2, 8)),
         )
         once = validator.validate(fr)
+        lpupil, rpupil, lopen, ropen = once.values[:4]
         again = FrameValidator().validate(
             make_frame(
                 once.timestamp_ns + 1,
-                lopen=once.left_openness, ropen=once.right_openness,
-                ldir=once.left_dir, rdir=once.right_dir,
-                lpupil=once.left_pupil_mm, rpupil=once.right_pupil_mm,
+                lopen=lopen, ropen=ropen,
+                ldir=once.values[4:7], rdir=once.values[7:10],
+                lpupil=lpupil, rpupil=rpupil,
             )
         )
         assert again.values == once.values
@@ -196,18 +197,14 @@ def test_invalid_frames_forward_fill():
     v = FrameValidator()
     first = v.validate(make_frame(0, lopen=0.3, ropen=0.4, lpupil=3.3))
     filled = v.validate(make_frame(5, lopen=0.9, valid=False))
-    assert not filled.valid
     assert filled.timestamp_ns == 5
-    assert filled.left_openness == first.left_openness
-    assert filled.right_openness == first.right_openness
-    assert filled.left_pupil_mm == first.left_pupil_mm
+    assert filled.values == first.values
 
 
 def test_invalid_frame_before_any_valid_is_neutralized():
     v = FrameValidator()
     vf = v.validate(make_frame(0, ldir=(0.0, 0.0, 0.0), valid=False))
-    assert not vf.valid
-    norm = sum(c * c for c in vf.left_dir)
+    norm = sum(c * c for c in vf.values[4:7])
     assert norm == pytest.approx(1.0, abs=1e-6)
 
 
@@ -280,16 +277,15 @@ def test_validate_columns_matches_frame_validator_bit_for_bit(seed):
         odd = (0.0, 0.002, 0.02, 0.2)[stream % 4]
         frames = random_frame_stream(rng, int(rng.integers(0, 120)), odd)
         want, want_error = _validate_one_by_one(frames)
-        ts, features, valid, error = core.validated_prefix(frames)
+        ts, features, error = core.validated_prefix(frames)
         assert (type(error), str(error)) == (type(want_error), str(want_error))
         assert ts.dtype == np.int64 and features.dtype == np.float64
         assert ts.tolist() == [w.timestamp_ns for w in want]
-        assert valid.tolist() == [w.valid for w in want]
         rows = np.array([w.values for w in want], dtype=np.float64)
         assert features.tobytes() == rows.reshape(-1, NUM_FEATURES).tobytes()
         if want_error is None:
             got = core.validate_columns(frames)
-            assert all(np.array_equal(a, b) for a, b in zip(got, (ts, features, valid)))
+            assert all(np.array_equal(a, b) for a, b in zip(got, (ts, features)))
         else:
             errors.add(type(want_error).__name__)
             with pytest.raises(type(want_error), match=re.escape(str(want_error))):
@@ -307,7 +303,7 @@ def test_validate_columns_matches_at_the_edge_of_the_no_divide_tolerance():
     d *= 1.0 + rng.choice([-1e-6, 1e-6], size=(3000, 1)) + rng.uniform(-4e-16, 4e-16, size=(3000, 1))
     frames = [make_frame(i, ldir=tuple(v), rdir=tuple(v[::-1])) for i, v in enumerate(d.tolist())]
     want, _ = _validate_one_by_one(frames)
-    _, features, _ = core.validate_columns(frames)
+    _, features = core.validate_columns(frames)
     assert features.tobytes() == np.array([w.values for w in want]).tobytes()
 
 
@@ -320,10 +316,10 @@ def test_validate_columns_rejects_timestamps_outside_int64_with_a_typed_error():
             with pytest.raises(TimestampOutOfRange):
                 core.validate_columns(stream)
             assert isinstance(_validate_one_by_one(stream)[1], TimestampOutOfRange)
-    ts, _, _ = core.validate_columns(frames)
+    ts, _ = core.validate_columns(frames)
     assert ts.tolist() == [-2**63, 2**63 - 1]
 
 
 def test_validate_columns_of_no_frames_is_empty():
-    ts, features, valid = core.validate_columns([])
-    assert ts.shape == (0,) and features.shape == (0, NUM_FEATURES) and valid.shape == (0,)
+    ts, features = core.validate_columns([])
+    assert ts.shape == (0,) and features.shape == (0, NUM_FEATURES)

@@ -408,8 +408,8 @@ class TestMaterializeWindows:
         for g, (lb, end) in zip(got, want):
             assert g.blink == lb.blink and g.label is lb.label
             assert g.window.end_timestamp_ns == ts[end]
-            np.testing.assert_array_equal(g.window.as_matrix(),
-                                          rows[end - window + 1:end + 1])
+            np.testing.assert_array_equal(g.window.values,
+                                          rows[end - window + 1:end + 1].ravel())
         assert got_rng.integers(2**62) == want_rng.integers(2**62)
 
     def test_shifted_copy_reaches_past_a_dropout(self):
@@ -616,11 +616,12 @@ class TestSplits:
         with pytest.raises(ValueError, match="all"):
             SplitSpec(train=frozenset({"A"}))
 
-    def test_fractions_validated(self):
-        with pytest.raises(ValueError, match="sum"):
-            SplitSpec(train_frac=0.5, val_frac=0.1, test_frac=0.1)
-        with pytest.raises(ValueError, match="positive"):
-            SplitSpec(train_frac=1.2, val_frac=-0.1, test_frac=-0.1)
+    def test_ratio_split_scales_with_the_pool(self):
+        for n, held_out in ((20, 2), (30, 3)):
+            pids = [f"P{i:02d}" for i in range(n)]
+            spec = assign_participants(pids, SplitSpec(), seed=0)
+            assert len(spec.val) == len(spec.test) == held_out
+            assert len(spec.train) == n - 2 * held_out
 
     def test_split_by_participant_routes_every_blink(self):
         recs = [

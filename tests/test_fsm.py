@@ -1,20 +1,17 @@
-"""Interaction state machine, drag geometry, and pinch disambiguation."""
+"""Interaction state machine and drag geometry."""
 from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
-from blinkpipe.core import HeadPose, PinchSample
+from blinkpipe.core import HeadPose
 from blinkpipe.fsm import (
     EventKind,
     InteractionMachine,
     InteractionMode,
     InteractionState,
-    PinchGesture,
     UIPlane,
-    classify_pinch_gesture,
     format_trace_line,
     head_rotation_deg,
     intersect_head_ray,
@@ -225,117 +222,3 @@ def test_trace_line_format():
     assert dx == pytest.approx(t(4.0) - t(2.0), abs=1e-9)
     assert dy == 0.0
 
-
-# ---------------------------------------------------------------------------
-# pinch disambiguation
-
-
-def pinch_samples(spec):
-    """spec: list of (t_ms, strength, x_cm)."""
-    return [
-        PinchSample(int(t * 1e6), s, (x / 100.0, 0.0, 0.0))
-        for t, s, x in spec
-    ]
-
-
-def test_short_small_pinch_is_click():
-    samples = pinch_samples(
-        [(0, 0.9, 0.0), (50, 0.9, 0.5), (100, 0.9, 1.0), (150, 0.2, 1.0)]
-    )
-    assert classify_pinch_gesture(samples) is PinchGesture.CLICK
-
-
-def test_long_far_pinch_is_drag():
-    samples = pinch_samples(
-        [(0, 0.95, 0.0), (100, 0.95, 3.0), (200, 0.95, 6.0),
-         (300, 0.95, 8.0), (400, 0.95, 10.0), (500, 0.2, 10.0)]
-    )
-    assert classify_pinch_gesture(samples) is PinchGesture.DRAG
-
-
-def test_weak_pinch_is_none():
-    samples = pinch_samples([(0, 0.5, 0.0), (100, 0.79, 5.0), (200, 0.3, 9.0)])
-    assert classify_pinch_gesture(samples) is None
-
-
-def test_ongoing_episode_without_decision_is_none():
-    # Strength never drops and thresholds are unmet: no completed episode.
-    samples = pinch_samples([(0, 0.9, 0.0), (100, 0.9, 1.0), (200, 0.9, 2.0)])
-    assert classify_pinch_gesture(samples) is None
-
-
-def test_drag_decided_mid_episode():
-    # Decision fires at the first sample satisfying both thresholds, even
-    # though the episode keeps going (and later shrinks below 7 cm).
-    samples = pinch_samples(
-        [(0, 0.9, 0.0), (200, 0.9, 4.0), (350, 0.9, 8.0), (500, 0.9, 0.0)]
-    )
-    assert classify_pinch_gesture(samples) is PinchGesture.DRAG
-
-
-def test_distance_without_duration_is_click():
-    samples = pinch_samples([(0, 0.9, 0.0), (100, 0.9, 12.0), (150, 0.1, 12.0)])
-    assert classify_pinch_gesture(samples) is PinchGesture.CLICK
-
-
-def test_duration_without_distance_is_click():
-    samples = pinch_samples(
-        [(0, 0.9, 0.0), (200, 0.9, 1.0), (400, 0.9, 2.0), (450, 0.1, 2.0)]
-    )
-    assert classify_pinch_gesture(samples) is PinchGesture.CLICK
-
-
-def test_first_decidable_episode_wins():
-    first_click = pinch_samples(
-        [(0, 0.9, 0.0), (100, 0.9, 1.0), (150, 0.1, 1.0)]
-    ) + pinch_samples(
-        [(300, 0.9, 0.0), (500, 0.9, 10.0), (700, 0.9, 20.0)]
-    )
-    assert classify_pinch_gesture(first_click) is PinchGesture.CLICK
-
-
-def test_strength_threshold_is_inclusive():
-    samples = pinch_samples([(0, 0.8, 0.0), (100, 0.8, 1.0), (200, 0.5, 1.0)])
-    assert classify_pinch_gesture(samples) is PinchGesture.CLICK
-
-
-def test_exact_boundary_values_count_for_drag():
-    # Exactly 7 cm and exactly 300 ms meet the thresholds.
-    samples = pinch_samples([(0, 0.9, 0.0), (300, 0.9, 7.0)])
-    assert classify_pinch_gesture(samples) is PinchGesture.DRAG
-
-
-def test_random_traces_match_threshold_oracle():
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        n = int(rng.integers(2, 30))
-        t = np.cumsum(rng.integers(20, 120, n)) * 1_000_000
-        strength = rng.uniform(0, 1, n)
-        x = np.cumsum(rng.normal(0, 0.02, n))
-        samples = [
-            PinchSample(int(t[i]), float(strength[i]), (float(x[i]), 0.0, 0.0))
-            for i in range(n)
-        ]
-        got = classify_pinch_gesture(samples)
-
-        # Oracle: scan episodes, decide each one independently.
-        expected = None
-        i = 0
-        while i < n and expected is None:
-            if strength[i] < 0.8:
-                i += 1
-                continue
-            j = i
-            decided = None
-            farthest = 0.0
-            while j < n and strength[j] >= 0.8:
-                farthest = max(farthest, abs(x[j] - x[i]))
-                lasted = t[j] - t[i] >= 300_000_000
-                if decided is None and farthest >= 0.07 and lasted:
-                    decided = PinchGesture.DRAG
-                j += 1
-            if decided is None and j < n:
-                decided = PinchGesture.CLICK
-            expected = decided
-            i = j
-        assert got is expected

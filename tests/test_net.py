@@ -18,6 +18,8 @@ import pytest
 from blinkpipe import net as net_module
 from blinkpipe.core import BlinkLabel
 from blinkpipe.net import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     ADAM_BLOCK,
     ADAM_EPS,
     BatchNormLayer,
@@ -327,7 +329,7 @@ def test_adam_first_step_hand_arithmetic():
     p = np.array([1.0, -2.0])
     g = np.array([0.5, -0.25])
     st = AdamState(np.zeros(2), np.zeros(2))
-    adam_step(p, g, st, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+    adam_step(p, g, st, lr=0.1)
     # After bias correction the first step is lr * g / (|g| + eps).
     expect = np.array([1.0, -2.0]) - 0.1 * g / (np.abs(g) + 1e-8)
     np.testing.assert_allclose(p, expect, atol=1e-12)
@@ -390,9 +392,9 @@ def test_adam_step_is_bitwise_the_whole_array_form(shape, order):
     for t in range(1, 26):
         # Magnitudes from 1e-6 to 1e3 make the rounding of every operation show.
         g = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 3, size=shape)
-        adam_step(p, g, st, lr=0.003, beta1=0.85, beta2=0.995, eps=1e-7)
-        m_ref, v_ref = _whole_array_adam(ref, g, m_ref, v_ref, t,
-                                         0.003, 0.85, 0.995, 1e-7)
+        adam_step(p, g, st, lr=0.003)
+        m_ref, v_ref = _whole_array_adam(ref, g, m_ref, v_ref, t, 0.003,
+                                         ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
     assert st.t == 25
     assert np.array_equal(p, ref)
     assert np.array_equal(st.m, m_ref)

@@ -199,22 +199,26 @@ class TestEncodeDecode:
 class TestFrameBridging:
     def test_validated_frame_survives_the_wire_bit_for_bit(self):
         rng = np.random.default_rng(5)
+        frames = []
         for i in range(100):
             d = rng.normal(size=3)
             d /= np.linalg.norm(d)
-            vf = validate_frames([make_frame(
+            frames += validate_frames([make_frame(
                 (i + 1) * 1000,
                 lopen=float(rng.uniform()),
                 ropen=float(rng.uniform()),
                 ldir=tuple(float(v) for v in d),
                 rdir=(0.0, 0.0, 1.0),
                 lpupil=float(rng.uniform(1, 9)),
-            )])[0]
+            )])
+        frames += validate_frames([
+            make_frame(1000, ldir=(0.0, 0.0, 0.0), valid=False),  # before any valid
+            make_frame(2000, lopen=0.3, lpupil=3.3),
+            make_frame(3000, lopen=0.9, valid=False),  # forward-filled
+        ])
+        for vf in frames:
             msg, _ = decode(encode(gaze_msg_from_frame(vf)))
-            back = validated_frame_from_msg(msg)
-            assert back.timestamp_ns == vf.timestamp_ns
-            assert back.values == vf.values
-            assert back.valid
+            assert validated_frame_from_msg(msg) == vf
 
     def test_frame_from_a_list_built_message_is_an_immutable_tuple(self):
         want = validate_frames([make_frame(1000, lopen=0.5)])[0]

@@ -149,9 +149,9 @@ def test_eye_state_predicates():
     oo = EyeState(False, False)
     cc = EyeState(True, True)
     co = EyeState(True, False)
-    assert oo.both_open and not oo.any_closed
-    assert cc.both_closed and cc.any_closed and not cc.exactly_one_closed
-    assert co.exactly_one_closed and co.any_closed and not co.both_closed
+    assert oo.both_open and not oo.both_closed and not oo.exactly_one_closed
+    assert cc.both_closed and not cc.both_open and not cc.exactly_one_closed
+    assert co.exactly_one_closed and not co.both_open and not co.both_closed
 
 
 def test_long_stream_event_count_matches_dip_count():
@@ -179,14 +179,14 @@ def test_step_holds_the_closure_rules_update_applies():
     frames = openness_frames(vals)
     _, events = run_segmenter(frames)
     validator, seg = FrameValidator(), BlinkSegmenter()
-    stepped = [e for e in (seg.step(f.timestamp_ns, f.left_openness, f.right_openness)
+    stepped = [e for e in (seg.step(f.timestamp_ns, *f.values[2:4])
                            for f in map(validator.validate, frames)) if e is not None]
     assert len(events) > 100
     assert stepped == events
     validator, seg = FrameValidator(), BlinkSegmenter()
     for f in frames[:200]:
         state, _ = seg.update(validator.validate(f))
-        assert seg.any_closed == state.any_closed
+        assert seg.any_closed == (not state.both_open)
 
 
 def mask_test_rows(rng, seg, n):

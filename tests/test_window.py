@@ -29,6 +29,10 @@ def frame_at(i: int, seed_val: float = 0.0):
                                                 ropen=1.0 - lo / 2))
 
 
+def rows_of(w: WindowTensor) -> np.ndarray:
+    return w.values.reshape(w.window_frames, NUM_FEATURES)
+
+
 def blink_ending_at(ts_ns: int) -> BlinkEvent:
     return BlinkEvent(
         onset_ns=max(0, ts_ns - 20 * FRAME_INTERVAL_NS), offset_ns=ts_ns,
@@ -47,7 +51,7 @@ def test_window_matches_bruteforce_tail():
         if i + 1 >= cap:
             w = buf.snapshot_at_blink_end(blink_ending_at(vf.timestamp_ns))
             expect = np.array([f.values for f in shadow[-cap:]])
-            np.testing.assert_array_equal(w.as_matrix(), expect)
+            np.testing.assert_array_equal(rows_of(w), expect)
             assert w.end_timestamp_ns == vf.timestamp_ns
             assert w.values.shape == (cap * NUM_FEATURES,)
 
@@ -110,7 +114,7 @@ def test_augment_shift_stays_in_bounds_and_hits_both_signs():
         expect = np.array(
             [f.values for f in frames[end_idx - cap + 1:end_idx + 1]]
         )
-        np.testing.assert_array_equal(shifted.as_matrix(), expect)
+        np.testing.assert_array_equal(rows_of(shifted), expect)
     assert min(shifts) < 0 < max(shifts)
     assert max(shifts) == MAX_SHIFT_FRAMES
     assert min(shifts) == -MAX_SHIFT_FRAMES
@@ -134,15 +138,18 @@ def test_window_tensor_shape_checks():
     with pytest.raises(ValueError):
         WindowTensor(values=np.zeros(25), end_timestamp_ns=0)
     w = WindowTensor(values=np.zeros(5 * NUM_FEATURES), end_timestamp_ns=0)
-    assert w.as_matrix().shape == (5, NUM_FEATURES)
+    assert w.window_frames == 5
 
 
-def test_fill_count_saturates_at_capacity():
+def test_buffer_keeps_capacity_plus_lookback_frames():
     buf = HistoryBuffer(10, 2)
-    assert buf.fill_count == 0
     for i in range(25):
         buf.push(frame_at(i))
-    assert buf.fill_count == 10
+    # Frames 13..24 are kept: windows end at frames 22..24, not before.
+    for end in (22, 23, 24):
+        buf.snapshot_at_blink_end(blink_ending_at(end * FRAME_INTERVAL_NS))
+    with pytest.raises(NotReady):
+        buf.snapshot_at_blink_end(blink_ending_at(21 * FRAME_INTERVAL_NS))
 
 
 @pytest.mark.parametrize("cap,look", [(1, 0), (7, 0), (7, 3), (16, 0), (16, 25)])
@@ -186,7 +193,7 @@ def test_ring_reads_match_list_oracle(cap, look):
                     buf.snapshot_at_blink_end(blink_ending_at(q))
                 continue
             w = buf.snapshot_at_blink_end(blink_ending_at(q))
-            np.testing.assert_array_equal(w.as_matrix(), want)
+            np.testing.assert_array_equal(rows_of(w), want)
             assert w.end_timestamp_ns == ts[oracle_end(q)]
             # Same seed on both sides: the buffer and the oracle draw the
             # same shift before clipping it.
@@ -197,7 +204,7 @@ def test_ring_reads_match_list_oracle(cap, look):
                 shift = int(want_rng.integers(-MAX_SHIFT_FRAMES,
                                               MAX_SHIFT_FRAMES + 1))
                 shift = max(oldest + cap - 1 - end, min(count - 1 - end, shift))
-                np.testing.assert_array_equal(shifted.as_matrix(),
+                np.testing.assert_array_equal(rows_of(shifted),
                                               oracle_window(end + shift))
                 assert shifted.end_timestamp_ns == ts[end + shift]
 
@@ -218,12 +225,16 @@ def test_window_survives_later_compactions():
     np.testing.assert_array_equal(shifted.values, want_shifted)
 
 
-def test_fill_count_and_monotonicity_across_compaction():
+def test_readiness_and_monotonicity_across_compaction():
     cap, look = 6, 2
     buf = HistoryBuffer(cap, look)
     for i in range(3 * (2 * cap + look)):  # several compactions
         buf.push(frame_at(i))
-        assert buf.fill_count == min(i + 1, cap)
+        if i + 1 >= cap:  # a whole window ends at the newest frame
+            buf.snapshot_at_blink_end(blink_ending_at(i * FRAME_INTERVAL_NS))
+        elif i:
+            with pytest.raises(NotReady):
+                buf.snapshot_at_blink_end(blink_ending_at(i * FRAME_INTERVAL_NS))
         with pytest.raises(NonMonotonicTimestamp):
             buf.push(frame_at(i))
         with pytest.raises(NonMonotonicTimestamp):
@@ -231,7 +242,7 @@ def test_fill_count_and_monotonicity_across_compaction():
     # A rejected push changes nothing: the newest window is still intact.
     w = buf.snapshot_at_blink_end(blink_ending_at(i * FRAME_INTERVAL_NS))
     want = np.array([frame_at(k).values for k in range(i - cap + 1, i + 1)])
-    np.testing.assert_array_equal(w.as_matrix(), want)
+    np.testing.assert_array_equal(rows_of(w), want)
 
 
 def test_from_columns_is_pushing_every_row():
@@ -243,22 +254,25 @@ def test_from_columns_is_pushing_every_row():
         for f in frames:
             pushed.push(f)
         built = HistoryBuffer.from_columns(ts, rows, cap)
-        assert built.fill_count == pushed.fill_count
-        for end in (1, 48, 49, 50, 129, 10**6):
-            blink = blink_ending_at(end * FRAME_INTERVAL_NS)
-            try:
-                want = pushed.snapshot_at_blink_end(blink)
-            except NotReady:
-                with pytest.raises(NotReady):
-                    built.snapshot_at_blink_end(blink)
-                continue
-            got = built.snapshot_at_blink_end(blink)
-            assert got.end_timestamp_ns == want.end_timestamp_ns
-            assert got.values.tobytes() == want.values.tobytes()
+
+        def assert_same_cuts(ends):
+            for end in ends:
+                blink = blink_ending_at(end * FRAME_INTERVAL_NS)
+                try:
+                    want = pushed.snapshot_at_blink_end(blink)
+                except NotReady:
+                    with pytest.raises(NotReady):
+                        built.snapshot_at_blink_end(blink)
+                    continue
+                got = built.snapshot_at_blink_end(blink)
+                assert got.end_timestamp_ns == want.end_timestamp_ns
+                assert got.values.tobytes() == want.values.tobytes()
+
+        assert_same_cuts((1, 48, 49, 50, 129, 10**6))
         # Later frames append after the last row, as they would after pushes.
         pushed.push(frame_at(130))
         built.push(frame_at(130))
-        assert built.fill_count == pushed.fill_count
+        assert_same_cuts((129, 130))
         with pytest.raises(NonMonotonicTimestamp):
             built.push(frame_at(130))
 
@@ -288,7 +302,6 @@ def test_extend_in_any_chunks_is_pushing_every_row():
                 pushed.push(f)
             extended.extend(ts[start:stop], rows[start:stop])
             start = stop
-            assert extended.fill_count == pushed.fill_count
             assert extended.newest_timestamp_ns == pushed.newest_timestamp_ns
             for end in range(max(1, stop - cap - look - 2), stop + 1):
                 blink = blink_ending_at(end * FRAME_INTERVAL_NS)
