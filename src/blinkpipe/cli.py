@@ -367,9 +367,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         profile=profile,
         window_frames=window_frames,
     )
-    # SIGTERM, and SIGINT even where the shell ignores it, raise Ctrl-C's
-    # KeyboardInterrupt: serve_forever closes every session before it returns.
-    previous = {sig: signal.signal(sig, signal.default_int_handler)
+    # SIGTERM, and SIGINT even where the shell ignores it, only ask the loop
+    # to stop: an exception raised in the handler could leave a send whose
+    # bytes went out before the session counted them. serve_forever closes
+    # every session before it returns.
+    previous = {sig: signal.signal(sig, lambda *_: server.request_stop())
                 for sig in (signal.SIGINT, signal.SIGTERM)}
     try:
         server.serve_forever(on_ready=lambda: print(

@@ -13,6 +13,9 @@ Conventions used everywhere downstream:
 * Feature values are quantized to float32 precision during validation.
   The wire format transports float32, so quantizing at the validation
   boundary makes in-process and over-the-wire processing bit-identical.
+  Feature arrays (validated columns, history rows, windows) are stored as
+  float32, which holds every validated value exactly; arithmetic on them
+  widens to float64 first.
 * Invalid tracking frames (valid=False) reuse the last valid feature
   values (forward fill only, never future interpolation).
 * `FrameValidator` validates a stream frame by frame; `validate_columns`
@@ -350,7 +353,7 @@ def validated_prefix(frames: Sequence[GazeFrame]) -> Tuple[
             error = NonFiniteFeature(
                 f"frame {t} features {tuple(quantized[:, k].tolist())}")
         ts, own, quantized = ts[:k], own[:k], quantized[:, :k]
-    features = np.ascontiguousarray(quantized.T, dtype=np.float64)
+    features = np.ascontiguousarray(quantized.T)
     if not own.all():
         features = features[np.maximum.accumulate(np.where(own, np.arange(len(own)), 0))]
     return ts, features, error
@@ -359,10 +362,12 @@ def validated_prefix(frames: Sequence[GazeFrame]) -> Tuple[
 def validate_columns(frames: Sequence[GazeFrame]) -> Tuple[np.ndarray, np.ndarray]:
     """Validate a whole recording in one vectorized pass.
 
-    Returns (timestamps int64[n], features float64[n, 10]), where row i
-    equals `FrameValidator().validate` of frame i within the stream, bit for
-    bit. On bad input it raises what `FrameValidator` raises at the first
-    bad frame.
+    Returns (timestamps int64[n], features float32[n, 10]), where row i,
+    widened to float64, equals `FrameValidator().validate` of frame i within
+    the stream, bit for bit: every validated value is float32-exact. Widen
+    a column before arithmetic or a comparison with a Python float, which
+    numpy would otherwise carry out in float32. On bad input it raises what
+    `FrameValidator` raises at the first bad frame.
     """
     ts, features, error = validated_prefix(frames)
     if error is not None:

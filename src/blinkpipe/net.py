@@ -13,7 +13,10 @@ Class order in the output 2-vector: index 0 = Voluntary, index 1 =
 Involuntary. Ties break toward Involuntary so an ambiguous blink is
 suppressed rather than acted on.
 
-All training math is double precision. Determinism: a fixed seed fixes the
+All training and inference math is double precision. Windows arrive as
+float32, which holds every validated feature exactly, and are widened to
+float64 where arithmetic starts: in `BlinkNet._as_batch` and, during
+training, in each gathered batch. Determinism: a fixed seed fixes the
 initialization, the per-epoch shuffles, and therefore every parameter.
 """
 from __future__ import annotations
@@ -786,13 +789,16 @@ class EpochStats:
     val_accuracy: float
 
 
-def _as_xy(dataset, input_dim: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
+def _as_xy(dataset, input_dim: Optional[int] = None
+           ) -> Tuple[List[np.ndarray], np.ndarray]:
+    """The examples as 1-D arrays in their own dtype (views of float32
+    windows, not copies) and the labels as int64."""
     xs: List[np.ndarray] = []
     ys: List[int] = []
     for features, label in dataset:
         if isinstance(features, WindowTensor):
             features = features.values
-        v = np.asarray(features, dtype=np.float64).reshape(-1)
+        v = np.asarray(features).reshape(-1)
         if input_dim is None:  # the first example sets the width
             input_dim = v.shape[0]
         elif v.shape[0] != input_dim:
@@ -801,7 +807,7 @@ def _as_xy(dataset, input_dim: Optional[int] = None) -> Tuple[np.ndarray, np.nda
             )
         xs.append(v)
         ys.append(int(label.value if isinstance(label, BlinkLabel) else label))
-    return np.stack(xs), np.asarray(ys, dtype=np.int64)
+    return xs, np.asarray(ys, dtype=np.int64)
 
 
 def evaluate_loss(net: BlinkNet, x: np.ndarray,
@@ -834,6 +840,11 @@ def train(
     `checkpoint_dir` is given (epoch_NNNN.bnet plus best.bnet); the best
     checkpoint is also returned. Everything is deterministic given `seed`.
 
+    The examples are held once, as given: each batch, and the validation
+    set once per epoch, is gathered from them into a float64 matrix. With
+    `checkpoint_dir`, best.bnet is the only copy of the best epoch's net,
+    read back at the end; without it, the best net is copied in memory.
+
     A trailing batch of a single sample is folded into the previous batch,
     since train-mode batch norm cannot normalize a singleton.
     """
@@ -846,27 +857,30 @@ def train(
     if not train_pairs or not val_pairs:
         raise EmptySplit("train and validation sets must both be non-empty")
     x_train, y_train = _as_xy(train_pairs)
-    x_val, y_val = _as_xy(val_pairs, x_train.shape[1])
+    input_dim = x_train[0].shape[0]
+    x_val, y_val = _as_xy(val_pairs, input_dim)
 
     rng = np.random.default_rng(seed)
     if net is None:
-        net = BlinkNet(input_dim=x_train.shape[1], stem_width=stem_width,
+        net = BlinkNet(input_dim=input_dim, stem_width=stem_width,
                        block_dims=block_dims, rng=rng)
-    elif net.input_dim != x_train.shape[1]:
+    elif net.input_dim != input_dim:
         raise ShapeMismatch(
-            f"net expects {net.input_dim} features, data has {x_train.shape[1]}"
+            f"net expects {net.input_dim} features, data has {input_dim}"
         )
-    if x_train.shape[0] < 2:
+    n = len(x_train)
+    if n < 2:
         raise BatchTooSmallForTrainMode(
             "training needs at least 2 examples for batch statistics"
         )
 
     optimizer = Adam(net.params(), lr=lr)
-    n = x_train.shape[0]
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
+        best_path = os.path.join(checkpoint_dir, "best.bnet")
 
-    best: Optional[ModelCheckpoint] = None
+    best: Optional[ModelCheckpoint] = None  # the in-memory copy, without a directory
+    best_loss: Optional[float] = None
     history: List[EpochStats] = []
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
@@ -877,21 +891,30 @@ def train(
         for bi, s in enumerate(starts):
             e = starts[bi + 1] if bi + 1 < len(starts) else n
             idx = order[s:e]
-            loss = net.loss_and_gradients(x_train[idx], y_train[idx])
+            batch = np.stack([x_train[i] for i in idx], dtype=np.float64)
+            loss = net.loss_and_gradients(batch, y_train[idx])
             optimizer.step()
             total += loss * len(idx)
         train_loss = total / n
-        val_loss, val_acc = evaluate_loss(net, x_val, y_val)
+        val_loss, val_acc = evaluate_loss(
+            net, np.stack(x_val, dtype=np.float64), y_val)
         history.append(EpochStats(epoch, train_loss, val_loss, val_acc))
         if checkpoint_dir is not None:  # written from the live arrays
             ModelCheckpoint(epoch, val_loss, net).save(
                 os.path.join(checkpoint_dir, f"epoch_{epoch:04d}.bnet"))
-        if best is None or val_loss < best.validation_loss:
-            best = ModelCheckpoint.from_net(net, epoch, val_loss)
-            if checkpoint_dir is not None:
-                best.save(os.path.join(checkpoint_dir, "best.bnet"))
+        if best_loss is None or val_loss < best_loss:
+            best_loss = val_loss
+            if checkpoint_dir is None:
+                best = ModelCheckpoint.from_net(net, epoch, val_loss)
+            else:
+                ModelCheckpoint(epoch, val_loss, net).save(best_path)
         if log is not None:
             log(f"epoch {epoch}/{epochs} train_loss={train_loss:.6f} "
                 f"val_loss={val_loss:.6f} val_acc={val_acc:.4f}")
-    assert best is not None
-    return best, history
+    if checkpoint_dir is None:
+        assert best is not None
+        return best, history
+    # Adam's state, and the net unless the caller holds it, go before the
+    # best net is read back.
+    del optimizer, net
+    return ModelCheckpoint.load(best_path), history

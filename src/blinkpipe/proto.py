@@ -372,8 +372,8 @@ class BlinkServer:
         self._thread.start()
 
     def serve_forever(self, on_ready: Optional[Callable] = None) -> None:
-        """Call on_ready(), then serve until stop() or Ctrl-C (also one that
-        lands during on_ready()), then close every connection."""
+        """Call on_ready(), then serve until stop(), request_stop() or Ctrl-C
+        (also one that lands during on_ready()), then close every connection."""
         try:
             if on_ready is not None:
                 on_ready()
@@ -392,9 +392,14 @@ class BlinkServer:
         finally:
             self._close()
 
+    def request_stop(self) -> None:
+        """Make the loop return at its next pass, within 0.1 s when idle; it
+        only sets a flag, so a signal handler may call it."""
+        self._stopping = True
+
     def stop(self) -> None:
         """Stop serving; safe before start() and safe to call twice."""
-        self._stopping = True
+        self.request_stop()
         # A thread not yet alive will see _stopping before its first select.
         if self._thread is not None and self._thread.is_alive():
             self._thread.join()

@@ -209,8 +209,11 @@ def two_means_threshold(values: np.ndarray) -> Optional[float]:
     """Midpoint of p5(open cluster) and p95(closed cluster), or None.
 
     The clusters come from 1-D two-means with fixed initial centers, so
-    the estimate is deterministic for a given recording.
+    the estimate is deterministic for a given recording. The values are
+    widened to float64 first: on float32 values (validated columns) numpy
+    would compare, average and interpolate in float32.
     """
+    values = np.asarray(values, dtype=np.float64)
     center_open, center_closed = 0.95, 0.2
     open_vals = closed_vals = None
     for _ in range(64):

@@ -40,9 +40,14 @@ class NotReady(BlinkPipeError):
 
 @dataclass(frozen=True)
 class WindowTensor:
-    """Flattened time-major feature window: frame 0 first, frame N-1 last."""
+    """Flattened time-major feature window: frame 0 first, frame N-1 last.
 
-    values: np.ndarray  # shape (window_frames * NUM_FEATURES,), float64
+    `values` has shape (window_frames * NUM_FEATURES,). A cut from a
+    `HistoryBuffer` is float32, the validated features exactly as stored;
+    `BlinkNet` widens a window to float64 before any arithmetic.
+    """
+
+    values: np.ndarray
     end_timestamp_ns: int
 
     def __post_init__(self):
@@ -76,7 +81,8 @@ class HistoryBuffer:
         self.lookback = lookback
         self._keep = capacity + lookback
         rows = self._keep + capacity
-        self._features = np.zeros((rows, NUM_FEATURES), dtype=np.float64)
+        # float32 holds every validated feature exactly (core.validate_columns).
+        self._features = np.zeros((rows, NUM_FEATURES), dtype=np.float32)
         self._timestamps = np.zeros(rows, dtype=np.int64)
         self._end = 0  # one past the newest row
 
@@ -124,8 +130,10 @@ class HistoryBuffer:
         """Append rows in one copy each, as if each had been pushed in order.
 
         The caller guarantees what `push` checks: the timestamps increase
-        strictly and start after the newest retained one. Values are cast to
-        the store's dtypes in the copy (e.g. wire float32 features).
+        strictly and start after the newest retained one. Features are
+        stored as float32, the dtype of the wire and of `core.
+        validate_columns`, so validated values are copied exactly; any other
+        dtype is cast in the copy.
         """
         n, end, keep = len(timestamps), self._end, self._keep
         if end + n > len(self._timestamps):

@@ -8,7 +8,6 @@ import json
 import math
 import os
 import pkgutil
-import re
 import signal
 import socket
 import subprocess
@@ -32,6 +31,8 @@ from blinkpipe.dataset import load_recording, save_recording
 from blinkpipe.net import ModelCheckpoint
 from blinkpipe.proto import (BlinkServer, PredictionMsg, encode, gaze_msg_from_frame,
                              read_message, validate_frames)
+from blinkpipe.segmenter import two_means_threshold
+from blinkpipe.sim import SimConfig, generate_session
 
 from conftest import (MALFORMED_CHECKPOINTS, checkpoint_with_stem_batch_norm,
                       malformed_checkpoint, square_blink_recording, tiny_net)
@@ -344,9 +345,13 @@ def test_signal_stops_serve_and_closes_every_session(tmp_path, sig, ignore_sigin
         proc.send_signal(sig)
         _, err = proc.communicate(timeout=10)
         assert proc.returncode == EXIT_OK, err
-        assert len(re.findall(r"session 127\.0\.0\.1:\d+ closed: 41 frames", err)) == 2, err
         for client in clients:
-            assert client.recv(1) == b""  # the server closed it: EOF
+            read = 1
+            while (msg := read_message(client)) is not None:  # to EOF: the server closed it
+                read += isinstance(msg, PredictionMsg)
+            # The close line counts every prediction the client read.
+            port = client.getsockname()[1]
+            assert f"session 127.0.0.1:{port} closed: 41 frames, {read} predictions" in err, err
     finally:
         for client in clients:
             client.close()
@@ -444,6 +449,21 @@ class TestCalibrate:
         assert 0.05 <= prof["closed_threshold_left"] <= 0.9
         assert 0.05 <= prof["closed_threshold_right"] <= 0.9
         assert prof["hysteresis_band"] == pytest.approx(0.05)
+
+    def test_thresholds_are_computed_in_float64(self, tmp_path):
+        # On this recording, two-means in float32 (the dtype of validated
+        # columns) moves both thresholds in their eighth digit.
+        rec, _ = generate_session(SimConfig(seed=4, duration_s=60.0))
+        path = str(tmp_path / "rec.csv")
+        save_recording(rec, path)
+        out = str(tmp_path / "profile.json")
+        assert run("calibrate", "--in", path, "--out", out) == EXIT_OK
+        with open(out) as f:
+            prof = json.load(f)
+        rows = np.array([vf.values for vf in validate_frames(load_recording(path).frames)])
+        assert rows.dtype == np.float64
+        assert prof["closed_threshold_left"] == two_means_threshold(rows[:, 2])
+        assert prof["closed_threshold_right"] == two_means_threshold(rows[:, 3])
 
     def test_never_closed_eye_falls_back_to_default(self, tmp_path, caplog):
         rec = square_blink_recording([], n_frames=200)

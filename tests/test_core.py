@@ -279,10 +279,11 @@ def test_validate_columns_matches_frame_validator_bit_for_bit(seed):
         want, want_error = _validate_one_by_one(frames)
         ts, features, error = core.validated_prefix(frames)
         assert (type(error), str(error)) == (type(want_error), str(want_error))
-        assert ts.dtype == np.int64 and features.dtype == np.float64
+        assert ts.dtype == np.int64 and features.dtype == np.float32
         assert ts.tolist() == [w.timestamp_ns for w in want]
         rows = np.array([w.values for w in want], dtype=np.float64)
-        assert features.tobytes() == rows.reshape(-1, NUM_FEATURES).tobytes()
+        widened = features.astype(np.float64)
+        assert widened.tobytes() == rows.reshape(-1, NUM_FEATURES).tobytes()
         if want_error is None:
             got = core.validate_columns(frames)
             assert all(np.array_equal(a, b) for a, b in zip(got, (ts, features)))
@@ -304,7 +305,9 @@ def test_validate_columns_matches_at_the_edge_of_the_no_divide_tolerance():
     frames = [make_frame(i, ldir=tuple(v), rdir=tuple(v[::-1])) for i, v in enumerate(d.tolist())]
     want, _ = _validate_one_by_one(frames)
     _, features = core.validate_columns(frames)
-    assert features.tobytes() == np.array([w.values for w in want]).tobytes()
+    assert features.dtype == np.float32
+    widened = features.astype(np.float64)
+    assert widened.tobytes() == np.array([w.values for w in want], np.float64).tobytes()
 
 
 def test_validate_columns_rejects_timestamps_outside_int64_with_a_typed_error():

@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -875,6 +876,56 @@ def test_train_checkpoints_are_the_net_at_each_epoch(tmp_path):
         assert (tmp_path / f"epoch_{h.epoch:04d}.bnet").read_bytes() == want.to_bytes()
     best_bytes = (tmp_path / f"epoch_{best.epoch:04d}.bnet").read_bytes()
     assert (tmp_path / "best.bnet").read_bytes() == best.to_bytes() == best_bytes
+
+
+def window_pairs(n: int, seed: int, dim: int = 120):
+    """`cluster_pairs` as float32 windows, the dtype a cut from a history
+    buffer has."""
+    return [(WindowTensor(np.asarray(x, np.float32), 0), y)
+            for x, y in cluster_pairs(n, seed, dim)]
+
+
+def test_float32_windows_train_as_their_float64_values(tmp_path):
+    tr, va = window_pairs(45, 44), window_pairs(15, 45)
+    widened = [[(w.values.astype(np.float64), y) for w, y in s] for s in (tr, va)]
+    runs = []
+    for name, pairs in (("f32", (tr, va)), ("f64", widened)):
+        best, history = train(*pairs, epochs=3, seed=4, lr=1e-2, batch_size=8,
+                              stem_width=6, block_dims=((6, 4),),
+                              checkpoint_dir=tmp_path / name)
+        files = {f.name: f.read_bytes() for f in sorted((tmp_path / name).iterdir())}
+        runs.append((best.to_bytes(), history, files))
+    assert len(runs[0][2]) == 4  # three epoch files and best.bnet
+    assert runs[0] == runs[1]
+
+
+def test_train_returns_the_same_best_with_or_without_a_checkpoint_dir(tmp_path):
+    tr = [(x, 1 - y) for x, y in window_pairs(40, 42)]  # validation loss rises
+    va = window_pairs(16, 43)
+    kwargs = dict(epochs=4, seed=2, lr=1e-2, stem_width=6, block_dims=((6, 4),))
+    on_disk, history = train(tr, va, checkpoint_dir=tmp_path, **kwargs)
+    in_memory, again = train(tr, va, **kwargs)
+    assert on_disk.epoch < len(history) and history == again
+    assert on_disk.to_bytes() == in_memory.to_bytes()
+    assert on_disk.to_bytes() == (tmp_path / "best.bnet").read_bytes()
+
+
+def test_train_holds_no_copy_of_the_examples_or_of_the_best_net(tmp_path):
+    """With a checkpoint directory, the peak allocation of `train` is the
+    net's weights, gradients and Adam state plus one batch, the validation
+    matrix and Adam's scratch: a stacked copy of the training set (12 MB)
+    or a best net copied in memory (>= 5 MB) would exceed it."""
+    tr, va = window_pairs(300, 46, dim=5000), window_pairs(16, 47, dim=5000)
+    tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+    try:
+        best, _ = train(tr, va, epochs=2, seed=0, batch_size=32, stem_width=128,
+                        block_dims=((128, 64), (64, 32)), checkpoint_dir=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    params = sum(p.value.nbytes for p in best.net.params())
+    batch, val, adam_scratch = 32 * 5000 * 8, 16 * 5000 * 8, 2 * ADAM_BLOCK * 8
+    assert peak < 4 * params + batch + val + adam_scratch + 2_000_000
 
 
 def test_train_examples_of_mixed_width_are_a_shape_mismatch():
