@@ -143,15 +143,44 @@ def softmax_cross_entropy(logits: np.ndarray,
 
 
 class Param:
-    """Mutable parameter holder: value plus the gradient of the last backward."""
+    """Mutable parameter holder: value plus the gradient of the last backward.
 
-    __slots__ = ("value", "grad")
+    The gradient array is made only when a backward writes it or a reader
+    asks for it; before any backward it reads as zeros. A weight whose
+    layer computes no input gradient holds its gradient as two factors,
+    dy.T @ x (`hold_factors`), which `Adam.step` multiplies out a band of
+    rows at a time and then lets go of (the gradient reads as zeros after
+    that step); reading `grad` before the step multiplies them out whole.
+    """
+
+    __slots__ = ("value", "_grad", "_factors")
 
     def __init__(self, value: np.ndarray):
         self.value = np.asarray(value, dtype=np.float64)
-        # np.zeros maps untouched pages lazily; a serving process never
-        # writes the gradient of its 51 MB stem weight.
-        self.grad = np.zeros(self.value.shape)
+        self._grad: Optional[np.ndarray] = None
+        self._factors: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._factors is not None:
+            dy, x = self.take_factors()
+            self._grad = dy.T @ x
+        elif self._grad is None:
+            self._grad = np.zeros(self.value.shape)
+        return self._grad
+
+    @grad.setter
+    def grad(self, grad: np.ndarray) -> None:
+        self._grad, self._factors = grad, None
+
+    def hold_factors(self, dy: np.ndarray, x: np.ndarray) -> None:
+        """Set the gradient to dy.T @ x without multiplying it out."""
+        self._grad, self._factors = None, (dy, x)
+
+    def take_factors(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """The held (dy, x), or None; the parameter no longer holds them."""
+        factors, self._factors = self._factors, None
+        return factors
 
 
 class LinearLayer:
@@ -182,16 +211,24 @@ class LinearLayer:
         return x @ self.weight.value.T + self.bias.value
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        self.backward_params(dy)
+        self._check_backward(dy)
+        self.weight.grad = dy.T @ self._x
+        self.bias.grad = dy.sum(axis=0)
         return dy @ self.weight.value
 
     def backward_params(self, dy: np.ndarray) -> None:
-        """Write the weight and bias gradients only; for a first layer,
-        whose input gradient nothing reads."""
+        """Write the bias gradient and hold the weight gradient as its
+        factors (dy, x), for a first layer, whose input gradient nothing
+        reads. The layer lets go of its input, which the weight's factors
+        keep until the optimizer step."""
+        self._check_backward(dy)
+        self.weight.hold_factors(dy, self._x)
+        self.bias.grad = dy.sum(axis=0)
+        self._x = None
+
+    def _check_backward(self, dy: np.ndarray) -> None:
         if self._x is None or dy.shape != (self._x.shape[0], self.out_dim):
             raise ShapeMismatch("backward called without a matching forward")
-        np.matmul(dy.T, self._x, out=self.weight.grad)
-        self.bias.grad[...] = dy.sum(axis=0)
 
 
 class BatchNormLayer:
@@ -247,8 +284,8 @@ class BatchNormLayer:
         if self._cache is None:
             raise ShapeMismatch("backward called before forward")
         mode, xhat, inv_std = self._cache
-        self.gamma.grad[...] = (dy * xhat).sum(axis=0)
-        self.beta.grad[...] = dy.sum(axis=0)
+        self.gamma.grad = (dy * xhat).sum(axis=0)
+        self.beta.grad = dy.sum(axis=0)
         dxhat = dy * self.gamma.value
         if mode == "eval":
             return dxhat * inv_std
@@ -364,15 +401,19 @@ class BlinkNet:
 
     def copy(self) -> "BlinkNet":
         """A net of the same architecture with copies of this one's values
-        (weights, biases, batch-norm parameters and running statistics);
-        gradients and forward caches are not copied."""
+        (weights, biases, batch-norm parameters and running statistics),
+        written into the new net's own arrays; gradients and forward caches
+        are not copied."""
         twin = BlinkNet.zero_initialized(self.input_dim, self.stem_width,
                                          self.block_dims)
-        return _install(twin, (
-            tuple(np.array(v, dtype=np.float64, order="C")
-                  if isinstance(v, np.ndarray) else v
-                  for v in _layer_values(layer))
-            for _, layer in _layers_in_order(self)))
+        for (_, mine), (_, its) in zip(_layers_in_order(self),
+                                       _layers_in_order(twin)):
+            for value, into in zip(_layer_values(mine), _layer_values(its)):
+                if isinstance(into, np.ndarray):
+                    into[...] = value
+            if isinstance(its, BatchNormLayer):
+                its.momentum, its.eps = mine.momentum, mine.eps
+        return twin
 
     def _as_batch(self, x) -> np.ndarray:
         if isinstance(x, WindowTensor):
@@ -392,9 +433,10 @@ class BlinkNet:
             raise BatchTooSmallForTrainMode(
                 f"train-mode forward needs a batch of >= 2, got {x.shape[0]}"
             )
-        h = self.stem_act.forward(
-            self.stem_bn.forward(self.stem_lin.forward(x, train), train), train
-        )
+        h = self.stem_lin.forward(x, train)
+        if not train:  # nothing backpropagates an eval pass: drop its batch
+            self.stem_lin._x = None
+        h = self.stem_act.forward(self.stem_bn.forward(h, train), train)
         for block in self.blocks:
             h = block.forward(h, train)
         return self.head.forward(h, train)
@@ -441,6 +483,9 @@ class AdamState:
 # Elements per block of adam_step: two float64 scratch blocks of 256 KB
 # each stay in L2 while the block's m, v and param are updated.
 ADAM_BLOCK = 32768
+# Rows of a factored weight gradient that Adam.step multiplies out at a
+# time: 6.4 MB of the 50,000-input stem, whose whole gradient is 51 MB.
+ADAM_BAND_ROWS = 16
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState,
@@ -459,18 +504,47 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState,
     if not param.shape == grad.shape == state.m.shape == state.v.shape:
         raise ShapeMismatch("gradient or Adam state shape does not match parameter shape")
     state.t += 1
-    c1 = 1.0 - ADAM_BETA1 ** state.t
-    c2 = 1.0 - ADAM_BETA2 ** state.t
+    _adam_blocks(param, grad, state.m, state.v, state.t, lr)
+    return state
+
+
+def _adam_step_banded(param: np.ndarray, dy: np.ndarray, x: np.ndarray,
+                      state: AdamState, lr: float) -> None:
+    """`adam_step` with the gradient dy.T @ x, multiplied out ADAM_BAND_ROWS
+    rows at a time into one band buffer and applied to the same rows of
+    `param`, m and v; t advances once.
+
+    A product of two or more rows is bit-identical to the same rows of the
+    whole product; a one-row product goes through gemv and is not, so a
+    trailing single row joins the band before it.
+    """
+    if not (param.shape == (dy.shape[1], x.shape[1]) == state.m.shape == state.v.shape
+            and dy.shape[0] == x.shape[0]):
+        raise ShapeMismatch("gradient factors or Adam state do not match the parameter")
+    state.t += 1
+    bands = _spans(param.shape[0], ADAM_BAND_ROWS)
+    band = np.empty((max(hi - lo for lo, hi in bands), x.shape[1]))
+    for lo, hi in bands:
+        g = band[:hi - lo]
+        np.matmul(dy[:, lo:hi].T, x, out=g)
+        _adam_blocks(param[lo:hi], g, state.m[lo:hi], state.v[lo:hi], state.t, lr)
+
+
+def _adam_blocks(param: np.ndarray, grad: np.ndarray, m: np.ndarray,
+                 v: np.ndarray, t: int, lr: float) -> None:
+    """The update of `adam_step` at step t, block by block."""
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     # reshape gives views of C-contiguous arrays; any other layout is
     # updated in a flat copy and written back below.
-    p, m, v = param.reshape(-1), state.m.reshape(-1), state.v.reshape(-1)
+    p, mf, vf = param.reshape(-1), m.reshape(-1), v.reshape(-1)
     g = grad.reshape(-1)
     size = p.shape[0]
     scratch_a = np.empty(min(size, ADAM_BLOCK))
     scratch_b = np.empty_like(scratch_a)
     for lo in range(0, size, ADAM_BLOCK):
         hi = min(lo + ADAM_BLOCK, size)
-        pb, mb, vb, gb = p[lo:hi], m[lo:hi], v[lo:hi], g[lo:hi]
+        pb, mb, vb, gb = p[lo:hi], mf[lo:hi], vf[lo:hi], g[lo:hi]
         a, b = scratch_a[:hi - lo], scratch_b[:hi - lo]
         np.multiply(mb, ADAM_BETA1, out=mb)
         np.multiply(gb, 1.0 - ADAM_BETA1, out=a)
@@ -486,10 +560,18 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState,
         np.multiply(b, lr, out=b)
         np.divide(b, a, out=b)
         np.subtract(pb, b, out=pb)
-    for whole, flat in ((param, p), (state.m, m), (state.v, v)):
+    for whole, flat in ((param, p), (m, mf), (v, vf)):
         if not np.may_share_memory(whole, flat):
             whole[...] = flat.reshape(whole.shape)
-    return state
+
+
+def _spans(n: int, size: int) -> List[Tuple[int, int]]:
+    """[lo, hi) runs of `size` that cover range(n), with a trailing run of
+    one folded into the run before it."""
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
 
 
 class Adam:
@@ -500,8 +582,15 @@ class Adam:
                        for p in self.params]
 
     def step(self) -> None:
+        """One update of every parameter. A factored gradient is multiplied
+        out band by band, and the step lets go of its factors (and so of
+        the batch they hold)."""
         for p, s in zip(self.params, self.states):
-            adam_step(p.value, p.grad, s, self.lr)
+            factors = p.take_factors()
+            if factors is None:
+                adam_step(p.value, p.grad, s, self.lr)
+            else:
+                _adam_step_banded(p.value, *factors, s, self.lr)
 
 
 # --------------------------------------------------------------------------
@@ -819,6 +908,21 @@ def evaluate_loss(net: BlinkNet, x: np.ndarray,
     return loss, float((pred == labels).mean())
 
 
+def check_train_settings(epochs: int, batch_size: int,
+                         keep_epochs: Optional[int] = None) -> None:
+    """A ValueError for settings `train` cannot run with."""
+    if epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs}")
+    if batch_size < 2:  # train-mode batch norm needs two rows
+        raise ValueError(f"batch_size must be at least 2, got {batch_size}")
+    if keep_epochs is not None and keep_epochs < 1:
+        raise ValueError(f"keep_epochs must be at least 1, got {keep_epochs}")
+
+
+def _epoch_path(checkpoint_dir, epoch: int) -> str:
+    return os.path.join(checkpoint_dir, f"epoch_{epoch:04d}.bnet")
+
+
 def train(
     train_set,
     val_set,
@@ -831,6 +935,7 @@ def train(
     stem_width: int = STEM_WIDTH,
     block_dims: Optional[Sequence[Tuple[int, int]]] = None,
     log=None,
+    keep_epochs: Optional[int] = None,
 ) -> Tuple[ModelCheckpoint, List[EpochStats]]:
     """Adam training loop with per-epoch and best-by-validation checkpoints.
 
@@ -838,20 +943,22 @@ def train(
     features is a WindowTensor or flat vector and label a BlinkLabel or int
     (0 = Voluntary). Checkpoint files are written only when
     `checkpoint_dir` is given (epoch_NNNN.bnet plus best.bnet); the best
-    checkpoint is also returned. Everything is deterministic given `seed`.
+    checkpoint is also returned. With `keep_epochs` N, only the newest N
+    epoch files stay: each epoch's file, once written, replaces the oldest
+    surplus one; best.bnet always stays. Everything is deterministic given
+    `seed`.
 
     The examples are held once, as given: each batch, and the validation
-    set once per epoch, is gathered from them into a float64 matrix. With
+    set once per epoch, is gathered from them into a float64 matrix, which
+    goes as soon as its step or its evaluation is done. With
     `checkpoint_dir`, best.bnet is the only copy of the best epoch's net,
-    read back at the end; without it, the best net is copied in memory.
+    read back at the end; without it, the best net is copied in memory,
+    after the previous best copy is let go.
 
     A trailing batch of a single sample is folded into the previous batch,
     since train-mode batch norm cannot normalize a singleton.
     """
-    if epochs < 1:
-        raise ValueError(f"epochs must be at least 1, got {epochs}")
-    if batch_size < 2:  # train-mode batch norm needs two rows
-        raise ValueError(f"batch_size must be at least 2, got {batch_size}")
+    check_train_settings(epochs, batch_size, keep_epochs)
     train_pairs = list(train_set)
     val_pairs = list(val_set)
     if not train_pairs or not val_pairs:
@@ -884,15 +991,12 @@ def train(
     history: List[EpochStats] = []
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
-        starts = list(range(0, n, batch_size))
-        if len(starts) > 1 and n - starts[-1] == 1:
-            starts.pop()  # fold the trailing singleton into the previous batch
         total = 0.0
-        for bi, s in enumerate(starts):
-            e = starts[bi + 1] if bi + 1 < len(starts) else n
+        for s, e in _spans(n, batch_size):
             idx = order[s:e]
-            batch = np.stack([x_train[i] for i in idx], dtype=np.float64)
-            loss = net.loss_and_gradients(batch, y_train[idx])
+            # Unnamed here, the batch lives in the net until the step lets go of it.
+            loss = net.loss_and_gradients(
+                np.stack([x_train[i] for i in idx], dtype=np.float64), y_train[idx])
             optimizer.step()
             total += loss * len(idx)
         train_loss = total / n
@@ -900,11 +1004,13 @@ def train(
             net, np.stack(x_val, dtype=np.float64), y_val)
         history.append(EpochStats(epoch, train_loss, val_loss, val_acc))
         if checkpoint_dir is not None:  # written from the live arrays
-            ModelCheckpoint(epoch, val_loss, net).save(
-                os.path.join(checkpoint_dir, f"epoch_{epoch:04d}.bnet"))
+            ModelCheckpoint(epoch, val_loss, net).save(_epoch_path(checkpoint_dir, epoch))
+            if keep_epochs is not None and epoch > keep_epochs:
+                os.remove(_epoch_path(checkpoint_dir, epoch - keep_epochs))
         if best_loss is None or val_loss < best_loss:
             best_loss = val_loss
             if checkpoint_dir is None:
+                best = None  # one best copy at a time
                 best = ModelCheckpoint.from_net(net, epoch, val_loss)
             else:
                 ModelCheckpoint(epoch, val_loss, net).save(best_path)

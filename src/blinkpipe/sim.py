@@ -381,21 +381,12 @@ def generate_session(cfg: SimConfig) -> Tuple[Recording, GroundTruthLedger]:
     pupil_left = np.clip(pupil - reflex + pupil_noise[0], 2.0, 8.0)
     pupil_right = np.clip(pupil + asymmetry - reflex + pupil_noise[1], 2.0, 8.0)
 
-    frames = [
-        GazeFrame(
-            timestamp_ns=int(timestamps[i]),
-            left_pupil_mm=float(pupil_left[i]),
-            right_pupil_mm=float(pupil_right[i]),
-            left_openness=float(open_left[i]),
-            right_openness=float(open_right[i]),
-            left_dir=(float(dir_left[i, 0]), float(dir_left[i, 1]),
-                      float(dir_left[i, 2])),
-            right_dir=(float(dir_right[i, 0]), float(dir_right[i, 1]),
-                       float(dir_right[i, 2])),
-            valid=True,
-        )
-        for i in range(n)
-    ]
+    # Python floats and ints from whole columns: one conversion per column,
+    # not ten numpy-scalar reads per frame.
+    frames = list(map(
+        GazeFrame, timestamps.tolist(), pupil_left.tolist(), pupil_right.tolist(),
+        open_left.tolist(), open_right.tolist(),
+        zip(*dir_left.T.tolist()), zip(*dir_right.T.tolist())))
     recording = Recording(
         participant_id=cfg.participant_id,
         frames=frames,

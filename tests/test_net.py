@@ -19,6 +19,7 @@ import pytest
 from blinkpipe import net as net_module
 from blinkpipe.core import BlinkLabel
 from blinkpipe.net import (
+    ADAM_BAND_ROWS,
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_BLOCK,
@@ -416,6 +417,50 @@ def test_adam_class_wraps_params():
     before = params[0].value.copy()
     opt.step()
     np.testing.assert_allclose(params[0].value, before - 0.5, atol=1e-8)
+
+
+@pytest.mark.parametrize("width", [
+    2 * ADAM_BAND_ROWS,      # whole bands
+    2 * ADAM_BAND_ROWS + 1,  # a one-row remainder, which joins the last band
+    ADAM_BAND_ROWS + 3,
+])
+@pytest.mark.parametrize("batch", [2, 7, 32, 33])  # 33: a folded trailing batch
+def test_banded_step_is_bitwise_the_whole_product_and_adam_step(batch, width):
+    """A first layer's weight gradient, held as its factors and multiplied
+    out by Adam.step a band of rows at a time, updates the weight, m and v
+    exactly as np.matmul(dy.T, x) followed by adam_step does, step after
+    step. The band products go through the BLAS gemm kernel, so a failure
+    here names a BLAS (CI prints numpy's build configuration)."""
+    rng = np.random.default_rng(1000 * batch + width)
+    layer = LinearLayer(2000, width, rng)
+    opt = Adam(layer.params(), lr=0.003)
+    ref_w, ref_b = layer.weight.value.copy(), layer.bias.value.copy()
+    ref_sw = AdamState(np.zeros(ref_w.shape), np.zeros(ref_w.shape))
+    ref_sb = AdamState(np.zeros(width), np.zeros(width))
+    for _ in range(4):
+        # Row scales from 1e-3 to 1e3 make the rounding of the products show.
+        x = rng.normal(size=(batch, 2000)) * 10.0 ** rng.uniform(-3, 3, (batch, 1))
+        dy = rng.normal(size=(batch, width))
+        layer.forward(x, train=True)
+        layer.backward_params(dy)
+        opt.step()
+        adam_step(ref_w, np.matmul(dy.T, x), ref_sw, lr=0.003)
+        adam_step(ref_b, dy.sum(axis=0), ref_sb, lr=0.003)
+    sw, sb = opt.states
+    assert sw.t == sb.t == 4
+    for got, want in ((layer.weight.value, ref_w), (sw.m, ref_sw.m), (sw.v, ref_sw.v),
+                      (layer.bias.value, ref_b), (sb.m, ref_sb.m), (sb.v, ref_sb.v)):
+        assert np.array_equal(got, want)
+
+
+def test_a_factored_gradient_reads_as_the_whole_product():
+    rng = np.random.default_rng(19)
+    layer = LinearLayer(40, 5, rng)
+    x, dy = rng.normal(size=(6, 40)), rng.normal(size=(6, 5))
+    layer.forward(x, train=True)
+    layer.backward_params(dy)
+    assert np.array_equal(layer.weight.grad, np.matmul(dy.T, x))
+    assert np.array_equal(layer.bias.grad, dy.sum(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -910,22 +955,62 @@ def test_train_returns_the_same_best_with_or_without_a_checkpoint_dir(tmp_path):
     assert on_disk.to_bytes() == (tmp_path / "best.bnet").read_bytes()
 
 
-def test_train_holds_no_copy_of_the_examples_or_of_the_best_net(tmp_path):
-    """With a checkpoint directory, the peak allocation of `train` is the
-    net's weights, gradients and Adam state plus one batch, the validation
-    matrix and Adam's scratch: a stacked copy of the training set (12 MB)
-    or a best net copied in memory (>= 5 MB) would exceed it."""
-    tr, va = window_pairs(300, 46, dim=5000), window_pairs(16, 47, dim=5000)
+def _train_peak(checkpoint_dir):
+    """The tracemalloc peak of `train` on a 5,000-input net, and the bytes
+    of the net's parameter values."""
+    tr, va = window_pairs(300, 46, dim=5000), window_pairs(64, 47, dim=5000)
     tracemalloc.start()  # numpy reports its array buffers to tracemalloc
     try:
-        best, _ = train(tr, va, epochs=2, seed=0, batch_size=32, stem_width=128,
-                        block_dims=((128, 64), (64, 32)), checkpoint_dir=tmp_path)
+        best, _ = train(tr, va, epochs=2, seed=0, batch_size=64, stem_width=128,
+                        block_dims=((128, 64), (64, 32)), checkpoint_dir=checkpoint_dir)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    params = sum(p.value.nbytes for p in best.net.params())
-    batch, val, adam_scratch = 32 * 5000 * 8, 16 * 5000 * 8, 2 * ADAM_BLOCK * 8
-    assert peak < 4 * params + batch + val + adam_scratch + 2_000_000
+    return peak, sum(p.value.nbytes for p in best.net.params())
+
+
+def test_train_holds_no_copy_of_the_examples_or_of_the_best_net(tmp_path):
+    """With a checkpoint directory, the peak allocation of `train` is three
+    weight copies (the weights and Adam's m and v), one band of the stem
+    gradient, one batch or the validation matrix (never both), and Adam's
+    scratch: a whole stem gradient (5 MB), a stacked copy of the training
+    set (12 MB), a best net copied in memory (5 MB), or a batch or validation
+    matrix kept past its use (2.56 MB) would exceed it."""
+    peak, params = _train_peak(tmp_path)
+    band = ADAM_BAND_ROWS * 5000 * 8
+    batch, val, adam_scratch = 64 * 5000 * 8, 64 * 5000 * 8, 2 * ADAM_BLOCK * 8
+    assert peak < 3 * params + band + max(batch, val) + adam_scratch + 1_500_000
+
+
+def test_train_without_a_directory_holds_one_more_weight_copy(tmp_path):
+    """Without a checkpoint directory the best net is one in-memory copy:
+    the previous best goes before the next is taken, and a copy allocates
+    no gradients."""
+    with_dir, params = _train_peak(tmp_path)
+    without_dir, _ = _train_peak(None)
+    assert without_dir <= with_dir + params + 250_000
+
+
+def test_train_keeps_the_newest_epoch_files_and_best(tmp_path):
+    tr = [(x, 1 - y) for x, y in cluster_pairs(40, 42)]  # validation loss rises
+    va = cluster_pairs(16, 43)
+    kwargs = dict(epochs=5, seed=2, lr=1e-2, stem_width=6, block_dims=((6, 4),))
+    best, _ = train(tr, va, checkpoint_dir=tmp_path / "all", **kwargs)
+    assert best.epoch < 4
+    train(tr, va, checkpoint_dir=tmp_path / "two", keep_epochs=2, **kwargs)
+    every = {f.name: f.read_bytes() for f in (tmp_path / "all").iterdir()}
+    kept = {f.name: f.read_bytes() for f in (tmp_path / "two").iterdir()}
+    assert sorted(kept) == ["best.bnet", "epoch_0004.bnet", "epoch_0005.bnet"]
+    assert all(kept[name] == every[name] for name in kept)
+
+
+@pytest.mark.parametrize("keep_epochs", [0, -1])
+def test_train_rejects_keeping_no_epoch_file_before_any_work(tmp_path, keep_epochs):
+    ckpt = tmp_path / "ckpt"
+    with pytest.raises(ValueError, match="keep_epochs"):
+        train(iter(()), iter(()), epochs=1, keep_epochs=keep_epochs,
+              checkpoint_dir=ckpt)
+    assert not ckpt.exists()
 
 
 def test_train_examples_of_mixed_width_are_a_shape_mismatch():

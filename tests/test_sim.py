@@ -61,6 +61,18 @@ class TestSignalShape:
         for i in (0, 1, 777, len(rec.frames) - 1):
             assert rec.frames[i].timestamp_ns == i * FRAME_INTERVAL_NS
 
+    def test_frames_hold_python_numbers(self):
+        """Fields are plain ints, floats and 3-tuples of floats, never
+        numpy scalars, so frames compare, pickle and format as before."""
+        rec, _ = self.session()
+        for f in rec.frames[::997]:
+            assert type(f.timestamp_ns) is int and f.valid is True
+            for v in (f.left_pupil_mm, f.right_pupil_mm, f.left_openness,
+                      f.right_openness, *f.left_dir, *f.right_dir):
+                assert type(v) is float
+            assert type(f.left_dir) is tuple and len(f.left_dir) == 3
+            assert type(f.right_dir) is tuple and len(f.right_dir) == 3
+
     def test_value_ranges(self):
         rec, _ = self.session()
         lo = np.array([f.left_openness for f in rec.frames])
