@@ -59,7 +59,6 @@ from .net import (
     CheckpointFormatError,
     EmptySplit,
     ShapeMismatch,
-    check_train_settings,
     classify,
     load_net,
     train as train_model,
@@ -277,8 +276,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    # before any data is read or --out is made
-    check_train_settings(args.epochs, args.batch_size, args.keep_epochs)
+    if args.epochs < 1:  # before any data is read or --out is made
+        raise ValueError(f"epochs must be at least 1, got {args.epochs}")
+    if args.batch_size < 2:
+        raise ValueError(f"batch_size must be at least 2, got {args.batch_size}")
     recs = _load_recordings(args.data)
     profile = _load_profile(args.profile)
     try:
@@ -310,7 +311,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         stem_width=stem_width,
         block_dims=block_dims,
         log=log.info,
-        keep_epochs=args.keep_epochs,
     )
     payload = {
         "version": 1,
@@ -529,9 +529,6 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, _CommandSpec]]:
           help="extra shifted copies of each training window")
     c.opt("--arch", choices=("full", "small"), default="full",
           help="small = narrow stem and 3 blocks, for toy runs")
-    c.opt("--keep-epochs", type=int, default=None, metavar="N",
-          help="keep only the newest N epoch_NNNN.bnet files (default: all);"
-               " best.bnet always stays")
     c.opt("--profile", default=None, help="calibration profile JSON")
 
     c = new_command("eval", cmd_eval, "score a checkpoint against recordings")

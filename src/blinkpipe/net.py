@@ -454,7 +454,12 @@ class BlinkNet:
         self.stem_lin.backward_params(dy)
 
     def loss_and_gradients(self, x, labels) -> float:
-        """Train-mode forward + mean cross-entropy + full backward pass."""
+        """Train-mode forward + mean cross-entropy + full backward pass.
+
+        The stem weight's gradient keeps a reference to `x` (widened, but
+        not copied when it is already float64) until the next `Adam.step`
+        or `grad` read multiplies it out, so `x` must not change until then.
+        """
         logits = self.forward_logits(x, train=True)
         loss, dlogits = softmax_cross_entropy(logits, labels)
         self.backward_from_logits(dlogits)
@@ -583,8 +588,9 @@ class Adam:
 
     def step(self) -> None:
         """One update of every parameter. A factored gradient is multiplied
-        out band by band, and the step lets go of its factors (and so of
-        the batch they hold)."""
+        out band by band from the batch given to the last backward, which
+        must be unchanged since; the step then lets go of the factors (and
+        so of that batch)."""
         for p, s in zip(self.params, self.states):
             factors = p.take_factors()
             if factors is None:
@@ -908,21 +914,6 @@ def evaluate_loss(net: BlinkNet, x: np.ndarray,
     return loss, float((pred == labels).mean())
 
 
-def check_train_settings(epochs: int, batch_size: int,
-                         keep_epochs: Optional[int] = None) -> None:
-    """A ValueError for settings `train` cannot run with."""
-    if epochs < 1:
-        raise ValueError(f"epochs must be at least 1, got {epochs}")
-    if batch_size < 2:  # train-mode batch norm needs two rows
-        raise ValueError(f"batch_size must be at least 2, got {batch_size}")
-    if keep_epochs is not None and keep_epochs < 1:
-        raise ValueError(f"keep_epochs must be at least 1, got {keep_epochs}")
-
-
-def _epoch_path(checkpoint_dir, epoch: int) -> str:
-    return os.path.join(checkpoint_dir, f"epoch_{epoch:04d}.bnet")
-
-
 def train(
     train_set,
     val_set,
@@ -935,7 +926,6 @@ def train(
     stem_width: int = STEM_WIDTH,
     block_dims: Optional[Sequence[Tuple[int, int]]] = None,
     log=None,
-    keep_epochs: Optional[int] = None,
 ) -> Tuple[ModelCheckpoint, List[EpochStats]]:
     """Adam training loop with per-epoch and best-by-validation checkpoints.
 
@@ -943,10 +933,7 @@ def train(
     features is a WindowTensor or flat vector and label a BlinkLabel or int
     (0 = Voluntary). Checkpoint files are written only when
     `checkpoint_dir` is given (epoch_NNNN.bnet plus best.bnet); the best
-    checkpoint is also returned. With `keep_epochs` N, only the newest N
-    epoch files stay: each epoch's file, once written, replaces the oldest
-    surplus one; best.bnet always stays. Everything is deterministic given
-    `seed`.
+    checkpoint is also returned. Everything is deterministic given `seed`.
 
     The examples are held once, as given: each batch, and the validation
     set once per epoch, is gathered from them into a float64 matrix, which
@@ -958,7 +945,10 @@ def train(
     A trailing batch of a single sample is folded into the previous batch,
     since train-mode batch norm cannot normalize a singleton.
     """
-    check_train_settings(epochs, batch_size, keep_epochs)
+    if epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs}")
+    if batch_size < 2:  # train-mode batch norm needs two rows
+        raise ValueError(f"batch_size must be at least 2, got {batch_size}")
     train_pairs = list(train_set)
     val_pairs = list(val_set)
     if not train_pairs or not val_pairs:
@@ -1004,9 +994,8 @@ def train(
             net, np.stack(x_val, dtype=np.float64), y_val)
         history.append(EpochStats(epoch, train_loss, val_loss, val_acc))
         if checkpoint_dir is not None:  # written from the live arrays
-            ModelCheckpoint(epoch, val_loss, net).save(_epoch_path(checkpoint_dir, epoch))
-            if keep_epochs is not None and epoch > keep_epochs:
-                os.remove(_epoch_path(checkpoint_dir, epoch - keep_epochs))
+            ModelCheckpoint(epoch, val_loss, net).save(
+                os.path.join(checkpoint_dir, f"epoch_{epoch:04d}.bnet"))
         if best_loss is None or val_loss < best_loss:
             best_loss = val_loss
             if checkpoint_dir is None:

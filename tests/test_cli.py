@@ -155,28 +155,6 @@ class TestTrainAndEval:
         assert "batch_size must be at least 2" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_keep_epochs_keeps_the_newest_epoch_files_as_written(self, sim_dir,
-                                                                 tmp_path):
-        common = ("--data", sim_dir, "--epochs", "5", "--window", "100",
-                  "--arch", "small", "--seed", "1")
-        every, kept = tmp_path / "every", tmp_path / "kept"
-        assert run("train", "--out", str(every), *common) == EXIT_OK
-        assert run("train", "--out", str(kept), "--keep-epochs", "2",
-                   *common) == EXIT_OK
-        names = sorted(f.name for f in kept.iterdir())
-        assert names == ["best.bnet", "epoch_0004.bnet", "epoch_0005.bnet",
-                         "history.json"]
-        for name in names:
-            assert (kept / name).read_bytes() == (every / name).read_bytes()
-
-    def test_keep_epochs_under_one_is_usage(self, tmp_path, capsys):
-        out = tmp_path / "run"
-        rc = run("train", "--data", str(tmp_path / "missing"), "--out", str(out),
-                 "--keep-epochs", "0", "--window", "100", "--arch", "small")
-        assert rc == EXIT_USAGE
-        assert "keep_epochs must be at least 1" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_train_needs_three_participants(self, tmp_path):
         data = str(tmp_path / "two")
         assert run("simulate", "--out", data, "--minutes", "0.5",

@@ -991,28 +991,6 @@ def test_train_without_a_directory_holds_one_more_weight_copy(tmp_path):
     assert without_dir <= with_dir + params + 250_000
 
 
-def test_train_keeps_the_newest_epoch_files_and_best(tmp_path):
-    tr = [(x, 1 - y) for x, y in cluster_pairs(40, 42)]  # validation loss rises
-    va = cluster_pairs(16, 43)
-    kwargs = dict(epochs=5, seed=2, lr=1e-2, stem_width=6, block_dims=((6, 4),))
-    best, _ = train(tr, va, checkpoint_dir=tmp_path / "all", **kwargs)
-    assert best.epoch < 4
-    train(tr, va, checkpoint_dir=tmp_path / "two", keep_epochs=2, **kwargs)
-    every = {f.name: f.read_bytes() for f in (tmp_path / "all").iterdir()}
-    kept = {f.name: f.read_bytes() for f in (tmp_path / "two").iterdir()}
-    assert sorted(kept) == ["best.bnet", "epoch_0004.bnet", "epoch_0005.bnet"]
-    assert all(kept[name] == every[name] for name in kept)
-
-
-@pytest.mark.parametrize("keep_epochs", [0, -1])
-def test_train_rejects_keeping_no_epoch_file_before_any_work(tmp_path, keep_epochs):
-    ckpt = tmp_path / "ckpt"
-    with pytest.raises(ValueError, match="keep_epochs"):
-        train(iter(()), iter(()), epochs=1, keep_epochs=keep_epochs,
-              checkpoint_dir=ckpt)
-    assert not ckpt.exists()
-
-
 def test_train_examples_of_mixed_width_are_a_shape_mismatch():
     pairs = cluster_pairs(4, 32)
     narrow = [(np.asarray(x)[:-1], y) for x, y in pairs[:2]]
