@@ -158,7 +158,7 @@ def _load_config_file(path: str, actions: Dict[str, argparse.Action]
                 raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
             try:
                 pairs[dest] = _config_value(actions[dest], val)
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return pairs
 
@@ -178,7 +178,21 @@ def _parse_hostport(text: str) -> Tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep or not host:
         raise ValueError(f"expected HOST:PORT, got {text!r}")
-    return host, int(port)
+    number = int(port)
+    if not 0 <= number <= 65535:
+        raise ValueError(f"port must be in 0-65535, got {number}")
+    return host, number
+
+
+def _count(text: str) -> int:
+    """The argparse type of a how-many option: an int of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def _load_recordings(path: str) -> List[Recording]:
@@ -297,17 +311,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_pairs, val_pairs = (
         [(lb.window, lb.label) for lb in blinks] for blinks in (train, val)
     )
-    os.makedirs(args.out, exist_ok=True)
     block_dims = _SMALL_BLOCK_DIMS if args.arch == "small" else None
     stem_width = 64 if args.arch == "small" else 128
     best, history = train_model(
         train_pairs,
         val_pairs,
+        args.out,
         epochs=args.epochs,
         seed=args.seed,
         lr=args.lr,
         batch_size=args.batch_size,
-        checkpoint_dir=args.out,
         stem_width=stem_width,
         block_dims=block_dims,
         log=log.info,
@@ -335,7 +348,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         f"trained {len(history)} epochs: final train loss {final.train_loss!r},"
         f" best val loss {best.validation_loss!r} (epoch {best.epoch})"
     )
-    print(f"checkpoints in {args.out} (best.bnet, epoch_NNNN.bnet, history.json)")
+    print(f"wrote {args.out} (best.bnet, history.json)")
     return EXIT_OK
 
 
@@ -356,8 +369,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    net, window_frames = _net_from_checkpoint(args.checkpoint)
     host, port = _parse_hostport(args.listen)
+    net, window_frames = _net_from_checkpoint(args.checkpoint)
     profile = _load_profile(args.profile)
     server = BlinkServer(
         net,
@@ -383,9 +396,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
+    host, port = _parse_hostport(args.connect)
     rec = load_recording(args.input)
     frames = validate_frames(rec.frames)
-    host, port = _parse_hostport(args.connect)
     preds = replay_over_tcp((host, port), frames, speed_multiplier=args.speed)
     for p in preds:
         print(f"{p.blink_end_ns}\t{p.label.name.lower()}\t{p.confidence!r}")
@@ -507,7 +520,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, _CommandSpec]]:
     c.opt("--out", required=True, help="output directory")
     c.opt("--minutes", type=float, default=10.0,
           help="session length per participant")
-    c.opt("--participants", type=int, default=1,
+    c.opt("--participants", type=_count, default=1,
           help="number of sessions; participant i uses seed+i")
     c.opt("--spontaneous-rate", type=float, default=17.0, help="per minute")
     c.opt("--voluntary-rate", type=float, default=15.0, help="per minute")
@@ -525,7 +538,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, _CommandSpec]]:
     c.opt("--batch-size", type=int, default=DEFAULT_BATCH_SIZE)
     c.opt("--window", type=int, default=DEFAULT_WINDOW_FRAMES,
           help="frames per input window")
-    c.opt("--augment", type=int, default=1,
+    c.opt("--augment", type=_count, default=1,
           help="extra shifted copies of each training window")
     c.opt("--arch", choices=("full", "small"), default="full",
           help="small = narrow stem and 3 blocks, for toy runs")

@@ -19,6 +19,7 @@ import contextlib
 import gzip
 import io
 import os
+import zlib
 from dataclasses import dataclass, field, replace
 from typing import (
     Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple,
@@ -133,7 +134,7 @@ def load_recording(path: str) -> Recording:
     """Read a recording and its sidecar; bad content is RecordingFormatError."""
     try:
         return _read_recording(path)
-    except (UnicodeDecodeError, EOFError, gzip.BadGzipFile) as e:
+    except (UnicodeDecodeError, EOFError, gzip.BadGzipFile, zlib.error) as e:
         raise RecordingFormatError(f"{path}: {type(e).__name__}: {e}") from e
 
 

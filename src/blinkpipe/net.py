@@ -917,30 +917,29 @@ def evaluate_loss(net: BlinkNet, x: np.ndarray,
 def train(
     train_set,
     val_set,
+    checkpoint_dir,
     epochs: int = DEFAULT_EPOCHS,
     seed: int = 0,
     lr: float = DEFAULT_LR,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    checkpoint_dir=None,
-    net: Optional[BlinkNet] = None,
     stem_width: int = STEM_WIDTH,
     block_dims: Optional[Sequence[Tuple[int, int]]] = None,
     log=None,
 ) -> Tuple[ModelCheckpoint, List[EpochStats]]:
-    """Adam training loop with per-epoch and best-by-validation checkpoints.
+    """Adam training loop that keeps the best net by validation loss.
 
     `train_set` / `val_set` are sequences of (features, label) pairs, where
     features is a WindowTensor or flat vector and label a BlinkLabel or int
-    (0 = Voluntary). Checkpoint files are written only when
-    `checkpoint_dir` is given (epoch_NNNN.bnet plus best.bnet); the best
-    checkpoint is also returned. Everything is deterministic given `seed`.
+    (0 = Voluntary). The net is built from `seed`'s generator, which then
+    shuffles the batches, so everything is deterministic given `seed`.
+    `checkpoint_dir` is made if missing, and `best.bnet` in it, written from
+    the net's live arrays at each new best, is the only checkpoint and the
+    only copy of the best epoch's net: `train` reads it back after freeing
+    Adam's state and returns it.
 
     The examples are held once, as given: each batch, and the validation
     set once per epoch, is gathered from them into a float64 matrix, which
-    goes as soon as its step or its evaluation is done. With
-    `checkpoint_dir`, best.bnet is the only copy of the best epoch's net,
-    read back at the end; without it, the best net is copied in memory,
-    after the previous best copy is let go.
+    goes as soon as its step or its evaluation is done.
 
     A trailing batch of a single sample is folded into the previous batch,
     since train-mode batch norm cannot normalize a singleton.
@@ -958,13 +957,8 @@ def train(
     x_val, y_val = _as_xy(val_pairs, input_dim)
 
     rng = np.random.default_rng(seed)
-    if net is None:
-        net = BlinkNet(input_dim=input_dim, stem_width=stem_width,
-                       block_dims=block_dims, rng=rng)
-    elif net.input_dim != input_dim:
-        raise ShapeMismatch(
-            f"net expects {net.input_dim} features, data has {input_dim}"
-        )
+    net = BlinkNet(input_dim=input_dim, stem_width=stem_width,
+                   block_dims=block_dims, rng=rng)
     n = len(x_train)
     if n < 2:
         raise BatchTooSmallForTrainMode(
@@ -972,11 +966,8 @@ def train(
         )
 
     optimizer = Adam(net.params(), lr=lr)
-    if checkpoint_dir is not None:
-        os.makedirs(checkpoint_dir, exist_ok=True)
-        best_path = os.path.join(checkpoint_dir, "best.bnet")
-
-    best: Optional[ModelCheckpoint] = None  # the in-memory copy, without a directory
+    os.makedirs(checkpoint_dir, exist_ok=True)
+    best_path = os.path.join(checkpoint_dir, "best.bnet")
     best_loss: Optional[float] = None
     history: List[EpochStats] = []
     for epoch in range(1, epochs + 1):
@@ -993,23 +984,11 @@ def train(
         val_loss, val_acc = evaluate_loss(
             net, np.stack(x_val, dtype=np.float64), y_val)
         history.append(EpochStats(epoch, train_loss, val_loss, val_acc))
-        if checkpoint_dir is not None:  # written from the live arrays
-            ModelCheckpoint(epoch, val_loss, net).save(
-                os.path.join(checkpoint_dir, f"epoch_{epoch:04d}.bnet"))
         if best_loss is None or val_loss < best_loss:
             best_loss = val_loss
-            if checkpoint_dir is None:
-                best = None  # one best copy at a time
-                best = ModelCheckpoint.from_net(net, epoch, val_loss)
-            else:
-                ModelCheckpoint(epoch, val_loss, net).save(best_path)
+            ModelCheckpoint(epoch, val_loss, net).save(best_path)
         if log is not None:
             log(f"epoch {epoch}/{epochs} train_loss={train_loss:.6f} "
                 f"val_loss={val_loss:.6f} val_acc={val_acc:.4f}")
-    if checkpoint_dir is None:
-        assert best is not None
-        return best, history
-    # Adam's state, and the net unless the caller holds it, go before the
-    # best net is read back.
-    del optimizer, net
+    del optimizer, net  # Adam's state and the net go before the best is read back
     return ModelCheckpoint.load(best_path), history

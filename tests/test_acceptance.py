@@ -507,12 +507,11 @@ def test_c05_simulated_corpus_is_learnable(tmp_path):
     assert not (set(assignment.train) & set(assignment.val))
     assert not (set(assignment.train) & set(assignment.test))
 
-    net = BlinkNet(input_dim=SURROGATE_WINDOW * 10, stem_width=SMALL_STEM,
-                   block_dims=SMALL_BLOCKS, seed=0)
     best, history = train(
         [(b.window, b.label) for b in buckets["train"]],
         [(b.window, b.label) for b in buckets["val"]],
-        epochs=20, seed=0, lr=1e-4, batch_size=32, net=net,
+        tmp_path / "small", epochs=20, seed=0, lr=1e-4, batch_size=32,
+        stem_width=SMALL_STEM, block_dims=SMALL_BLOCKS,
     )
     assert len(history) <= 50
 
@@ -529,10 +528,10 @@ def test_c05_simulated_corpus_is_learnable(tmp_path):
     wins = materialize_windows(rec, label_blinks(rec), window_frames=5000)
     assert len(wins) >= 8
     pairs = [(b.window, b.label) for b in wins]
-    full = BlinkNet(input_dim=50_000, seed=0)
+    best_full, hist_full = train(pairs[:-4], pairs[-4:], tmp_path / "full",
+                                 epochs=1, seed=0, lr=1e-4, batch_size=32)
+    full = best_full.net
     assert full.input_dim == 50_000 and full.stem_width == 128
-    best_full, hist_full = train(pairs[:-4], pairs[-4:], epochs=1, seed=0,
-                                 lr=1e-4, batch_size=32, net=full)
     assert len(hist_full) == 1
     assert math.isfinite(hist_full[0].train_loss)
     assert math.isfinite(hist_full[0].val_loss)

@@ -95,6 +95,12 @@ class TestSimulate:
                    "--gzip") == EXIT_OK
         assert os.path.exists(os.path.join(out, "P00.csv.gz"))
 
+    def test_negative_participants_is_usage(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert run("simulate", "--out", str(out), "--participants", "-2") == EXIT_USAGE
+        assert "must be at least 0, got -2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_minutes_warns_but_succeeds(self, tmp_path, caplog):
         out = str(tmp_path / "empty")
         with caplog.at_level("WARNING", logger="blinkpipe.cli"):
@@ -110,9 +116,7 @@ class TestTrainAndEval:
                  "--epochs", "2", "--window", "100", "--arch", "small",
                  "--batch-size", "32", "--seed", "1")
         assert rc == EXIT_OK
-        for name in ("best.bnet", "epoch_0001.bnet", "epoch_0002.bnet",
-                     "history.json"):
-            assert os.path.exists(os.path.join(out, name))
+        assert sorted(os.listdir(out)) == ["best.bnet", "history.json"]
         with open(os.path.join(out, "history.json")) as f:
             hist = json.load(f)
         assert hist["epochs"] == 2 and hist["arch"] == "small"
@@ -155,6 +159,14 @@ class TestTrainAndEval:
         assert "batch_size must be at least 2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_train_negative_augment_is_usage(self, sim_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = run("train", "--data", sim_dir, "--out", str(out),
+                 "--augment", "-3", "--window", "100", "--arch", "small")
+        assert rc == EXIT_USAGE
+        assert "must be at least 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_needs_three_participants(self, tmp_path):
         data = str(tmp_path / "two")
         assert run("simulate", "--out", data, "--minutes", "0.5",
@@ -182,6 +194,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("damage", ["presses_line", "non_ascii",
                                         "truncated_gzip", "not_gzip",
+                                        "flipped_gzip", "flipped_presses_gzip",
                                         "nan_pupil", "zero_gaze",
                                         "timestamp_past_int64",
                                         "press_past_int64", "valid_column"])
@@ -205,6 +218,13 @@ class TestExitCodes:
             path.write_bytes(data[:-20] + b"\xe9" + data[-19:])
         elif damage == "not_gzip":
             path.write_bytes(gzip.decompress(data))
+        elif damage.startswith("flipped"):  # deflate data zlib rejects
+            target = tmp_path / ("rec.presses.gz" if "presses" in damage
+                                 else "rec.csv.gz")
+            raw = bytearray(target.read_bytes())
+            for i in range(len(raw) // 2, min(len(raw) // 2 + 60, len(raw) - 8)):
+                raw[i] ^= 0xFF
+            target.write_bytes(bytes(raw))
         elif damage.endswith("gzip"):
             path.write_bytes(data[:len(data) // 2])
         elif damage == "valid_column":
@@ -264,6 +284,18 @@ class TestExitCodes:
         ModelCheckpoint.from_net(tiny_net(20), 1, 0.5).save(ckpt)
         assert run("serve", "--checkpoint", ckpt,
                    "--listen", "no-port-here") == EXIT_USAGE
+
+    @pytest.mark.parametrize("command, flag, address", [
+        ("serve", "--listen", "127.0.0.1:99999"),
+        ("replay", "--connect", "127.0.0.1:-5"),
+    ])
+    def test_port_out_of_range_is_usage(self, tmp_path, capsys, command, flag,
+                                        address):
+        # Missing files would be I/O errors were they read before the port.
+        other = {"serve": "--checkpoint", "replay": "--in"}[command]
+        assert run(command, other, str(tmp_path / "missing"),
+                   flag, address) == EXIT_USAGE
+        assert "port must be in 0-65535" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["train", "eval", "serve"])
     def test_lookback_option_is_gone(self, tmp_path, monkeypatch, command):
@@ -399,6 +431,7 @@ class TestConfigFile:
         ("arch = tiny", "arch"),           # not one of the choices
         ("log-level = loud", "log-level"),
         ("augment = many", "augment"),
+        ("augment = -3", "augment"),       # a count below 0
         ("hard_mode = yes", "hard_mode"),  # a switch takes true or false
     ])
     def test_value_a_flag_would_reject_is_usage(self, tmp_path, capsys, line, key):

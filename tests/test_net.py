@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import builtins
-import dataclasses
 import errno
 import math
 import os
@@ -862,10 +861,10 @@ def cluster_pairs(n: int, seed: int, dim: int = 12):
     return xs
 
 
-def test_train_learns_separable_clusters():
+def test_train_learns_separable_clusters(tmp_path):
     tr = cluster_pairs(120, 25)
     va = cluster_pairs(40, 26)
-    best, history = train(tr, va, epochs=12, seed=0, lr=1e-3, batch_size=16,
+    best, history = train(tr, va, tmp_path, epochs=12, seed=0, lr=1e-3, batch_size=16,
                           stem_width=8, block_dims=((8, 4),))
     assert len(history) == 12
     assert history[-1].train_loss < history[0].train_loss
@@ -877,50 +876,46 @@ def test_train_learns_separable_clusters():
     assert correct >= 54  # 90% on well-separated clusters
 
 
-def test_train_is_deterministic_by_seed():
+def test_train_is_deterministic_by_seed(tmp_path):
     tr = cluster_pairs(60, 28)
     va = cluster_pairs(20, 29)
-    _, h1 = train(tr, va, epochs=4, seed=5, lr=1e-3, stem_width=6,
+    _, h1 = train(tr, va, tmp_path / "a", epochs=4, seed=5, lr=1e-3, stem_width=6,
                   block_dims=((6, 4),))
-    _, h2 = train(tr, va, epochs=4, seed=5, lr=1e-3, stem_width=6,
+    _, h2 = train(tr, va, tmp_path / "b", epochs=4, seed=5, lr=1e-3, stem_width=6,
                   block_dims=((6, 4),))
     assert [(s.train_loss, s.val_loss) for s in h1] == \
         [(s.train_loss, s.val_loss) for s in h2]
-    _, h3 = train(tr, va, epochs=4, seed=6, lr=1e-3, stem_width=6,
+    _, h3 = train(tr, va, tmp_path / "c", epochs=4, seed=6, lr=1e-3, stem_width=6,
                   block_dims=((6, 4),))
     assert h3[-1].train_loss != h1[-1].train_loss
 
 
-def test_train_writes_epoch_and_best_checkpoints(tmp_path):
+def test_train_writes_only_the_best_checkpoint(tmp_path):
     tr = cluster_pairs(40, 30)
     va = cluster_pairs(16, 31)
-    best, history = train(tr, va, epochs=3, seed=0, lr=1e-3, stem_width=6,
-                          block_dims=((6, 4),), checkpoint_dir=tmp_path)
-    for e in (1, 2, 3):
-        assert (tmp_path / f"epoch_{e:04d}.bnet").exists()
-    best_file = ModelCheckpoint.load(tmp_path / "best.bnet")
+    ckpt = tmp_path / "new" / "ckpt"  # made, parents too
+    best, history = train(tr, va, ckpt, epochs=3, seed=0, lr=1e-3, stem_width=6,
+                          block_dims=((6, 4),))
+    assert [f.name for f in ckpt.iterdir()] == ["best.bnet"]
+    best_file = ModelCheckpoint.load(ckpt / "best.bnet")
     assert best_file.to_bytes() == best.to_bytes()
     assert best_file.epoch == best.epoch
 
 
-def test_train_checkpoints_are_the_net_at_each_epoch(tmp_path):
-    """Each epoch file holds the net's parameters at the end of that epoch;
-    best.bnet and the returned checkpoint hold the best epoch's even after
-    the net trained on past it."""
+def test_best_checkpoint_is_the_best_epochs_net(tmp_path):
+    """best.bnet holds the best epoch's net after training went on past it:
+    a run stopped at that epoch writes the same bytes."""
     tr = [(x, 1 - y) for x, y in cluster_pairs(40, 42)]  # validation loss rises
     va = cluster_pairs(16, 43)
-    model = BlinkNet(input_dim=12, stem_width=6, block_dims=((6, 4),), seed=3)
-    shots = []
-    best, history = train(
-        tr, va, epochs=4, seed=2, lr=1e-2, net=model, checkpoint_dir=tmp_path,
-        log=lambda _: shots.append(ModelCheckpoint.from_net(model, 0, 0.0)))
+    kwargs = dict(seed=2, lr=1e-2, stem_width=6, block_dims=((6, 4),))
+    best, history = train(tr, va, tmp_path / "long", epochs=4, **kwargs)
     assert best.epoch < len(history)
     assert best.validation_loss == min(h.val_loss for h in history)
-    for h, shot in zip(history, shots):
-        want = dataclasses.replace(shot, epoch=h.epoch, validation_loss=h.val_loss)
-        assert (tmp_path / f"epoch_{h.epoch:04d}.bnet").read_bytes() == want.to_bytes()
-    best_bytes = (tmp_path / f"epoch_{best.epoch:04d}.bnet").read_bytes()
-    assert (tmp_path / "best.bnet").read_bytes() == best.to_bytes() == best_bytes
+    stopped, _ = train(tr, va, tmp_path / "stopped", epochs=best.epoch, **kwargs)
+    assert stopped.epoch == best.epoch
+    long_bytes = (tmp_path / "long" / "best.bnet").read_bytes()
+    assert long_bytes == best.to_bytes()
+    assert long_bytes == (tmp_path / "stopped" / "best.bnet").read_bytes()
 
 
 def window_pairs(n: int, seed: int, dim: int = 120):
@@ -935,76 +930,49 @@ def test_float32_windows_train_as_their_float64_values(tmp_path):
     widened = [[(w.values.astype(np.float64), y) for w, y in s] for s in (tr, va)]
     runs = []
     for name, pairs in (("f32", (tr, va)), ("f64", widened)):
-        best, history = train(*pairs, epochs=3, seed=4, lr=1e-2, batch_size=8,
-                              stem_width=6, block_dims=((6, 4),),
-                              checkpoint_dir=tmp_path / name)
+        best, history = train(*pairs, tmp_path / name, epochs=3, seed=4, lr=1e-2,
+                              batch_size=8, stem_width=6, block_dims=((6, 4),))
         files = {f.name: f.read_bytes() for f in sorted((tmp_path / name).iterdir())}
         runs.append((best.to_bytes(), history, files))
-    assert len(runs[0][2]) == 4  # three epoch files and best.bnet
+    assert list(runs[0][2]) == ["best.bnet"]
     assert runs[0] == runs[1]
 
 
-def test_train_returns_the_same_best_with_or_without_a_checkpoint_dir(tmp_path):
-    tr = [(x, 1 - y) for x, y in window_pairs(40, 42)]  # validation loss rises
-    va = window_pairs(16, 43)
-    kwargs = dict(epochs=4, seed=2, lr=1e-2, stem_width=6, block_dims=((6, 4),))
-    on_disk, history = train(tr, va, checkpoint_dir=tmp_path, **kwargs)
-    in_memory, again = train(tr, va, **kwargs)
-    assert on_disk.epoch < len(history) and history == again
-    assert on_disk.to_bytes() == in_memory.to_bytes()
-    assert on_disk.to_bytes() == (tmp_path / "best.bnet").read_bytes()
-
-
-def _train_peak(checkpoint_dir):
-    """The tracemalloc peak of `train` on a 5,000-input net, and the bytes
-    of the net's parameter values."""
+def test_train_holds_no_copy_of_the_examples_or_of_the_best_net(tmp_path):
+    """The peak allocation of `train` on a 5,000-input net is three weight
+    copies (the weights and Adam's m and v), one band of the stem gradient,
+    one batch or the validation matrix (never both), and Adam's scratch: a
+    whole stem gradient (5 MB), a stacked copy of the training set (12 MB),
+    a best net copied in memory (5 MB), or a batch or validation matrix
+    kept past its use (2.56 MB) would exceed it."""
     tr, va = window_pairs(300, 46, dim=5000), window_pairs(64, 47, dim=5000)
     tracemalloc.start()  # numpy reports its array buffers to tracemalloc
     try:
-        best, _ = train(tr, va, epochs=2, seed=0, batch_size=64, stem_width=128,
-                        block_dims=((128, 64), (64, 32)), checkpoint_dir=checkpoint_dir)
+        best, _ = train(tr, va, tmp_path, epochs=2, seed=0, batch_size=64,
+                        stem_width=128, block_dims=((128, 64), (64, 32)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak, sum(p.value.nbytes for p in best.net.params())
-
-
-def test_train_holds_no_copy_of_the_examples_or_of_the_best_net(tmp_path):
-    """With a checkpoint directory, the peak allocation of `train` is three
-    weight copies (the weights and Adam's m and v), one band of the stem
-    gradient, one batch or the validation matrix (never both), and Adam's
-    scratch: a whole stem gradient (5 MB), a stacked copy of the training
-    set (12 MB), a best net copied in memory (5 MB), or a batch or validation
-    matrix kept past its use (2.56 MB) would exceed it."""
-    peak, params = _train_peak(tmp_path)
+    params = sum(p.value.nbytes for p in best.net.params())
     band = ADAM_BAND_ROWS * 5000 * 8
     batch, val, adam_scratch = 64 * 5000 * 8, 64 * 5000 * 8, 2 * ADAM_BLOCK * 8
     assert peak < 3 * params + band + max(batch, val) + adam_scratch + 1_500_000
 
 
-def test_train_without_a_directory_holds_one_more_weight_copy(tmp_path):
-    """Without a checkpoint directory the best net is one in-memory copy:
-    the previous best goes before the next is taken, and a copy allocates
-    no gradients."""
-    with_dir, params = _train_peak(tmp_path)
-    without_dir, _ = _train_peak(None)
-    assert without_dir <= with_dir + params + 250_000
-
-
-def test_train_examples_of_mixed_width_are_a_shape_mismatch():
+def test_train_examples_of_mixed_width_are_a_shape_mismatch(tmp_path):
     pairs = cluster_pairs(4, 32)
     narrow = [(np.asarray(x)[:-1], y) for x, y in pairs[:2]]
     with pytest.raises(ShapeMismatch):
-        train(pairs + narrow, pairs, epochs=1)
+        train(pairs + narrow, pairs, tmp_path, epochs=1)
     with pytest.raises(ShapeMismatch):
-        train(pairs, pairs + narrow, epochs=1)
+        train(pairs, pairs + narrow, tmp_path, epochs=1)
 
 
-def test_train_rejects_empty_splits():
+def test_train_rejects_empty_splits(tmp_path):
     with pytest.raises(EmptySplit):
-        train([], cluster_pairs(4, 32), epochs=1)
+        train([], cluster_pairs(4, 32), tmp_path, epochs=1)
     with pytest.raises(EmptySplit):
-        train(cluster_pairs(4, 33), [], epochs=1)
+        train(cluster_pairs(4, 33), [], tmp_path, epochs=1)
 
 
 @pytest.mark.parametrize("epochs", [0, -1])
@@ -1015,7 +983,7 @@ def test_train_rejects_fewer_than_one_epoch_before_any_work(tmp_path, epochs):
 
     ckpt = tmp_path / "ckpt"
     with pytest.raises(ValueError, match="epochs"):
-        train(unread(), unread(), epochs=epochs, checkpoint_dir=ckpt)
+        train(unread(), unread(), ckpt, epochs=epochs)
     assert not ckpt.exists()
 
 
@@ -1027,15 +995,14 @@ def test_train_rejects_batches_under_two_before_any_work(tmp_path, batch_size):
 
     ckpt = tmp_path / "ckpt"
     with pytest.raises(ValueError, match="batch_size"):
-        train(unread(), unread(), epochs=1, batch_size=batch_size,
-              checkpoint_dir=ckpt)
+        train(unread(), unread(), ckpt, epochs=1, batch_size=batch_size)
     assert not ckpt.exists()
 
 
-def test_evaluate_loss_reports_accuracy():
+def test_evaluate_loss_reports_accuracy(tmp_path):
     tr = cluster_pairs(80, 34)
     va = cluster_pairs(30, 35)
-    best, _ = train(tr, va, epochs=10, seed=0, lr=1e-3, stem_width=8,
+    best, _ = train(tr, va, tmp_path, epochs=10, seed=0, lr=1e-3, stem_width=8,
                     block_dims=((8, 4),))
     net = best.build_net()
     test_pairs = cluster_pairs(50, 36)
