@@ -39,6 +39,7 @@ from .window import HistoryBuffer, NotReady, WindowTensor
 from .net import (
     BlinkNet,
     CheckpointFormatError,
+    InferenceOnly,
     ModelCheckpoint,
     classify,
     load_net,
@@ -96,6 +97,7 @@ __all__ = [
     "GroundTruthLedger",
     "HeadPose",
     "HistoryBuffer",
+    "InferenceOnly",
     "InteractionEvent",
     "InteractionMachine",
     "InteractionMode",

@@ -28,6 +28,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import signal
 import sys
@@ -294,6 +295,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ValueError(f"epochs must be at least 1, got {args.epochs}")
     if args.batch_size < 2:
         raise ValueError(f"batch_size must be at least 2, got {args.batch_size}")
+    if not 0.0 < args.lr < math.inf:  # NaN fails it too
+        raise ValueError(f"lr must be a finite number above 0, got {args.lr}")
     recs = _load_recordings(args.data)
     profile = _load_profile(args.profile)
     try:

@@ -131,14 +131,28 @@ def save_recording(rec: Recording, path: str) -> None:
 
 
 def load_recording(path: str) -> Recording:
-    """Read a recording and its sidecar; bad content is RecordingFormatError."""
+    """Read a recording and its sidecar; bad content is RecordingFormatError,
+    naming the file it is in."""
+    with _reading(path):
+        participant, frames, metadata = _read_frames(path)
+    presses: List[int] = []
+    sidecar = _sidecar_path(path)
+    if os.path.exists(sidecar):
+        with _reading(sidecar):
+            presses = _read_presses(sidecar)
+    return Recording(participant, frames, presses, metadata)
+
+
+@contextlib.contextmanager
+def _reading(path: str) -> Iterator[None]:
+    """Turn a file's undecodable bytes into a RecordingFormatError naming it."""
     try:
-        return _read_recording(path)
+        yield
     except (UnicodeDecodeError, EOFError, gzip.BadGzipFile, zlib.error) as e:
         raise RecordingFormatError(f"{path}: {type(e).__name__}: {e}") from e
 
 
-def _read_recording(path: str) -> Recording:
+def _read_frames(path: str) -> Tuple[str, List[GazeFrame], Dict[str, str]]:
     participant = ""
     metadata: Dict[str, str] = {}
     frames: List[GazeFrame] = []
@@ -183,18 +197,20 @@ def _read_recording(path: str) -> Recording:
                 ))
             except (ValueError, TimestampOutOfRange) as e:
                 raise RecordingFormatError(f"line {lineno}: {e}") from e
+    return participant, frames, metadata
+
+
+def _read_presses(sidecar: str) -> List[int]:
     presses: List[int] = []
-    sidecar = _sidecar_path(path)
-    if os.path.exists(sidecar):
-        with _open_text(sidecar, "r") as f:
-            for lineno, row in enumerate(f, start=1):
-                if row.strip():
-                    try:
-                        presses.append(_timestamp(row))
-                    except (ValueError, TimestampOutOfRange) as e:
-                        raise RecordingFormatError(
-                            f"{sidecar}: line {lineno}: {e}") from e
-    return Recording(participant, frames, presses, metadata)
+    with _open_text(sidecar, "r") as f:
+        for lineno, row in enumerate(f, start=1):
+            if row.strip():
+                try:
+                    presses.append(_timestamp(row))
+                except (ValueError, TimestampOutOfRange) as e:
+                    raise RecordingFormatError(
+                        f"{sidecar}: line {lineno}: {e}") from e
+    return presses
 
 
 def _timestamp(text: str) -> int:

@@ -13,11 +13,15 @@ Class order in the output 2-vector: index 0 = Voluntary, index 1 =
 Involuntary. Ties break toward Involuntary so an ambiguous blink is
 suppressed rather than acted on.
 
-All training and inference math is double precision. Windows arrive as
-float32, which holds every validated feature exactly, and are widened to
-float64 where arithmetic starts: in `BlinkNet._as_batch` and, during
-training, in each gathered batch. Determinism: a fixed seed fixes the
-initialization, the per-epoch shuffles, and therefore every parameter.
+Training, checkpoints and every net that `BlinkNet`, `train` or
+`ModelCheckpoint` builds are double precision. Answers come from a float32
+copy of the stem weight (`BlinkNet.for_inference`, `load_net`): the stem
+product runs in float32, and everything after it in float64. Windows
+arrive as float32, which holds every validated feature exactly; each
+linear layer takes its input in its weight's dtype, so a float64 stem
+widens a window and a float32 stem takes it as it is. Determinism: a fixed
+seed fixes the initialization, the per-epoch shuffles, and therefore every
+parameter.
 """
 from __future__ import annotations
 
@@ -74,6 +78,10 @@ class EmptySplit(BlinkPipeError):
 
 class CheckpointFormatError(BlinkPipeError):
     """Checkpoint bytes do not parse as a well-formed model file."""
+
+
+class InferenceOnly(BlinkPipeError):
+    """A net with a float32 stem weight answers blinks; it cannot train."""
 
 
 # --------------------------------------------------------------------------
@@ -205,8 +213,10 @@ class LinearLayer:
         return [self.weight, self.bias]
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        """The product runs in the weight's dtype: `x` is cast to it."""
         if x.shape[1] != self.in_dim:
             raise ShapeMismatch(f"expected {self.in_dim} input features, got {x.shape[1]}")
+        x = x.astype(self.weight.value.dtype, copy=False)
         self._x = x
         return x @ self.weight.value.T + self.bias.value
 
@@ -415,10 +425,28 @@ class BlinkNet:
                 its.momentum, its.eps = mine.momentum, mine.eps
         return twin
 
+    def for_inference(self) -> "BlinkNet":
+        """The net that answers blinks: itself when its stem weight is
+        float32, otherwise a new net whose stem weight is a float32 copy of
+        this one's and whose every other array is this net's own (in-place
+        updates to them show in both). It equals `load_net` of this net's
+        checkpoint bit for bit, and it cannot train (`InferenceOnly`)."""
+        if self.stem_lin.weight.value.dtype == np.float32:
+            return self
+        values = [_layer_values(layer) for _, layer in _layers_in_order(self)]
+        values[0] = (values[0][0].astype(np.float32), values[0][1])
+        twin = BlinkNet.zero_initialized(self.input_dim, self.stem_width,
+                                         self.block_dims)
+        return _install(twin, values)
+
     def _as_batch(self, x) -> np.ndarray:
+        """`x` as rows; float32 stays float32 (the stem casts it to its own
+        dtype), anything else becomes float64."""
         if isinstance(x, WindowTensor):
             x = x.values
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
+        if x.dtype != np.float32:
+            x = x.astype(np.float64, copy=False)
         if x.ndim == 1:
             x = x[None, :]
         if x.ndim != 2 or x.shape[1] != self.input_dim:
@@ -428,6 +456,8 @@ class BlinkNet:
         return x
 
     def forward_logits(self, x, train: bool = False) -> np.ndarray:
+        if train and self.stem_lin.weight.value.dtype != np.float64:
+            raise InferenceOnly("a net with a float32 stem cannot train")
         x = self._as_batch(x)
         if train and x.shape[0] < 2:
             raise BatchTooSmallForTrainMode(
@@ -582,6 +612,8 @@ def _spans(n: int, size: int) -> List[Tuple[int, int]]:
 class Adam:
     def __init__(self, params: Sequence[Param], lr: float = DEFAULT_LR):
         self.params = list(params)
+        if any(p.value.dtype != np.float64 for p in self.params):
+            raise InferenceOnly("Adam updates float64 parameters only")
         self.lr = lr
         self.states = [AdamState(np.zeros(p.value.shape), np.zeros(p.value.shape))
                        for p in self.params]
@@ -607,6 +639,10 @@ def _f64_bytes(a: np.ndarray) -> memoryview:
     """The array's little-endian float64 bytes, without a copy when it is
     already C-contiguous native float64."""
     return memoryview(np.ascontiguousarray(a, dtype="<f8")).cast("B")
+
+
+# Stored values that `_Reader.f32_array` reads at a time: 512 KB of float64.
+READ_CHUNK = 65536
 
 
 class _Reader:
@@ -645,6 +681,25 @@ class _Reader:
         self._check_read(self.f.readinto(memoryview(out).cast("B")), 8 * count)
         return out
 
+    def f32_array(self, count: int) -> np.ndarray:
+        """`count` stored float64 values rounded to float32, as `astype`
+        rounds them, read READ_CHUNK values at a time through one scratch
+        buffer: no float64 array of `count` values is made."""
+        self._claim(8 * count)
+        out = np.empty(count, dtype=np.float32)
+        chunk = np.empty(min(count, READ_CHUNK), dtype="<f8")
+        try:
+            with np.errstate(over="raise"):
+                for lo in range(0, count, READ_CHUNK):
+                    part = chunk[:min(READ_CHUNK, count - lo)]
+                    self._check_read(self.f.readinto(memoryview(part).cast("B")),
+                                     part.nbytes)
+                    out[lo:lo + part.size] = part
+        except FloatingPointError:
+            raise CheckpointFormatError(
+                f"a weight before offset {self.pos} is beyond float32 range") from None
+        return out
+
     @property
     def exhausted(self) -> bool:
         return self.pos == self.size
@@ -668,15 +723,17 @@ class ModelCheckpoint:
       Every dimension is at least 1; every running_var entry is finite and
       >= 0, momentum is in [0, 1], and eps is finite and > 0.
 
-    Loading then saving is byte-identical. `load` and `from_bytes` read
-    every array into a fresh one and install it in the net they build, so
-    the checkpoint's net holds the only copy of the weights; `build_net`
-    copies that net.
+    Loading with `load` or `from_bytes`, then saving, is byte-identical:
+    they read every array into a fresh float64 one and install it in the
+    net they build, so the checkpoint's net holds the only copy of the
+    weights; `build_net` copies that net. `load_net` is not byte-identical
+    that way: its stem weight is rounded to float32.
     """
 
     epoch: int
     validation_loss: float
     net: BlinkNet
+    _STEM_F32 = False  # `_read` takes the stem weight into float32 (load_net)
 
     @classmethod
     def from_net(cls, net: BlinkNet, epoch: int,
@@ -724,8 +781,8 @@ class ModelCheckpoint:
             if tag == _TAG_LINEAR:
                 if d0 == 0 or d1 == 0:
                     raise CheckpointFormatError(f"{where}: linear layer of shape {d0}x{d1}")
-                values.append((r.f64_array(d0 * d1).reshape(d0, d1),
-                               r.f64_array(d0)))
+                weights = r.f32_array if cls._STEM_F32 and not tags else r.f64_array
+                values.append((weights(d0 * d1).reshape(d0, d1), r.f64_array(d0)))
             elif tag == _TAG_BATCHNORM:
                 if d0 == 0:
                     raise CheckpointFormatError(f"{where}: batch norm of 0 features")
@@ -779,12 +836,21 @@ class ModelCheckpoint:
         return self.net.copy()
 
 
+class _ServingCheckpoint(ModelCheckpoint):
+    """A checkpoint read for answering blinks (`load_net`)."""
+
+    _STEM_F32 = True
+
+
 def load_net(path) -> BlinkNet:
-    """The network stored in the checkpoint at `path`, holding the arrays
-    just read from the file: one copy of the weights, where
-    `ModelCheckpoint.load(path).build_net()` makes a second while the first
-    is alive."""
-    return ModelCheckpoint.load(path).net
+    """The network stored in the checkpoint at `path`, ready to answer
+    blinks: `ModelCheckpoint.load(path).build_net().for_inference()` bit for
+    bit, but read in one `ModelCheckpoint.load` call that takes the stem
+    weight from the file straight into float32, a chunk at a time, and every
+    other array into float64. So no float64 copy of the stem is ever held.
+    The net cannot train, and saving it does not give back the file's bytes:
+    its stem is rounded to float32."""
+    return _ServingCheckpoint.load(path).net
 
 
 def _architecture(tags: List[int], values: List[tuple]
@@ -848,14 +914,16 @@ def _install(net: BlinkNet, values: Iterable[tuple]) -> BlinkNet:
 
 
 def _fitted(current: np.ndarray, stored: np.ndarray) -> np.ndarray:
-    """`stored` as a C-contiguous, aligned, writeable native float64 array,
-    itself when it is one already; it must have the shape of the layer
-    array `current` it replaces."""
+    """`stored` as a C-contiguous, aligned, writeable native float32 array
+    when it is float32 and float64 otherwise, itself when it is one
+    already; it must have the shape of the layer array `current` it
+    replaces."""
     if stored.shape != current.shape:
         raise CheckpointFormatError(
             f"record array of shape {stored.shape} where the layer needs {current.shape}"
         )
-    return np.require(stored, np.float64, "CAW")
+    dtype = np.float32 if stored.dtype == np.float32 else np.float64
+    return np.require(stored, dtype, "CAW")
 
 
 def _layers_in_order(net: BlinkNet):

@@ -235,7 +235,9 @@ class SessionPipeline:
     confidence 0: class Voluntary under the "voluntary" policy (plain
     blink-selection behavior), Involuntary under "suppress". The message
     timestamp is the triggering frame's timestamp, keeping output
-    independent of wall clock.
+    independent of wall clock. The answers come from
+    `net.for_inference()`, the net with a float32 stem weight, which a
+    float64 net is cast to here and a float32-stem net already is.
     """
 
     def __init__(self, net: BlinkNet, profile: Optional[CalibrationProfile] = None,
@@ -243,7 +245,7 @@ class SessionPipeline:
                  warmup_policy: str = "voluntary"):
         if warmup_policy not in WARMUP_POLICIES:
             raise ValueError(f"warmup_policy must be one of {WARMUP_POLICIES}")
-        self.net = net
+        self.net = net.for_inference()
         self.warmup_policy = warmup_policy
         self._segmenter = BlinkSegmenter(profile)
         self._buffer = HistoryBuffer(window_frames)
@@ -279,7 +281,8 @@ def predictions_for_frames(
     window_frames: int = DEFAULT_WINDOW_FRAMES,
     warmup_policy: str = "voluntary",
 ) -> List[PredictionMsg]:
-    """In-process reference path: identical output to a TCP session."""
+    """In-process reference path: identical output to a TCP session, both
+    answering from `net.for_inference()`."""
     pipe = SessionPipeline(net, profile, window_frames, warmup_policy)
     out = []
     for vf in frames:
@@ -337,6 +340,7 @@ class BlinkServer:
     prediction goes back with a non-blocking send. Backpressure is TCP flow control, so no frame
     is dropped. A bad client, or one that stops reading until its send buffer
     fills, ends only its own session, with the error in its SessionStats.
+    Every session answers from `net.for_inference()`, made once.
     serve_forever() runs the loop on the calling thread; start() (or `with`)
     runs it on one background thread until stop().
     """
@@ -348,8 +352,9 @@ class BlinkServer:
                  window_frames: int = DEFAULT_WINDOW_FRAMES):
         if warmup_policy not in WARMUP_POLICIES:
             raise ValueError(f"warmup_policy must be one of {WARMUP_POLICIES}")
+        # Cast once here, not in each session's pipeline.
         self._new_pipeline = functools.partial(
-            SessionPipeline, net, profile, window_frames, warmup_policy)
+            SessionPipeline, net.for_inference(), profile, window_frames, warmup_policy)
         self._listener = socket.create_server((host, port))
         self._listener.setblocking(False)
         self.host, self.port = self._listener.getsockname()[:2]

@@ -656,6 +656,31 @@ def test_c08_tcp_session_matches_in_process_at_rate():
     assert stats.error is None
 
 
+def test_float32_stem_answers_agree_with_float64_at_the_full_shape():
+    """Served answers come from a float32 stem (`BlinkNet.for_inference`).
+    On seeded 50,000-input nets and the windows of a simulated session,
+    every label equals the float64 net's and every confidence is within
+    1e-5 of it."""
+    rec, _ = generate_session(SimConfig(seed=31, duration_s=150.0,
+                                        participant_id="P31"))
+    wins = [b.window for b in materialize_windows(rec, label_blinks(rec),
+                                                  window_frames=5000)]
+    assert len(wins) >= 50
+    labels, largest = set(), 0.0
+    for seed in range(3):
+        net = BlinkNet(seed=seed)
+        served = net.for_inference()
+        for w in wins:
+            (want, want_conf), (got, got_conf) = classify(net, w), classify(served, w)
+            assert got is want
+            largest = max(largest, abs(got_conf - want_conf))
+            labels.add(want)
+    print(f"float32 stem: {3 * len(wins)} answers agree, largest confidence "
+          f"change {largest:.2e}")
+    assert largest <= 1e-5
+    assert labels == {BlinkLabel.VOLUNTARY, BlinkLabel.INVOLUNTARY}
+
+
 # ===========================================================================
 # Criterion 9: wire roundtrips and decoder fuzzing
 # ===========================================================================

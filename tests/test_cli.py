@@ -159,6 +159,24 @@ class TestTrainAndEval:
         assert "batch_size must be at least 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-inf", "-1", "0", "-0.0"])
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_train_lr_not_finite_and_positive_is_usage(self, tmp_path, capsys,
+                                                       lr, given):
+        out = tmp_path / "run"
+        if given == "flag":
+            extra = [f"--lr={lr}"]
+        else:
+            cfg = tmp_path / "train.cfg"
+            cfg.write_text(f"lr = {lr}\n")
+            extra = ["--config", str(cfg)]
+        # A missing --data would be an I/O error if it were read.
+        rc = run("train", "--data", str(tmp_path / "missing"), "--out", str(out),
+                 "--window", "100", "--arch", "small", *extra)
+        assert rc == EXIT_USAGE
+        assert "lr must be a finite number above 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_negative_augment_is_usage(self, sim_dir, tmp_path, capsys):
         out = tmp_path / "run"
         rc = run("train", "--data", sim_dir, "--out", str(out),
@@ -234,6 +252,8 @@ class TestExitCodes:
                  "zero_gaze": "DegenerateDirection"}.get(damage, "RecordingFormatError")
         err = capsys.readouterr().err
         assert error in err
+        if damage == "flipped_presses_gzip":
+            assert f"{tmp_path / 'rec.presses.gz'}:" in err
         if damage == "valid_column":
             assert f"line {len(rec.frames) + 2}: valid column '7'" in err
 
@@ -632,6 +652,8 @@ _ERRORS_THAT_STAY_INSIDE = {
                  "segmenter's update has processed a frame, which sets it",
     "ClientNotReading": "the server loop catches it and ends that client's "
                         "session only",
+    "InferenceOnly": "no command trains a net it loaded with load_net: "
+                     "train builds its own float64 net",
 }
 
 

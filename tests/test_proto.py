@@ -17,7 +17,7 @@ import pytest
 
 from blinkpipe import proto
 from blinkpipe.core import BlinkLabel, CalibrationProfile
-from blinkpipe.net import BlinkNet
+from blinkpipe.net import BlinkNet, ModelCheckpoint, load_net
 from blinkpipe.proto import (
     _SKIP_MIN_FRAMES,
     ACCEPT_RETRY_S,
@@ -55,6 +55,7 @@ from blinkpipe.proto import (
     validated_frame_from_msg,
 )
 from blinkpipe.segmenter import BlinkSegmenter
+from blinkpipe.sim import SimConfig, generate_session
 
 from conftest import make_frame, square_blink_recording, tiny_net
 
@@ -322,6 +323,24 @@ class TestServer:
         assert stats.frames_received == len(frames)
         assert stats.frames_dropped == 0
         assert stats.predictions_sent == 3
+
+    def test_server_of_a_loaded_checkpoint_matches_the_in_memory_net(self, tmp_path):
+        # The server answers from the float32 stem `load_net` reads from the
+        # file; the in-process reference casts the float64 net it is given.
+        net = BlinkNet(input_dim=500 * 10, stem_width=16,
+                       block_dims=((16, 16), (16, 8)), seed=6)
+        path = tmp_path / "model.bnet"
+        ModelCheckpoint.from_net(net, 0, 0.0).save(path)
+        rec, _ = generate_session(SimConfig(seed=22, duration_s=60.0))
+        frames = validate_frames(rec.frames)
+        want = predictions_for_frames(frames, net, window_frames=500)
+        served = load_net(path)
+        assert served.stem_lin.weight.value.dtype == np.float32
+        with BlinkServer(served, port=0, window_frames=500) as srv:
+            got = replay_over_tcp(srv.address, frames)
+        assert got == want
+        assert sum(p.confidence > 0.0 for p in want) >= 20
+        assert net.stem_lin.weight.value.dtype == np.float64
 
     def test_reset_control_restarts_warmup(self):
         net = tiny_net(20, seed=4)
