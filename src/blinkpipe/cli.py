@@ -60,6 +60,7 @@ from .net import (
     CheckpointFormatError,
     EmptySplit,
     ShapeMismatch,
+    UnknownLabel,
     classify,
     load_net,
     train as train_model,
@@ -114,6 +115,7 @@ _DATA_ERRORS = (
     TooFewParticipants,
     CheckpointFormatError,
     EmptySplit,
+    UnknownLabel,
     EmptyMatrix,
     BadMagic,
     TruncatedMessage,

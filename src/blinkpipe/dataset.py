@@ -161,7 +161,7 @@ def _read_frames(path: str) -> Tuple[str, List[GazeFrame], Dict[str, str]]:
         if line.startswith("#"):
             for tok in line[1:].split():
                 if "=" not in tok:
-                    raise RecordingFormatError(f"bad metadata token {tok!r}")
+                    raise RecordingFormatError(f"{path}: bad metadata token {tok!r}")
                 k, v = tok.split("=", 1)
                 if k == "participant":
                     participant = v
@@ -170,8 +170,7 @@ def _read_frames(path: str) -> Tuple[str, List[GazeFrame], Dict[str, str]]:
             line = f.readline()
         if line.strip() != _CSV_HEADER:
             raise RecordingFormatError(
-                f"unexpected column header {line.strip()!r}"
-            )
+                f"{path}: unexpected column header {line.strip()!r}")
         for lineno, row in enumerate(f, start=3):
             row = row.strip()
             if not row:
@@ -179,11 +178,10 @@ def _read_frames(path: str) -> Tuple[str, List[GazeFrame], Dict[str, str]]:
             parts = row.split(",")
             if len(parts) != 12:
                 raise RecordingFormatError(
-                    f"line {lineno}: expected 12 columns, got {len(parts)}"
-                )
+                    f"{path}: line {lineno}: expected 12 columns, got {len(parts)}")
             if parts[11] not in ("0", "1"):
                 raise RecordingFormatError(
-                    f"line {lineno}: valid column {parts[11]!r} is not 0 or 1")
+                    f"{path}: line {lineno}: valid column {parts[11]!r} is not 0 or 1")
             try:
                 frames.append(GazeFrame(
                     timestamp_ns=_timestamp(parts[0]),
@@ -196,7 +194,7 @@ def _read_frames(path: str) -> Tuple[str, List[GazeFrame], Dict[str, str]]:
                     valid=parts[11] == "1",
                 ))
             except (ValueError, TimestampOutOfRange) as e:
-                raise RecordingFormatError(f"line {lineno}: {e}") from e
+                raise RecordingFormatError(f"{path}: line {lineno}: {e}") from e
     return participant, frames, metadata
 
 

@@ -13,6 +13,11 @@ Class order in the output 2-vector: index 0 = Voluntary, index 1 =
 Involuntary. Ties break toward Involuntary so an ambiguous blink is
 suppressed rather than acted on.
 
+Every net is built one way, by `BlinkNet._wrap`: its layers wrap the arrays
+of one record per layer as they are. The seeded initializer draws the
+records, `ModelCheckpoint` reads them, `copy` copies them and
+`for_inference` casts the stem's, so no array is made to be overwritten.
+
 Training, checkpoints and every net that `BlinkNet`, `train` or
 `ModelCheckpoint` builds are double precision. Answers come from a float32
 copy of the stem weight (`BlinkNet.for_inference`, `load_net`): the stem
@@ -31,8 +36,7 @@ import os
 import stat
 import struct
 from dataclasses import dataclass
-from typing import (BinaryIO, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import BinaryIO, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -74,6 +78,10 @@ class BatchTooSmallForTrainMode(BlinkPipeError):
 
 class EmptySplit(BlinkPipeError):
     """Training requires non-empty train and validation sets."""
+
+
+class UnknownLabel(BlinkPipeError):
+    """A training label is neither 0 (Voluntary) nor 1 (Involuntary)."""
 
 
 class CheckpointFormatError(BlinkPipeError):
@@ -164,7 +172,7 @@ class Param:
     __slots__ = ("value", "_grad", "_factors")
 
     def __init__(self, value: np.ndarray):
-        self.value = np.asarray(value, dtype=np.float64)
+        self.value = value
         self._grad: Optional[np.ndarray] = None
         self._factors: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
@@ -192,21 +200,12 @@ class Param:
 
 
 class LinearLayer:
-    """y = x @ W.T + b with uniform +/-sqrt(1/fan_in) initialization."""
+    """y = x @ W.T + b over the (out, in) weight and the bias it is given."""
 
-    def __init__(self, in_dim: int, out_dim: int,
-                 rng: Optional[np.random.Generator] = None):
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        bound = math.sqrt(1.0 / in_dim)
-        if rng is None:
-            w = np.zeros((out_dim, in_dim))
-            b = np.zeros(out_dim)
-        else:
-            w = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-            b = rng.uniform(-bound, bound, size=out_dim)
-        self.weight = Param(w)
-        self.bias = Param(b)
+    def __init__(self, weight: np.ndarray, bias: np.ndarray):
+        self.out_dim, self.in_dim = weight.shape
+        self.weight = Param(weight)
+        self.bias = Param(bias)
         self._x: Optional[np.ndarray] = None
 
     def params(self) -> List[Param]:
@@ -250,15 +249,16 @@ class BatchNormLayer:
     batch-composition invariant.
     """
 
-    def __init__(self, num_features: int):
-        self.num_features = num_features
-        # Checkpoints carry both, and loading one sets them.
-        self.momentum = BN_MOMENTUM
-        self.eps = BN_EPS
-        self.gamma = Param(np.ones(num_features))
-        self.beta = Param(np.zeros(num_features))
-        self.running_mean = np.zeros(num_features)
-        self.running_var = np.ones(num_features)
+    def __init__(self, gamma: np.ndarray, beta: np.ndarray,
+                 running_mean: np.ndarray, running_var: np.ndarray,
+                 momentum: float, eps: float):
+        self.num_features = gamma.shape[0]
+        self.gamma = Param(gamma)
+        self.beta = Param(beta)
+        self.running_mean = running_mean
+        self.running_var = running_var
+        self.momentum = momentum
+        self.eps = eps
         self._cache = None
 
     def params(self) -> List[Param]:
@@ -320,23 +320,16 @@ class MishActivation:
 class ResNetBlock:
     """Two (Linear, BatchNorm, Mish) sub-blocks plus a skip around both.
 
-    skip is the identity when in_dim == out_dim (type b), otherwise a
-    linear projection (type a).
+    skip is None, the identity, when the block keeps its width (type b),
+    otherwise a linear projection (type a).
     """
 
-    def __init__(self, in_dim: int, out_dim: int,
-                 rng: Optional[np.random.Generator] = None):
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        self.lin1 = LinearLayer(in_dim, out_dim, rng)
-        self.bn1 = BatchNormLayer(out_dim)
-        self.act1 = MishActivation()
-        self.lin2 = LinearLayer(out_dim, out_dim, rng)
-        self.bn2 = BatchNormLayer(out_dim)
-        self.act2 = MishActivation()
-        self.skip: Optional[LinearLayer] = (
-            None if in_dim == out_dim else LinearLayer(in_dim, out_dim, rng)
-        )
+    def __init__(self, lin1: LinearLayer, bn1: BatchNormLayer,
+                 lin2: LinearLayer, bn2: BatchNormLayer,
+                 skip: Optional[LinearLayer]):
+        self.lin1, self.bn1, self.act1 = lin1, bn1, MishActivation()
+        self.lin2, self.bn2, self.act2 = lin2, bn2, MishActivation()
+        self.skip = skip
 
     def params(self) -> List[Param]:
         out = (self.lin1.params() + self.bn1.params()
@@ -362,68 +355,116 @@ class ResNetBlock:
         return dx + ds
 
 
+def linear_init(in_dim: int, out_dim: int, rng: np.random.Generator
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """A new linear layer's (weight, bias), drawn from `rng` in that order,
+    uniform in +/-sqrt(1/in_dim)."""
+    bound = math.sqrt(1.0 / in_dim)
+    return (rng.uniform(-bound, bound, size=(out_dim, in_dim)),
+            rng.uniform(-bound, bound, size=out_dim))
+
+
+def batch_norm_init(num_features: int) -> tuple:
+    """A new batch norm's values: gamma 1, beta 0, running mean 0, running
+    variance 1, BN_MOMENTUM and BN_EPS."""
+    n = num_features
+    return np.ones(n), np.zeros(n), np.zeros(n), np.ones(n), BN_MOMENTUM, BN_EPS
+
+
+Record = Tuple[str, tuple]  # ("linear" or "bn", values laid out as _layer_values)
+
+
 class BlinkNet:
     """Full classifier stack. `forward` returns row-wise class probabilities."""
 
     def __init__(self, input_dim: int = INPUT_DIM, stem_width: int = STEM_WIDTH,
                  block_dims: Optional[Sequence[Tuple[int, int]]] = None,
                  seed: int = 0, rng: Optional[np.random.Generator] = None):
+        """A new net whose linear layers are drawn from `rng`, or from
+        `seed`'s generator, in forward order (`linear_init`)."""
         if rng is None:
             rng = np.random.default_rng(seed)
-        self._build(input_dim, stem_width, block_dims, rng)
-
-    @classmethod
-    def zero_initialized(cls, input_dim: int = INPUT_DIM,
-                         stem_width: int = STEM_WIDTH,
-                         block_dims: Optional[Sequence[Tuple[int, int]]] = None
-                         ) -> "BlinkNet":
-        """All linear weights and biases zero; batch-norm at gamma=1, beta=0."""
-        net = cls.__new__(cls)
-        net._build(input_dim, stem_width, block_dims, None)
-        return net
-
-    def _build(self, input_dim: int, stem_width: int,
-               block_dims: Optional[Sequence[Tuple[int, int]]],
-               rng: Optional[np.random.Generator]) -> None:
-        """Check the block chain and create the layers; with `rng` None every
-        linear layer is zero and no random number is drawn."""
         if block_dims is None:
             block_dims = DEFAULT_BLOCK_DIMS
-        block_dims = tuple((int(a), int(b)) for a, b in block_dims)
         width = stem_width
+        records: List[Record] = [("linear", linear_init(input_dim, width, rng)),
+                                 ("bn", batch_norm_init(width))]
         for i, (bin_, bout) in enumerate(block_dims):
             if bin_ != width:
                 raise ValueError(
                     f"block {i} input width {bin_} does not follow previous width {width}"
                 )
+            records += [("linear", linear_init(bin_, bout, rng)),
+                        ("bn", batch_norm_init(bout)),
+                        ("linear", linear_init(bout, bout, rng)),
+                        ("bn", batch_norm_init(bout))]
+            if bin_ != bout:
+                records.append(("linear", linear_init(bin_, bout, rng)))
             width = bout
-        self.input_dim = input_dim
-        self.stem_width = stem_width
-        self.block_dims = block_dims
-        self.stem_lin = LinearLayer(input_dim, stem_width, rng)
-        self.stem_bn = BatchNormLayer(stem_width)
+        self._wrap(records + [("linear", linear_init(width, N_CLASSES, rng))])
+
+    @classmethod
+    def from_records(cls, records: Sequence[Record]) -> "BlinkNet":
+        """The net whose layers wrap `records` (see `_wrap`)."""
+        net = cls.__new__(cls)
+        net._wrap(records)
+        return net
+
+    def _wrap(self, records: Sequence[Record]) -> None:
+        """Make this net's layers from `records`, one per layer in
+        `_layers_in_order`, each wrapping its record's arrays as they are.
+
+        The records must form a stem (linear, batch norm), blocks (linear,
+        batch norm, linear, batch norm, and a projection linear when the
+        block changes width) and a linear head of N_CLASSES, with each
+        layer taking the width the one before it gives; otherwise this is
+        a CheckpointFormatError. The first array of a record (a weight or
+        gamma) gives its shape.
+        """
+        at = 0
+
+        def take(kind: str, *shape: Optional[int]):
+            """The next record's layer, which must be a `kind` whose first
+            array has `shape` (None: any size)."""
+            nonlocal at
+            if at == len(records) or records[at][0] != kind:
+                raise CheckpointFormatError(
+                    f"record {at}: no {kind} record where a stem/blocks/head stack needs one")
+            values = records[at][1]
+            got = values[0].shape
+            if len(got) != len(shape) or any(w not in (None, g) for g, w in zip(got, shape)):
+                raise CheckpointFormatError(
+                    f"record {at}: {kind} of shape {got} where the stack needs {shape}")
+            at += 1
+            return (LinearLayer if kind == "linear" else BatchNormLayer)(*values)
+
+        self.stem_lin = take("linear", None, None)
+        self.input_dim, self.stem_width = self.stem_lin.in_dim, self.stem_lin.out_dim
+        self.stem_bn = take("bn", self.stem_width)
         self.stem_act = MishActivation()
-        self.blocks = [ResNetBlock(a, b, rng) for a, b in block_dims]
-        self.head = LinearLayer(width, N_CLASSES, rng)
+        self.blocks: List[ResNetBlock] = []
+        width = self.stem_width
+        while at < len(records) - 1:
+            lin1 = take("linear", None, width)
+            out = lin1.out_dim
+            self.blocks.append(ResNetBlock(
+                lin1, take("bn", out), take("linear", out, out), take("bn", out),
+                None if out == width else take("linear", out, width)))
+            width = out
+        self.head = take("linear", N_CLASSES, width)
 
     def params(self) -> List[Param]:
         return [p for _, layer in _layers_in_order(self) for p in layer.params()]
 
     def copy(self) -> "BlinkNet":
-        """A net of the same architecture with copies of this one's values
-        (weights, biases, batch-norm parameters and running statistics),
-        written into the new net's own arrays; gradients and forward caches
-        are not copied."""
-        twin = BlinkNet.zero_initialized(self.input_dim, self.stem_width,
-                                         self.block_dims)
-        for (_, mine), (_, its) in zip(_layers_in_order(self),
-                                       _layers_in_order(twin)):
-            for value, into in zip(_layer_values(mine), _layer_values(its)):
-                if isinstance(into, np.ndarray):
-                    into[...] = value
-            if isinstance(its, BatchNormLayer):
-                its.momentum, its.eps = mine.momentum, mine.eps
-        return twin
+        """A net of the same layers with float64 copies of this one's values
+        (weights, biases, batch-norm parameters and running statistics), so
+        it can train even when this net's stem is float32; gradients and
+        forward caches are not copied."""
+        return BlinkNet.from_records([
+            (kind, tuple(np.array(v, np.float64, order="C") if isinstance(v, np.ndarray)
+                         else v for v in values))
+            for kind, values in _records(self)])
 
     def for_inference(self) -> "BlinkNet":
         """The net that answers blinks: itself when its stem weight is
@@ -433,11 +474,10 @@ class BlinkNet:
         checkpoint bit for bit, and it cannot train (`InferenceOnly`)."""
         if self.stem_lin.weight.value.dtype == np.float32:
             return self
-        values = [_layer_values(layer) for _, layer in _layers_in_order(self)]
-        values[0] = (values[0][0].astype(np.float32), values[0][1])
-        twin = BlinkNet.zero_initialized(self.input_dim, self.stem_width,
-                                         self.block_dims)
-        return _install(twin, values)
+        records = _records(self)
+        weight, bias = records[0][1]
+        records[0] = ("linear", (weight.astype(np.float32, order="C"), bias))
+        return BlinkNet.from_records(records)
 
     def _as_batch(self, x) -> np.ndarray:
         """`x` as rows; float32 stays float32 (the stem casts it to its own
@@ -679,7 +719,7 @@ class _Reader:
         self._claim(8 * count)
         out = np.empty(count, dtype="<f8")
         self._check_read(self.f.readinto(memoryview(out).cast("B")), 8 * count)
-        return out
+        return out.astype(np.float64, copy=False)  # a copy on big-endian hosts only
 
     def f32_array(self, count: int) -> np.ndarray:
         """`count` stored float64 values rounded to float32, as `astype`
@@ -724,8 +764,8 @@ class ModelCheckpoint:
       >= 0, momentum is in [0, 1], and eps is finite and > 0.
 
     Loading with `load` or `from_bytes`, then saving, is byte-identical:
-    they read every array into a fresh float64 one and install it in the
-    net they build, so the checkpoint's net holds the only copy of the
+    they read every array into a fresh float64 one, and the net they build
+    from the records wraps those arrays, so it holds the only copy of the
     weights; `build_net` copies that net. `load_net` is not byte-identical
     that way: its stem weight is rounded to float32.
     """
@@ -746,8 +786,7 @@ class ModelCheckpoint:
         """The file's bytes in order: packed headers and views of the arrays."""
         yield struct.pack("<4sIId", CHECKPOINT_MAGIC, CHECKPOINT_FORMAT_VERSION,
                           self.epoch, self.validation_loss)
-        for kind, layer in _layers_in_order(self.net):
-            values = _layer_values(layer)
+        for kind, values in _records(self.net):
             if kind == "linear":
                 out_dim, in_dim = values[0].shape
                 yield struct.pack("<BII", _TAG_LINEAR, out_dim, in_dim)
@@ -773,16 +812,15 @@ class ModelCheckpoint:
             raise CheckpointFormatError(f"bad magic {magic!r}")
         if version != CHECKPOINT_FORMAT_VERSION:
             raise CheckpointFormatError(f"unsupported format version {version}")
-        tags: List[int] = []
-        values: List[tuple] = []  # per record, laid out as _layer_values
+        records: List[Record] = []
         while not r.exhausted:
             tag, d0, d1 = struct.unpack("<BII", r.take(9))
-            where = f"record {len(tags)}"
+            where = f"record {len(records)}"
             if tag == _TAG_LINEAR:
                 if d0 == 0 or d1 == 0:
                     raise CheckpointFormatError(f"{where}: linear layer of shape {d0}x{d1}")
-                weights = r.f32_array if cls._STEM_F32 and not tags else r.f64_array
-                values.append((weights(d0 * d1).reshape(d0, d1), r.f64_array(d0)))
+                weights = r.f32_array if cls._STEM_F32 and not records else r.f64_array
+                records.append(("linear", (weights(d0 * d1).reshape(d0, d1), r.f64_array(d0))))
             elif tag == _TAG_BATCHNORM:
                 if d0 == 0:
                     raise CheckpointFormatError(f"{where}: batch norm of 0 features")
@@ -797,12 +835,10 @@ class ModelCheckpoint:
                     raise CheckpointFormatError(
                         f"{where}: batch norm running variance from {var.min()} to"
                         f" {var.max()}, momentum {momentum}, eps {eps}")
-                values.append((gamma, beta, mean, var, momentum, eps))
+                records.append(("bn", (gamma, beta, mean, var, momentum, eps)))
             else:
                 raise CheckpointFormatError(f"unknown layer tag 0x{tag:02x}")
-            tags.append(tag)
-        net = BlinkNet.zero_initialized(*_architecture(tags, values))
-        return cls(epoch, val_loss, _install(net, values))
+        return cls(epoch, val_loss, BlinkNet.from_records(records))
 
     def save(self, path) -> None:
         """Write the bytes of `to_bytes` so that `path` is either complete or
@@ -853,39 +889,6 @@ def load_net(path) -> BlinkNet:
     return _ServingCheckpoint.load(path).net
 
 
-def _architecture(tags: List[int], values: List[tuple]
-                  ) -> Tuple[int, int, List[Tuple[int, int]]]:
-    """The (input_dim, stem_width, block_dims) of the stem/blocks/head stack
-    that records of these tags and values form; a CheckpointFormatError
-    when they form none."""
-    linear, bn = _TAG_LINEAR, _TAG_BATCHNORM
-    head = len(tags) - 1
-    if len(tags) < 3 or tags[:2] != [linear, bn] or tags[head] != linear:
-        raise CheckpointFormatError("records do not form a stem/blocks/head stack")
-    stem_width, input_dim = values[0][0].shape
-    block_dims: List[Tuple[int, int]] = []
-    width = stem_width
-    i = 2
-    while i < head:
-        if tags[i:i + 4] != [linear, bn, linear, bn]:
-            raise CheckpointFormatError(f"malformed block at record {i}")
-        out_dim, in_dim = values[i][0].shape
-        if in_dim != width:
-            raise CheckpointFormatError(
-                f"block at record {i} takes {in_dim} features where the "
-                f"layer before it gives {width}")
-        block_dims.append((in_dim, out_dim))
-        width = out_dim
-        i += 4
-        if in_dim != out_dim:
-            if i >= head or tags[i] != linear:
-                raise CheckpointFormatError(
-                    f"missing projection record for block ending at record {i}"
-                )
-            i += 1
-    return input_dim, stem_width, block_dims
-
-
 def _layer_values(layer) -> tuple:
     """A layer's stored values in file order: (weight, bias) of a linear
     layer; (gamma, beta, running_mean, running_var, momentum, eps) of a
@@ -896,34 +899,10 @@ def _layer_values(layer) -> tuple:
             layer.running_var, layer.momentum, layer.eps)
 
 
-def _install(net: BlinkNet, values: Iterable[tuple]) -> BlinkNet:
-    """Set the layers of `net`, in `_layers_in_order`, to `values`, one
-    tuple per layer laid out as `_layer_values`; the arrays are kept, not
-    copied, where `_fitted` allows."""
-    for vals, (kind, layer) in zip(values, _layers_in_order(net), strict=True):
-        if kind == "linear":
-            layer.weight.value = _fitted(layer.weight.value, vals[0])
-            layer.bias.value = _fitted(layer.bias.value, vals[1])
-        else:
-            gamma, beta, mean, var, layer.momentum, layer.eps = vals
-            layer.gamma.value = _fitted(layer.gamma.value, gamma)
-            layer.beta.value = _fitted(layer.beta.value, beta)
-            layer.running_mean = _fitted(layer.running_mean, mean)
-            layer.running_var = _fitted(layer.running_var, var)
-    return net
-
-
-def _fitted(current: np.ndarray, stored: np.ndarray) -> np.ndarray:
-    """`stored` as a C-contiguous, aligned, writeable native float32 array
-    when it is float32 and float64 otherwise, itself when it is one
-    already; it must have the shape of the layer array `current` it
-    replaces."""
-    if stored.shape != current.shape:
-        raise CheckpointFormatError(
-            f"record array of shape {stored.shape} where the layer needs {current.shape}"
-        )
-    dtype = np.float32 if stored.dtype == np.float32 else np.float64
-    return np.require(stored, dtype, "CAW")
+def _records(net: BlinkNet) -> List[Record]:
+    """The net's (kind, values) records in `_layers_in_order`, values laid
+    out as `_layer_values`: its own arrays, not copies."""
+    return [(kind, _layer_values(layer)) for kind, layer in _layers_in_order(net)]
 
 
 def _layers_in_order(net: BlinkNet):
@@ -955,7 +934,7 @@ class EpochStats:
 def _as_xy(dataset, input_dim: Optional[int] = None
            ) -> Tuple[List[np.ndarray], np.ndarray]:
     """The examples as 1-D arrays in their own dtype (views of float32
-    windows, not copies) and the labels as int64."""
+    windows, not copies) and the labels as int64, each 0 or 1."""
     xs: List[np.ndarray] = []
     ys: List[int] = []
     for features, label in dataset:
@@ -968,8 +947,12 @@ def _as_xy(dataset, input_dim: Optional[int] = None
             raise ShapeMismatch(
                 f"example has {v.shape[0]} features, expected {input_dim}"
             )
+        y = int(label.value if isinstance(label, BlinkLabel) else label)
+        if y not in (0, 1):
+            raise UnknownLabel(f"example {len(ys)} has label {y}, not 0 (Voluntary)"
+                               " or 1 (Involuntary)")
         xs.append(v)
-        ys.append(int(label.value if isinstance(label, BlinkLabel) else label))
+        ys.append(y)
     return xs, np.asarray(ys, dtype=np.int64)
 
 

@@ -9,7 +9,8 @@ import numpy as np
 
 from blinkpipe.core import FRAME_INTERVAL_NS, NUM_FEATURES, GazeFrame
 from blinkpipe.dataset import Recording
-from blinkpipe.net import BlinkNet
+from blinkpipe.net import (BatchNormLayer, BlinkNet, LinearLayer, ResNetBlock,
+                           batch_norm_init, linear_init)
 
 
 def make_frame(
@@ -87,6 +88,30 @@ def tiny_net(window_frames: int, seed: int = 0) -> BlinkNet:
         block_dims=((16, 16), (16, 8)),
         seed=seed,
     )
+
+
+class _ZeroDraws:
+    """Stands in for a generator whose every uniform draw is zeros."""
+
+    def uniform(self, low, high, size):
+        return np.zeros(size)
+
+
+def zero_net(**arch) -> BlinkNet:
+    """A BlinkNet of `arch` (BlinkNet's keywords) whose linear weights and
+    biases are all zero and whose batch norms are new: it answers
+    (0.5, 0.5) to every input."""
+    return BlinkNet(rng=_ZeroDraws(), **arch)
+
+
+def seeded_block(in_dim: int, out_dim: int, rng: np.random.Generator) -> ResNetBlock:
+    """A residual block drawn from `rng` as a seeded BlinkNet draws one:
+    lin1, lin2, then the projection when the widths differ."""
+    lin1 = LinearLayer(*linear_init(in_dim, out_dim, rng))
+    lin2 = LinearLayer(*linear_init(out_dim, out_dim, rng))
+    skip = None if in_dim == out_dim else LinearLayer(*linear_init(in_dim, out_dim, rng))
+    return ResNetBlock(lin1, BatchNormLayer(*batch_norm_init(out_dim)),
+                       lin2, BatchNormLayer(*batch_norm_init(out_dim)), skip)
 
 
 def pack_checkpoint(epoch: int, validation_loss: float, records) -> bytes:

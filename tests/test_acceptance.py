@@ -44,8 +44,9 @@ from blinkpipe.net import (
     LinearLayer,
     MishActivation,
     ModelCheckpoint,
-    ResNetBlock,
+    batch_norm_init,
     classify,
+    linear_init,
     softmax,
     softmax_cross_entropy,
     train,
@@ -65,7 +66,7 @@ from blinkpipe.proto import (
 from blinkpipe.segmenter import EyeState
 from blinkpipe.sim import SimConfig, generate_session
 
-from conftest import square_blink_offset_ns, square_blink_recording
+from conftest import seeded_block, square_blink_offset_ns, square_blink_recording
 
 OO = EyeState(False, False)
 CC = EyeState(True, True)
@@ -404,19 +405,19 @@ def test_c03_every_layer_and_full_net_pass_gradient_checks():
     rng = np.random.default_rng(303)
     checked = 0
 
-    checked += _check_layer(LinearLayer(7, 5, rng),
+    checked += _check_layer(LinearLayer(*linear_init(7, 5, rng)),
                             rng.standard_normal((6, 7)), False, "linear")
-    checked += _check_layer(BatchNormLayer(5),
+    checked += _check_layer(BatchNormLayer(*batch_norm_init(5)),
                             2.0 + 3.0 * rng.standard_normal((8, 5)), True, "bn-train")
-    bn = BatchNormLayer(5)
+    bn = BatchNormLayer(*batch_norm_init(5))
     bn.running_mean = rng.standard_normal(5)
     bn.running_var = rng.uniform(0.5, 2.0, 5)
     checked += _check_layer(bn, rng.standard_normal((6, 5)), False, "bn-eval")
     checked += _check_layer(MishActivation(),
                             2.5 * rng.standard_normal((6, 5)), False, "mish")
-    checked += _check_layer(ResNetBlock(6, 6, rng),
+    checked += _check_layer(seeded_block(6, 6, rng),
                             rng.standard_normal((8, 6)), True, "block-identity")
-    checked += _check_layer(ResNetBlock(6, 4, rng),
+    checked += _check_layer(seeded_block(6, 4, rng),
                             rng.standard_normal((8, 6)), True, "block-projection")
 
     net = BlinkNet(input_dim=40, stem_width=16, block_dims=((16, 16), (16, 12)),
@@ -456,7 +457,7 @@ def test_c04_softmax_rows_normalize_and_batchnorm_standardizes():
     row_err = float(np.abs(probs.sum(axis=1) - 1.0).max())
     assert row_err <= 1e-6
 
-    bn = BatchNormLayer(64)
+    bn = BatchNormLayer(*batch_norm_init(64))
     x = rng.normal(-7.0, 13.0, (256, 64))
     out = bn.forward(x, train=True)
     mean_err = float(np.abs(out.mean(axis=0)).max())

@@ -215,7 +215,9 @@ class TestExitCodes:
                                         "flipped_gzip", "flipped_presses_gzip",
                                         "nan_pupil", "zero_gaze",
                                         "timestamp_past_int64",
-                                        "press_past_int64", "valid_column"])
+                                        "press_past_int64", "valid_column",
+                                        "extra_column", "bad_metadata",
+                                        "bad_header"])
     def test_damaged_recording_is_data_error(self, tmp_path, capsys, damage):
         path = tmp_path / ("rec.csv.gz" if damage.endswith("gzip")
                            else "rec.csv")
@@ -247,13 +249,22 @@ class TestExitCodes:
             path.write_bytes(data[:len(data) // 2])
         elif damage == "valid_column":
             path.write_bytes(data[:-2] + b"7\n")  # the last frame's valid flag
+        elif damage in ("extra_column", "bad_metadata", "bad_header"):
+            # The metadata line gains a token with no "=", a line a column.
+            line, extra = {"bad_metadata": (0, b" loose"), "bad_header": (1, b",extra"),
+                           "extra_column": (5, b",1")}[damage]
+            lines = data.split(b"\n")
+            lines[line] += extra
+            path.write_bytes(b"\n".join(lines))
         assert run("stats", "--data", str(path)) == EXIT_DATA
         error = {"nan_pupil": "NonFiniteFeature",
                  "zero_gaze": "DegenerateDirection"}.get(damage, "RecordingFormatError")
         err = capsys.readouterr().err
         assert error in err
-        if damage == "flipped_presses_gzip":
-            assert f"{tmp_path / 'rec.presses.gz'}:" in err
+        if error == "RecordingFormatError":  # names the file the damage is in
+            sidecar = {"presses_line": "rec.presses", "press_past_int64": "rec.presses",
+                       "flipped_presses_gzip": "rec.presses.gz"}.get(damage)
+            assert f"{tmp_path / sidecar if sidecar else path}:" in err
         if damage == "valid_column":
             assert f"line {len(rec.frames) + 2}: valid column '7'" in err
 

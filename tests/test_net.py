@@ -35,11 +35,13 @@ from blinkpipe.net import (
     Adam,
     AdamState,
     Param,
-    ResNetBlock,
     ShapeMismatch,
+    UnknownLabel,
     adam_step,
+    batch_norm_init,
     classify,
     evaluate_loss,
+    linear_init,
     load_net,
     mish,
     mish_grad,
@@ -52,7 +54,7 @@ from blinkpipe.window import WindowTensor
 
 from conftest import (MALFORMED_CHECKPOINTS, checkpoint_records,
                       checkpoint_with_stem_batch_norm, malformed_checkpoint,
-                      pack_checkpoint)
+                      pack_checkpoint, seeded_block, zero_net)
 
 mpmath.mp.dps = 50
 
@@ -133,7 +135,7 @@ def test_cross_entropy_gradient_by_finite_differences():
 
 def test_linear_forward_is_affine():
     rng = np.random.default_rng(3)
-    lin = LinearLayer(4, 3, rng)
+    lin = LinearLayer(*linear_init(4, 3, rng))
     x = rng.normal(size=(5, 4))
     y = lin.forward(x)
     np.testing.assert_allclose(y, x @ lin.weight.value.T + lin.bias.value)
@@ -141,7 +143,7 @@ def test_linear_forward_is_affine():
 
 def test_linear_init_bounds():
     rng = np.random.default_rng(4)
-    lin = LinearLayer(100, 400, rng)
+    lin = LinearLayer(*linear_init(100, 400, rng))
     bound = math.sqrt(1.0 / 100)
     assert np.all(np.abs(lin.weight.value) <= bound)
     assert np.all(np.abs(lin.bias.value) <= bound)
@@ -152,7 +154,7 @@ def test_linear_init_bounds():
 
 def test_batchnorm_train_mode_formula():
     rng = np.random.default_rng(5)
-    bn = BatchNormLayer(3)
+    bn = BatchNormLayer(*batch_norm_init(3))
     bn.gamma.value[...] = [2.0, 1.0, 0.5]
     bn.beta.value[...] = [0.0, 1.0, -1.0]
     x = rng.normal(2.0, 3.0, (32, 3))
@@ -170,7 +172,7 @@ def test_batchnorm_train_mode_formula():
 
 def test_batchnorm_eval_uses_running_stats():
     rng = np.random.default_rng(6)
-    bn = BatchNormLayer(4)
+    bn = BatchNormLayer(*batch_norm_init(4))
     for _ in range(50):
         bn.forward(rng.normal(1.5, 2.0, (64, 4)), train=True)
     x = rng.normal(1.5, 2.0, (8, 4))
@@ -183,14 +185,14 @@ def test_batchnorm_eval_uses_running_stats():
 
 
 def test_batchnorm_train_rejects_singleton():
-    bn = BatchNormLayer(4)
+    bn = BatchNormLayer(*batch_norm_init(4))
     with pytest.raises(BatchTooSmallForTrainMode):
         bn.forward(np.zeros((1, 4)), train=True)
 
 
 def test_batchnorm_normalizes_to_zero_mean_unit_var():
     rng = np.random.default_rng(7)
-    bn = BatchNormLayer(6)
+    bn = BatchNormLayer(*batch_norm_init(6))
     y = bn.forward(rng.normal(-3.0, 5.0, (256, 6)), train=True)
     assert np.all(np.abs(y.mean(axis=0)) < 1e-12)
     np.testing.assert_allclose(y.var(axis=0), 1.0, atol=1e-4)
@@ -242,13 +244,13 @@ def check_layer_grads(layer, x: np.ndarray, train: bool, params) -> None:
 
 def test_linear_gradients():
     rng = np.random.default_rng(8)
-    lin = LinearLayer(5, 3, rng)
+    lin = LinearLayer(*linear_init(5, 3, rng))
     check_layer_grads(lin, rng.normal(size=(4, 5)), False, lin.params())
 
 
 def test_batchnorm_train_gradients():
     rng = np.random.default_rng(9)
-    bn = BatchNormLayer(4)
+    bn = BatchNormLayer(*batch_norm_init(4))
     bn.gamma.value[...] = rng.uniform(0.5, 1.5, 4)
     bn.beta.value[...] = rng.normal(size=4)
     check_layer_grads(bn, rng.normal(1.0, 2.0, (7, 4)), True, bn.params())
@@ -256,7 +258,7 @@ def test_batchnorm_train_gradients():
 
 def test_batchnorm_eval_gradients():
     rng = np.random.default_rng(10)
-    bn = BatchNormLayer(4)
+    bn = BatchNormLayer(*batch_norm_init(4))
     bn.forward(rng.normal(1.0, 2.0, (32, 4)), train=True)
     check_layer_grads(bn, rng.normal(size=(5, 4)), False, bn.params())
 
@@ -269,13 +271,13 @@ def test_mish_layer_gradients():
 
 def test_residual_block_gradients_identity_skip():
     rng = np.random.default_rng(12)
-    block = ResNetBlock(6, 6, rng)
+    block = seeded_block(6, 6, rng)
     check_layer_grads(block, rng.normal(size=(5, 6)), True, block.params())
 
 
 def test_residual_block_gradients_projection_skip():
     rng = np.random.default_rng(13)
-    block = ResNetBlock(6, 4, rng)
+    block = seeded_block(6, 4, rng)
     assert block.skip is not None
     check_layer_grads(block, rng.normal(size=(5, 6)), True, block.params())
 
@@ -305,14 +307,14 @@ def test_full_net_loss_gradients():
 def test_identity_skip_is_additive():
     # With all linear weights zero, bn(0) = 0 and mish(0) = 0, so an
     # identity-skip block is exactly the identity map.
-    block = ResNetBlock(5, 5, rng=None)
+    block = zero_net(input_dim=5, stem_width=5, block_dims=((5, 5),)).blocks[0]
     x = np.random.default_rng(15).normal(size=(4, 5))
     np.testing.assert_array_equal(block.forward(x, train=False), x)
 
 
 def test_projection_skip_changes_width():
     rng = np.random.default_rng(16)
-    block = ResNetBlock(8, 3, rng)
+    block = seeded_block(8, 3, rng)
     y = block.forward(rng.normal(size=(4, 8)), train=False)
     assert y.shape == (4, 3)
 
@@ -432,7 +434,7 @@ def test_banded_step_is_bitwise_the_whole_product_and_adam_step(batch, width):
     step. The band products go through the BLAS gemm kernel, so a failure
     here names a BLAS (CI prints numpy's build configuration)."""
     rng = np.random.default_rng(1000 * batch + width)
-    layer = LinearLayer(2000, width, rng)
+    layer = LinearLayer(*linear_init(2000, width, rng))
     opt = Adam(layer.params(), lr=0.003)
     ref_w, ref_b = layer.weight.value.copy(), layer.bias.value.copy()
     ref_sw = AdamState(np.zeros(ref_w.shape), np.zeros(ref_w.shape))
@@ -455,7 +457,7 @@ def test_banded_step_is_bitwise_the_whole_product_and_adam_step(batch, width):
 
 def test_a_factored_gradient_reads_as_the_whole_product():
     rng = np.random.default_rng(19)
-    layer = LinearLayer(40, 5, rng)
+    layer = LinearLayer(*linear_init(40, 5, rng))
     x, dy = rng.normal(size=(6, 40)), rng.normal(size=(6, 5))
     layer.forward(x, train=True)
     layer.backward_params(dy)
@@ -468,8 +470,7 @@ def test_a_factored_gradient_reads_as_the_whole_product():
 
 
 def test_zero_net_predicts_half_half_and_ties_go_involuntary():
-    net = BlinkNet.zero_initialized(input_dim=20, stem_width=8,
-                                    block_dims=((8, 8),))
+    net = zero_net(input_dim=20, stem_width=8, block_dims=((8, 8),))
     x = np.random.default_rng(19).normal(size=20)
     probs = net.forward(x)
     np.testing.assert_allclose(probs, [[0.5, 0.5]], atol=1e-12)
@@ -479,16 +480,14 @@ def test_zero_net_predicts_half_half_and_ties_go_involuntary():
 
 
 def test_classify_accepts_window_tensor():
-    net = BlinkNet.zero_initialized(input_dim=20, stem_width=8,
-                                    block_dims=((8, 8),))
+    net = zero_net(input_dim=20, stem_width=8, block_dims=((8, 8),))
     w = WindowTensor(values=np.zeros(20), end_timestamp_ns=5)
     label, conf = classify(net, w)
     assert label is BlinkLabel.INVOLUNTARY
 
 
 def test_shape_mismatch_raises():
-    net = BlinkNet.zero_initialized(input_dim=20, stem_width=8,
-                                    block_dims=((8, 8),))
+    net = zero_net(input_dim=20, stem_width=8, block_dims=((8, 8),))
     with pytest.raises(ShapeMismatch):
         net.forward(np.zeros(21))
     with pytest.raises(ShapeMismatch):
@@ -869,6 +868,20 @@ def test_for_inference_casts_the_stem_once_and_shares_every_other_array():
     np.testing.assert_array_equal(stem.forward(x), x @ stem.weight.value.T + stem.bias.value)
 
 
+def test_a_checkpoint_of_a_serving_net_widens_its_stem_and_builds_a_net_that_trains():
+    net = make_small_net()
+    ckpt = ModelCheckpoint.from_net(net.for_inference(), 1, 0.5)
+    rounded = net.stem_lin.weight.value.astype(np.float32)
+    for built in (ckpt.net, ckpt.build_net()):
+        assert built.stem_lin.weight.value.dtype == np.float64
+        np.testing.assert_array_equal(built.stem_lin.weight.value, rounded)
+    built = ckpt.build_net()
+    rng = np.random.default_rng(29)
+    built.loss_and_gradients(rng.normal(size=(6, 12)), np.array([0, 1, 0, 1, 1, 0]))
+    Adam(built.params(), lr=0.1).step()
+    assert not np.array_equal(built.stem_lin.weight.value, rounded)
+
+
 def test_a_float32_stem_net_refuses_to_train(tmp_path):
     path = tmp_path / "model.bnet"
     ModelCheckpoint.from_net(make_small_net(), 1, 0.5).save(path)
@@ -894,26 +907,33 @@ def status_bytes(key):
             if line.startswith(key + ":"):
                 return int(line.split()[1]) * 1024
 
+path, loader = sys.argv[1:]
+stored = net.ModelCheckpoint.load(path).net if loader == "for_inference" else None
 base = status_bytes("VmRSS")
-kept = {"load": net.ModelCheckpoint.load, "load_net": net.load_net}[sys.argv[2]](sys.argv[1])
+kept = {"load": lambda: net.ModelCheckpoint.load(path), "load_net": lambda: net.load_net(path),
+        "for_inference": lambda: stored.for_inference()}[loader]()
 print(status_bytes("VmHWM") - base)
 """
 
 
+def _arrays(net):
+    """The arrays a net's layers hold, without reading (and so making) any
+    gradient."""
+    return [v for _, values in net_module._records(net) for v in values
+            if isinstance(v, np.ndarray)]
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="needs /proc/self/status")
-@pytest.mark.parametrize("loader", ["load", "load_net"])
+@pytest.mark.parametrize("loader", ["load", "load_net", "for_inference"])
 def test_loading_a_checkpoint_holds_one_copy_of_its_weights(tmp_path, loader):
-    # Peak resident memory, not tracemalloc: tracemalloc also counts the
-    # zero pages of gradients and zero-initialized layers, which are never
-    # touched. Reading the file whole, or copying the read arrays into the
-    # net, would raise the peak by about twice the file's size. `load_net`
-    # holds a float32 stem, half the file: reading the stem as float64
-    # first would raise its peak to one and a half times the file's size.
+    # Reading the file whole, copying the read arrays into a net, or making
+    # a net only to overwrite its arrays would raise either peak by about
+    # the file's size. `load_net` and `for_inference` hold a float32 stem,
+    # half the file. The resident peak is measured in a fresh process; the
+    # tracemalloc peak counts every allocation, touched or not.
     path = tmp_path / "wide.bnet"
-    wide = BlinkNet.zero_initialized(input_dim=40_000, block_dims=())
-    ModelCheckpoint.from_net(wide, 0, 0.0).save(path)
-    del wide
+    ModelCheckpoint.from_net(zero_net(input_dim=40_000, block_dims=()), 0, 0.0).save(path)
     size = path.stat().st_size
     src = os.path.dirname(os.path.dirname(net_module.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -921,7 +941,19 @@ def test_loading_a_checkpoint_holds_one_copy_of_its_weights(tmp_path, loader):
     out = subprocess.run([sys.executable, "-c", _LOAD_PEAK, str(path), loader],
                          env=env, capture_output=True, text=True, timeout=120,
                          check=True)
-    assert int(out.stdout) <= {"load": 1.25, "load_net": 0.625}[loader] * size
+    assert int(out.stdout) <= (1.25 if loader == "load" else 0.625) * size
+
+    stored = ModelCheckpoint.load(path).net
+    make = {"load": lambda: ModelCheckpoint.load(path).net,
+            "load_net": lambda: load_net(path), "for_inference": stored.for_inference}[loader]
+    tracemalloc.start()
+    try:
+        kept = make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    made = [a for a in _arrays(kept) if not any(a is b for b in _arrays(stored))]
+    assert peak <= sum(a.nbytes for a in made) + 8 * net_module.READ_CHUNK + 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -1074,6 +1106,23 @@ def test_train_rejects_batches_under_two_before_any_work(tmp_path, batch_size):
     with pytest.raises(ValueError, match="batch_size"):
         train(unread(), unread(), ckpt, epochs=1, batch_size=batch_size)
     assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("label", [-1, 2])
+def test_train_rejects_a_label_outside_0_and_1_before_building_the_net(
+        tmp_path, monkeypatch, label):
+    # Unchecked, -1 would train as Involuntary by negative indexing, and 2
+    # would fail as an IndexError inside the first step.
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the net was built")
+
+    monkeypatch.setattr(net_module, "BlinkNet", unbuilt)
+    pairs = cluster_pairs(8, 48)
+    bad = pairs[:-1] + [(pairs[-1][0], label)]
+    for train_set, val_set in ((bad, pairs), (pairs, bad)):
+        with pytest.raises(UnknownLabel, match=f"label {label}"):
+            train(train_set, val_set, tmp_path / "ckpt", epochs=1)
+    assert not (tmp_path / "ckpt").exists()
 
 
 def test_evaluate_loss_reports_accuracy(tmp_path):

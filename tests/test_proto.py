@@ -57,7 +57,7 @@ from blinkpipe.proto import (
 from blinkpipe.segmenter import BlinkSegmenter
 from blinkpipe.sim import SimConfig, generate_session
 
-from conftest import make_frame, square_blink_recording, tiny_net
+from conftest import make_frame, square_blink_recording, tiny_net, zero_net
 
 
 def f32(x: float) -> float:
@@ -291,8 +291,7 @@ class TestSessionPipeline:
         assert p.confidence == f32(p.confidence)
 
     def test_zero_net_predicts_involuntary_at_half_confidence(self):
-        net = BlinkNet.zero_initialized(input_dim=40 * 10, stem_width=16,
-                                        block_dims=((16, 16),))
+        net = zero_net(input_dim=40 * 10, stem_width=16, block_dims=((16, 16),))
         pipe = SessionPipeline(net, window_frames=40)
         preds = [p for p in map(pipe.ingest, self.stream([60], n_frames=160))
                  if p]
