@@ -39,7 +39,7 @@ from .window import HistoryBuffer, NotReady, WindowTensor
 from .net import (
     BlinkNet,
     CheckpointFormatError,
-    InferenceOnly,
+    InferencePlan,
     ModelCheckpoint,
     classify,
     load_net,
@@ -97,7 +97,7 @@ __all__ = [
     "GroundTruthLedger",
     "HeadPose",
     "HistoryBuffer",
-    "InferenceOnly",
+    "InferencePlan",
     "InteractionEvent",
     "InteractionMachine",
     "InteractionMode",

@@ -56,9 +56,9 @@ from .net import (
     DEFAULT_EPOCHS,
     DEFAULT_LR,
     BatchTooSmallForTrainMode,
-    BlinkNet,
     CheckpointFormatError,
     EmptySplit,
+    InferencePlan,
     ShapeMismatch,
     UnknownLabel,
     classify,
@@ -234,7 +234,7 @@ def _load_profile(path: Optional[str]) -> Optional[CalibrationProfile]:
         raise RecordingFormatError(f"{path}: {exc}") from exc
 
 
-def _net_from_checkpoint(path: str) -> Tuple[BlinkNet, int]:
+def _net_from_checkpoint(path: str) -> Tuple[InferencePlan, int]:
     net = load_net(path)
     if net.input_dim % NUM_FEATURES:
         raise CheckpointFormatError(

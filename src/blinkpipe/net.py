@@ -15,18 +15,19 @@ suppressed rather than acted on.
 
 Every net is built one way, by `BlinkNet._wrap`: its layers wrap the arrays
 of one record per layer as they are. The seeded initializer draws the
-records, `ModelCheckpoint` reads them, `copy` copies them and
-`for_inference` casts the stem's, so no array is made to be overwritten.
+records, `ModelCheckpoint` reads them and `copy` copies them, so no array
+is made to be overwritten.
 
 Training, checkpoints and every net that `BlinkNet`, `train` or
-`ModelCheckpoint` builds are double precision. Answers come from a float32
-copy of the stem weight (`BlinkNet.for_inference`, `load_net`): the stem
-product runs in float32, and everything after it in float64. Windows
-arrive as float32, which holds every validated feature exactly; each
-linear layer takes its input in its weight's dtype, so a float64 stem
-widens a window and a float32 stem takes it as it is. Determinism: a fixed
-seed fixes the initialization, the per-epoch shuffles, and therefore every
-parameter.
+`ModelCheckpoint` builds are double precision; a net widens its input to
+float64. Blinks are answered from an `InferencePlan`
+(`BlinkNet.for_inference`, `load_net`), the eval-mode net made flat once:
+its stem product runs on a float32 stem weight and takes a window, which
+arrives as float32 and holds every validated feature exactly, as it is.
+After the stem it runs in float64, with every batch norm folded into a
+scale and shift of the stem's outputs or into the linear layer before it.
+Determinism: a fixed seed fixes the initialization, the per-epoch
+shuffles, and therefore every parameter.
 """
 from __future__ import annotations
 
@@ -86,10 +87,6 @@ class UnknownLabel(BlinkPipeError):
 
 class CheckpointFormatError(BlinkPipeError):
     """Checkpoint bytes do not parse as a well-formed model file."""
-
-
-class InferenceOnly(BlinkPipeError):
-    """A net with a float32 stem weight answers blinks; it cannot train."""
 
 
 # --------------------------------------------------------------------------
@@ -212,10 +209,8 @@ class LinearLayer:
         return [self.weight, self.bias]
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        """The product runs in the weight's dtype: `x` is cast to it."""
         if x.shape[1] != self.in_dim:
             raise ShapeMismatch(f"expected {self.in_dim} input features, got {x.shape[1]}")
-        x = x.astype(self.weight.value.dtype, copy=False)
         self._x = x
         return x @ self.weight.value.T + self.bias.value
 
@@ -457,48 +452,21 @@ class BlinkNet:
         return [p for _, layer in _layers_in_order(self) for p in layer.params()]
 
     def copy(self) -> "BlinkNet":
-        """A net of the same layers with float64 copies of this one's values
-        (weights, biases, batch-norm parameters and running statistics), so
-        it can train even when this net's stem is float32; gradients and
-        forward caches are not copied."""
+        """A net of the same layers with copies of this one's values
+        (weights, biases, batch-norm parameters and running statistics);
+        gradients and forward caches are not copied."""
         return BlinkNet.from_records([
-            (kind, tuple(np.array(v, np.float64, order="C") if isinstance(v, np.ndarray)
-                         else v for v in values))
+            (kind, tuple(v.copy() if isinstance(v, np.ndarray) else v for v in values))
             for kind, values in _records(self)])
 
-    def for_inference(self) -> "BlinkNet":
-        """The net that answers blinks: itself when its stem weight is
-        float32, otherwise a new net whose stem weight is a float32 copy of
-        this one's and whose every other array is this net's own (in-place
-        updates to them show in both). It equals `load_net` of this net's
-        checkpoint bit for bit, and it cannot train (`InferenceOnly`)."""
-        if self.stem_lin.weight.value.dtype == np.float32:
-            return self
-        records = _records(self)
-        weight, bias = records[0][1]
-        records[0] = ("linear", (weight.astype(np.float32, order="C"), bias))
-        return BlinkNet.from_records(records)
-
-    def _as_batch(self, x) -> np.ndarray:
-        """`x` as rows; float32 stays float32 (the stem casts it to its own
-        dtype), anything else becomes float64."""
-        if isinstance(x, WindowTensor):
-            x = x.values
-        x = np.asarray(x)
-        if x.dtype != np.float32:
-            x = x.astype(np.float64, copy=False)
-        if x.ndim == 1:
-            x = x[None, :]
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise ShapeMismatch(
-                f"expected rows of {self.input_dim} features, got shape {x.shape}"
-            )
-        return x
+    def for_inference(self) -> "InferencePlan":
+        """The plan that answers blinks as this net does in eval mode, from
+        a float32 copy of its stem weight (see `InferencePlan`). It answers
+        as `load_net` of this net's checkpoint does, bit for bit."""
+        return InferencePlan(self)
 
     def forward_logits(self, x, train: bool = False) -> np.ndarray:
-        if train and self.stem_lin.weight.value.dtype != np.float64:
-            raise InferenceOnly("a net with a float32 stem cannot train")
-        x = self._as_batch(x)
+        x = _rows(x, self.input_dim, np.float64)
         if train and x.shape[0] < 2:
             raise BatchTooSmallForTrainMode(
                 f"train-mode forward needs a batch of >= 2, got {x.shape[0]}"
@@ -536,9 +504,76 @@ class BlinkNet:
         return loss
 
 
-def classify(net: BlinkNet, tensor) -> Tuple[BlinkLabel, float]:
+def _rows(x, input_dim: int, dtype) -> np.ndarray:
+    """`x` (a WindowTensor, one row or rows of `input_dim` values) as rows
+    in `dtype`, without a copy when it is already that."""
+    if isinstance(x, WindowTensor):
+        x = x.values
+    x = np.asarray(x, dtype=dtype)
+    if x.ndim == 1:
+        x = x[None, :]
+    if x.ndim != 2 or x.shape[1] != input_dim:
+        raise ShapeMismatch(f"expected rows of {input_dim} features, got shape {x.shape}")
+    return x
+
+
+def _eval_affine(bn: BatchNormLayer) -> Tuple[np.ndarray, np.ndarray]:
+    """(scale, shift) of the batch norm's eval mode, x * scale + shift."""
+    scale = bn.gamma.value / np.sqrt(bn.running_var + bn.eps)
+    return scale, bn.beta.value - bn.running_mean * scale
+
+
+def _folded(lin: LinearLayer, bn: BatchNormLayer) -> Tuple[np.ndarray, np.ndarray]:
+    """The (W, b) of `lin` followed by `bn` in eval mode."""
+    scale, shift = _eval_affine(bn)
+    return lin.weight.value * scale[:, None], lin.bias.value * scale + shift
+
+
+class InferencePlan:
+    """A net's eval-mode forward pass, made flat once to answer blinks.
+
+    The stem product is x @ W.T + b, `x` in float32 and W the float32
+    rounding of the net's stem weight (the net's own array when it is
+    already float32, as `load_net` reads it), so its outputs are those of
+    the net's stem layer on that weight, bit for bit. The stem's batch norm
+    is a scale and shift of those outputs, and each block's batch norm is
+    folded into the linear layer before it (Jacob et al., CVPR 2018); the
+    skip projections and the head are the net's own (W, b). After the stem
+    everything is float64, through the `mish` and `softmax` training uses.
+    Folding rounds otherwise than normalizing, so the answers agree with
+    the net's to rounding, not bit for bit. The plan holds no parameter,
+    cache or train mode; it cannot train.
+    """
+
+    def __init__(self, net: BlinkNet):
+        stem = net.stem_lin
+        self.stem_lin = LinearLayer(np.asarray(stem.weight.value, np.float32),
+                                    stem.bias.value)
+        self.input_dim = net.input_dim
+        self.stem_scale, self.stem_shift = _eval_affine(net.stem_bn)
+        self.blocks = [(_folded(b.lin1, b.bn1), _folded(b.lin2, b.bn2),
+                        None if b.skip is None else (b.skip.weight.value, b.skip.bias.value))
+                       for b in net.blocks]
+        self.head = net.head.weight.value, net.head.bias.value
+
+    def for_inference(self) -> "InferencePlan":
+        return self
+
+    def forward(self, x) -> np.ndarray:
+        """Row-wise class probabilities of `x` (a window, one row or rows)."""
+        x = _rows(x, self.input_dim, np.float32)
+        h = x @ self.stem_lin.weight.value.T + self.stem_lin.bias.value
+        h = mish(h * self.stem_scale + self.stem_shift)
+        for (w1, b1), (w2, b2), skip in self.blocks:
+            s = h if skip is None else h @ skip[0].T + skip[1]
+            h = mish(mish(h @ w1.T + b1) @ w2.T + b2) + s
+        w, b = self.head
+        return softmax(h @ w.T + b)
+
+
+def classify(net: Union[BlinkNet, InferencePlan], tensor) -> Tuple[BlinkLabel, float]:
     """Eval-mode argmax over (Voluntary, Involuntary); ties go to Involuntary."""
-    probs = net.forward(tensor, train=False)[0]
+    probs = net.forward(tensor)[0]
     if probs[0] > probs[1]:
         return BlinkLabel.VOLUNTARY, float(probs[0])
     return BlinkLabel.INVOLUNTARY, float(probs[1])
@@ -652,8 +687,6 @@ def _spans(n: int, size: int) -> List[Tuple[int, int]]:
 class Adam:
     def __init__(self, params: Sequence[Param], lr: float = DEFAULT_LR):
         self.params = list(params)
-        if any(p.value.dtype != np.float64 for p in self.params):
-            raise InferenceOnly("Adam updates float64 parameters only")
         self.lr = lr
         self.states = [AdamState(np.zeros(p.value.shape), np.zeros(p.value.shape))
                        for p in self.params]
@@ -766,8 +799,8 @@ class ModelCheckpoint:
     Loading with `load` or `from_bytes`, then saving, is byte-identical:
     they read every array into a fresh float64 one, and the net they build
     from the records wraps those arrays, so it holds the only copy of the
-    weights; `build_net` copies that net. `load_net` is not byte-identical
-    that way: its stem weight is rounded to float32.
+    weights; `build_net` copies that net. `load_net` reads a plan to answer
+    blinks from, not a checkpoint.
     """
 
     epoch: int
@@ -873,20 +906,20 @@ class ModelCheckpoint:
 
 
 class _ServingCheckpoint(ModelCheckpoint):
-    """A checkpoint read for answering blinks (`load_net`)."""
+    """A checkpoint read for answering blinks (`load_net`): its net, with a
+    float32 stem weight, only hands its arrays to an `InferencePlan`."""
 
     _STEM_F32 = True
 
 
-def load_net(path) -> BlinkNet:
-    """The network stored in the checkpoint at `path`, ready to answer
-    blinks: `ModelCheckpoint.load(path).build_net().for_inference()` bit for
-    bit, but read in one `ModelCheckpoint.load` call that takes the stem
-    weight from the file straight into float32, a chunk at a time, and every
-    other array into float64. So no float64 copy of the stem is ever held.
-    The net cannot train, and saving it does not give back the file's bytes:
-    its stem is rounded to float32."""
-    return _ServingCheckpoint.load(path).net
+def load_net(path) -> InferencePlan:
+    """The plan that answers blinks from the checkpoint at `path`:
+    `ModelCheckpoint.load(path).net.for_inference()` bit for bit, but read
+    in one `ModelCheckpoint.load` call that takes the stem weight from the
+    file straight into float32, a chunk at a time, and every other array
+    into float64. The plan keeps that float32 stem as it is read, so no
+    float64 copy of the stem is ever held and the stem is not copied."""
+    return _ServingCheckpoint.load(path).net.for_inference()
 
 
 def _layer_values(layer) -> tuple:

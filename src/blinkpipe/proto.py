@@ -59,7 +59,7 @@ from .core import (
     _check_finite,
     _check_timestamp,
 )
-from .net import BlinkNet, classify
+from .net import BlinkNet, InferencePlan, ShapeMismatch, classify
 from .segmenter import BlinkSegmenter
 from .sim import replay
 from .window import DEFAULT_WINDOW_FRAMES, HistoryBuffer, NotReady
@@ -226,6 +226,19 @@ def validate_frames(frames: Iterable[GazeFrame]) -> List[ValidatedFrame]:
 # --------------------------------------------------------------------------
 # session pipeline (shared by the server and by in-process evaluation)
 
+Net = Union[BlinkNet, InferencePlan]
+
+
+def _plan_for(net: Net, window_frames: int) -> InferencePlan:
+    """`net.for_inference()`, which must take windows of `window_frames`
+    frames; otherwise ShapeMismatch."""
+    plan = net.for_inference()
+    if window_frames * NUM_FEATURES != plan.input_dim:
+        raise ShapeMismatch(
+            f"a window of {window_frames} frames gives {window_frames * NUM_FEATURES}"
+            f" features; the net takes {plan.input_dim}")
+    return plan
+
 
 class SessionPipeline:
     """Segmentation -> history window -> classification for one stream.
@@ -235,17 +248,18 @@ class SessionPipeline:
     confidence 0: class Voluntary under the "voluntary" policy (plain
     blink-selection behavior), Involuntary under "suppress". The message
     timestamp is the triggering frame's timestamp, keeping output
-    independent of wall clock. The answers come from
-    `net.for_inference()`, the net with a float32 stem weight, which a
-    float64 net is cast to here and a float32-stem net already is.
+    independent of wall clock. The answers come from the net's folded
+    `InferencePlan`: `net.for_inference()`, which a `BlinkNet` is made
+    into here and a plan already is. A window that does not fit the net is
+    a ShapeMismatch here, not at the first full-window blink.
     """
 
-    def __init__(self, net: BlinkNet, profile: Optional[CalibrationProfile] = None,
+    def __init__(self, net: Net, profile: Optional[CalibrationProfile] = None,
                  window_frames: int = DEFAULT_WINDOW_FRAMES,
                  warmup_policy: str = "voluntary"):
         if warmup_policy not in WARMUP_POLICIES:
             raise ValueError(f"warmup_policy must be one of {WARMUP_POLICIES}")
-        self.net = net.for_inference()
+        self.net = _plan_for(net, window_frames)
         self.warmup_policy = warmup_policy
         self._segmenter = BlinkSegmenter(profile)
         self._buffer = HistoryBuffer(window_frames)
@@ -276,13 +290,13 @@ class SessionPipeline:
 
 def predictions_for_frames(
     frames: Iterable[ValidatedFrame],
-    net: BlinkNet,
+    net: Net,
     profile: Optional[CalibrationProfile] = None,
     window_frames: int = DEFAULT_WINDOW_FRAMES,
     warmup_policy: str = "voluntary",
 ) -> List[PredictionMsg]:
     """In-process reference path: identical output to a TCP session, both
-    answering from `net.for_inference()`."""
+    answering from the plan `net.for_inference()`."""
     pipe = SessionPipeline(net, profile, window_frames, warmup_policy)
     out = []
     for vf in frames:
@@ -340,21 +354,24 @@ class BlinkServer:
     prediction goes back with a non-blocking send. Backpressure is TCP flow control, so no frame
     is dropped. A bad client, or one that stops reading until its send buffer
     fills, ends only its own session, with the error in its SessionStats.
-    Every session answers from `net.for_inference()`, made once.
+    Every session answers from one `InferencePlan`, `net.for_inference()`,
+    made once here; a window that does not fit it is a ShapeMismatch here,
+    before the server listens, since sessions are built only at accept.
     serve_forever() runs the loop on the calling thread; start() (or `with`)
     runs it on one background thread until stop().
     """
 
-    def __init__(self, net: BlinkNet,
+    def __init__(self, net: Net,
                  host: str = "127.0.0.1", port: int = DEFAULT_PORT,
                  warmup_policy: str = "voluntary",
                  profile: Optional[CalibrationProfile] = None,
                  window_frames: int = DEFAULT_WINDOW_FRAMES):
         if warmup_policy not in WARMUP_POLICIES:
             raise ValueError(f"warmup_policy must be one of {WARMUP_POLICIES}")
-        # Cast once here, not in each session's pipeline.
+        # Folded once here, not in each session's pipeline.
         self._new_pipeline = functools.partial(
-            SessionPipeline, net.for_inference(), profile, window_frames, warmup_policy)
+            SessionPipeline, _plan_for(net, window_frames), profile, window_frames,
+            warmup_policy)
         self._listener = socket.create_server((host, port))
         self._listener.setblocking(False)
         self.host, self.port = self._listener.getsockname()[:2]

@@ -44,7 +44,8 @@ class WindowTensor:
 
     `values` has shape (window_frames * NUM_FEATURES,). A cut from a
     `HistoryBuffer` is float32, the validated features exactly as stored;
-    `BlinkNet` widens a window to float64 before any arithmetic.
+    a `BlinkNet` widens a window to float64 before any arithmetic, and an
+    `InferencePlan`'s float32 stem takes it as it is.
     """
 
     values: np.ndarray

@@ -658,10 +658,10 @@ def test_c08_tcp_session_matches_in_process_at_rate():
 
 
 def test_float32_stem_answers_agree_with_float64_at_the_full_shape():
-    """Served answers come from a float32 stem (`BlinkNet.for_inference`).
-    On seeded 50,000-input nets and the windows of a simulated session,
-    every label equals the float64 net's and every confidence is within
-    1e-5 of it."""
+    """Served answers come from an inference plan with a float32 stem and
+    folded batch norms (`BlinkNet.for_inference`). On seeded 50,000-input
+    nets and the windows of a simulated session, every label equals the
+    float64 net's and every confidence is within 1e-5 of it."""
     rec, _ = generate_session(SimConfig(seed=31, duration_s=150.0,
                                         participant_id="P31"))
     wins = [b.window for b in materialize_windows(rec, label_blinks(rec),
@@ -676,7 +676,7 @@ def test_float32_stem_answers_agree_with_float64_at_the_full_shape():
             assert got is want
             largest = max(largest, abs(got_conf - want_conf))
             labels.add(want)
-    print(f"float32 stem: {3 * len(wins)} answers agree, largest confidence "
+    print(f"plan: {3 * len(wins)} answers agree, largest confidence "
           f"change {largest:.2e}")
     assert largest <= 1e-5
     assert labels == {BlinkLabel.VOLUNTARY, BlinkLabel.INVOLUNTARY}

@@ -663,8 +663,6 @@ _ERRORS_THAT_STAY_INSIDE = {
                  "segmenter's update has processed a frame, which sets it",
     "ClientNotReading": "the server loop catches it and ends that client's "
                         "session only",
-    "InferenceOnly": "no command trains a net it loaded with load_net: "
-                     "train builds its own float64 net",
 }
 
 

@@ -28,7 +28,7 @@ from blinkpipe.net import (
     BlinkNet,
     CheckpointFormatError,
     EmptySplit,
-    InferenceOnly,
+    InferencePlan,
     LinearLayer,
     MishActivation,
     ModelCheckpoint,
@@ -583,14 +583,25 @@ def _net_arrays(net):
     return out
 
 
+def _plan_arrays(plan):
+    """The arrays an InferencePlan holds, its stem weight first."""
+    pairs = [(plan.stem_lin.weight.value, plan.stem_lin.bias.value),
+             (plan.stem_scale, plan.stem_shift)]
+    for lin1, lin2, skip in plan.blocks:
+        pairs += [lin1, lin2] + ([] if skip is None else [skip])
+    return [a for pair in pairs + [plan.head] for a in pair]
+
+
 def _assert_serving_form_of(served, stored):
-    """`served` answers as `stored` does with a float32 stem: its stem
-    weight is the float32 rounding of the stored one, and every other array
-    is float64 and equal."""
+    """`served` is the plan of `stored`: its stem weight is the float32
+    rounding of the stored one, and every other array is float64 and equal
+    to that of `stored.for_inference()`."""
+    assert isinstance(served, InferencePlan)
     stem = served.stem_lin.weight.value
     assert stem.dtype == np.float32
     np.testing.assert_array_equal(stem, stored.stem_lin.weight.value.astype(np.float32))
-    for got, want in zip(_net_arrays(served)[1:], _net_arrays(stored)[1:], strict=True):
+    plan = _plan_arrays(stored.for_inference())
+    for got, want in zip(_plan_arrays(served)[1:], plan[1:], strict=True):
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, want)
 
@@ -817,7 +828,7 @@ def test_load_net_matches_build_net_and_holds_fresh_arrays(tmp_path):
     ModelCheckpoint.from_net(make_small_net(), 2, 0.5).save(path)
     loaded, built = load_net(path), ModelCheckpoint.load(path).build_net()
     _assert_serving_form_of(loaded, built)
-    arrays = _net_arrays(loaded) + _net_arrays(built)
+    arrays = _plan_arrays(loaded) + _net_arrays(built)
     for i, x in enumerate(arrays):
         assert x.dtype.isnative
         assert x.flags.c_contiguous and x.flags.aligned and x.flags.writeable
@@ -847,54 +858,74 @@ def test_stem_weight_beyond_float32_range_is_a_format_error_for_load_net(tmp_pat
     assert ModelCheckpoint.load(path).to_bytes() == path.read_bytes()
 
 
-def test_for_inference_casts_the_stem_once_and_shares_every_other_array():
+def test_for_inference_casts_the_stem_once_and_leaves_the_net_as_it_is():
     net = make_small_net()
-    served = net.for_inference()
-    _assert_serving_form_of(served, net)
-    assert served.for_inference() is served
-    assert net.stem_lin.weight.value.dtype == np.float64
-    arrays = [(mine, its)
-              for (_, a), (_, b) in zip(net_module._layers_in_order(served),
-                                        net_module._layers_in_order(net))
-              for mine, its in zip(net_module._layer_values(a), net_module._layer_values(b))
-              if isinstance(mine, np.ndarray)]
-    assert not np.shares_memory(*arrays[0])
-    assert all(mine is its for mine, its in arrays[1:])
-    # A float32 window reaches the float32 stem as it is, and the product
-    # runs in float32.
+    blob = ModelCheckpoint.from_net(net, 1, 0.5).to_bytes()
+    plan = net.for_inference()
+    _assert_serving_form_of(plan, net)
+    assert plan.for_inference() is plan
+    assert ModelCheckpoint.from_net(net, 1, 0.5).to_bytes() == blob
+    # The stem bias, the skip projection and the head are the net's own
+    # arrays; the stem weight is a float32 copy and the folds are new.
+    skip = [b.skip for b in net.blocks if b.skip is not None]
+    assert len(skip) == 1
+    assert plan.blocks[1][2][0] is skip[0].weight.value
+    assert plan.blocks[1][2][1] is skip[0].bias.value
+    assert plan.head[0] is net.head.weight.value and plan.head[1] is net.head.bias.value
+    assert plan.stem_lin.bias.value is net.stem_lin.bias.value
+    assert not np.shares_memory(plan.stem_lin.weight.value, net.stem_lin.weight.value)
+    # A float32 window reaches the float32 stem as it is.
     x = np.random.default_rng(27).normal(size=(3, 12)).astype(np.float32)
-    assert served._as_batch(x) is x
-    stem = served.stem_lin
-    np.testing.assert_array_equal(stem.forward(x), x @ stem.weight.value.T + stem.bias.value)
+    assert net_module._rows(x, 12, np.float32) is x
 
 
-def test_a_checkpoint_of_a_serving_net_widens_its_stem_and_builds_a_net_that_trains():
-    net = make_small_net()
-    ckpt = ModelCheckpoint.from_net(net.for_inference(), 1, 0.5)
-    rounded = net.stem_lin.weight.value.astype(np.float32)
-    for built in (ckpt.net, ckpt.build_net()):
-        assert built.stem_lin.weight.value.dtype == np.float64
-        np.testing.assert_array_equal(built.stem_lin.weight.value, rounded)
-    built = ckpt.build_net()
-    rng = np.random.default_rng(29)
-    built.loss_and_gradients(rng.normal(size=(6, 12)), np.array([0, 1, 0, 1, 1, 0]))
-    Adam(built.params(), lr=0.1).step()
-    assert not np.array_equal(built.stem_lin.weight.value, rounded)
+# The plan folds every batch norm and rounds the stem weight to float32, so
+# it answers within rounding of the float64 net, not bit for bit.
+PLAN_CONFIDENCE_TOLERANCE = 1e-5
 
 
-def test_a_float32_stem_net_refuses_to_train(tmp_path):
+def net_with_batch_norm_statistics(seed: int) -> BlinkNet:
+    """A seeded net, one block of it a width-changing block with a skip
+    projection, whose every batch norm has random gamma (either sign),
+    beta and running mean, and a running variance in [0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    net = BlinkNet(input_dim=40, stem_width=16, block_dims=((16, 16), (16, 8), (8, 8)),
+                   rng=rng)
+    for kind, layer in net_module._layers_in_order(net):
+        if kind == "bn":
+            n = layer.num_features
+            layer.gamma.value[:] = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n)
+            layer.beta.value[:] = rng.normal(0.0, 0.5, n)
+            layer.running_mean = rng.normal(0.0, 0.5, n)
+            layer.running_var = rng.uniform(0.5, 2.0, n)
+    return net
+
+
+def test_the_plan_agrees_with_the_unfolded_float64_net():
+    labels = set()
+    for seed in range(4):
+        net = net_with_batch_norm_statistics(seed)
+        plan = net.for_inference()
+        x = np.random.default_rng(100 + seed).normal(size=(64, 40)).astype(np.float32)
+        assert np.abs(plan.forward(x) - net.forward(x)).max() <= PLAN_CONFIDENCE_TOLERANCE
+        for row in x:
+            (want, want_conf), (got, got_conf) = classify(net, row), classify(plan, row)
+            assert got is want
+            assert abs(got_conf - want_conf) <= PLAN_CONFIDENCE_TOLERANCE
+            labels.add(want)
+    assert labels == {BlinkLabel.VOLUNTARY, BlinkLabel.INVOLUNTARY}
+
+
+def test_load_net_and_for_inference_answer_bit_for_bit_alike(tmp_path):
+    # A server answers from the file, the in-process reference from the net.
+    net = net_with_batch_norm_statistics(7)
     path = tmp_path / "model.bnet"
-    ModelCheckpoint.from_net(make_small_net(), 1, 0.5).save(path)
-    rng = np.random.default_rng(28)
-    x, labels = rng.normal(size=(6, 12)), np.array([0, 1, 0, 1, 1, 0])
-    for served in (load_net(path), make_small_net().for_inference()):
-        with pytest.raises(InferenceOnly):
-            served.forward_logits(x, train=True)
-        with pytest.raises(InferenceOnly):
-            served.loss_and_gradients(x, labels)
-        with pytest.raises(InferenceOnly):
-            Adam(served.params())
-        assert np.isfinite(served.forward_logits(x)).all()
+    ModelCheckpoint.from_net(net, 1, 0.5).save(path)
+    loaded, in_memory = load_net(path), net.for_inference()
+    x = np.random.default_rng(8).normal(size=(16, 40)).astype(np.float32)
+    assert loaded.forward(x).tobytes() == in_memory.forward(x).tobytes()
+    for row in x:  # one row at a time, as blinks are answered
+        assert loaded.forward(row).tobytes() == in_memory.forward(row).tobytes()
 
 
 _LOAD_PEAK = """
@@ -917,8 +948,10 @@ print(status_bytes("VmHWM") - base)
 
 
 def _arrays(net):
-    """The arrays a net's layers hold, without reading (and so making) any
-    gradient."""
+    """The arrays a plan or a net's layers hold, without reading (and so
+    making) any gradient."""
+    if isinstance(net, InferencePlan):
+        return _plan_arrays(net)
     return [v for _, values in net_module._records(net) for v in values
             if isinstance(v, np.ndarray)]
 
@@ -929,9 +962,10 @@ def _arrays(net):
 def test_loading_a_checkpoint_holds_one_copy_of_its_weights(tmp_path, loader):
     # Reading the file whole, copying the read arrays into a net, or making
     # a net only to overwrite its arrays would raise either peak by about
-    # the file's size. `load_net` and `for_inference` hold a float32 stem,
-    # half the file. The resident peak is measured in a fresh process; the
-    # tracemalloc peak counts every allocation, touched or not.
+    # the file's size. The plans of `load_net` and `for_inference` hold a
+    # float32 stem, half the file, and the small folded layers. The
+    # resident peak is measured in a fresh process; the tracemalloc peak
+    # counts every allocation, touched or not.
     path = tmp_path / "wide.bnet"
     ModelCheckpoint.from_net(zero_net(input_dim=40_000, block_dims=()), 0, 0.0).save(path)
     size = path.stat().st_size
@@ -954,6 +988,19 @@ def test_loading_a_checkpoint_holds_one_copy_of_its_weights(tmp_path, loader):
         tracemalloc.stop()
     made = [a for a in _arrays(kept) if not any(a is b for b in _arrays(stored))]
     assert peak <= sum(a.nbytes for a in made) + 8 * net_module.READ_CHUNK + 200_000
+
+
+def test_load_net_answers_from_the_stem_array_the_file_was_read_into(tmp_path,
+                                                                      monkeypatch):
+    path = tmp_path / "model.bnet"
+    ModelCheckpoint.from_net(make_small_net(), 1, 0.5).save(path)
+    read = []
+    f32_array = net_module._Reader.f32_array
+    monkeypatch.setattr(net_module._Reader, "f32_array",
+                        lambda r, count: read.append(f32_array(r, count)) or read[-1])
+    stem = load_net(path).stem_lin.weight.value
+    assert len(read) == 1
+    assert stem.base is read[0] and stem.shape == (8, 12)
 
 
 # ---------------------------------------------------------------------------

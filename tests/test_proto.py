@@ -17,7 +17,7 @@ import pytest
 
 from blinkpipe import proto
 from blinkpipe.core import BlinkLabel, CalibrationProfile
-from blinkpipe.net import BlinkNet, ModelCheckpoint, load_net
+from blinkpipe.net import BlinkNet, ModelCheckpoint, ShapeMismatch, load_net
 from blinkpipe.proto import (
     _SKIP_MIN_FRAMES,
     ACCEPT_RETRY_S,
@@ -279,6 +279,15 @@ class TestSessionPipeline:
         with pytest.raises(ValueError):
             SessionPipeline(tiny_net(40), warmup_policy="ignore")
 
+    def test_a_window_that_does_not_fit_the_net_fails_at_construction(self):
+        # The default 5,000-frame window would only fail at the first blink
+        # with a full window, 25 s into a session.
+        net = BlinkNet(input_dim=300, stem_width=16, block_dims=((16, 8),))
+        for window_frames in (proto.DEFAULT_WINDOW_FRAMES, 29, 31):
+            with pytest.raises(ShapeMismatch, match="300"):
+                SessionPipeline(net, window_frames=window_frames)
+        SessionPipeline(net, window_frames=30)
+
     def test_post_warmup_prediction_carries_model_output(self):
         pipe = SessionPipeline(tiny_net(40), window_frames=40)
         preds = [p for p in map(pipe.ingest, self.stream([60], n_frames=160))
@@ -340,6 +349,20 @@ class TestServer:
         assert got == want
         assert sum(p.confidence > 0.0 for p in want) >= 20
         assert net.stem_lin.weight.value.dtype == np.float64
+
+    def test_a_window_that_does_not_fit_the_net_fails_before_listening(self,
+                                                                        monkeypatch):
+        # The server builds each session's pipeline only at accept, so it
+        # checks the window itself, before it opens its listener.
+        def listen(*args, **kwargs):
+            raise AssertionError("the server listened before it checked its window")
+
+        monkeypatch.setattr(socket, "create_server", listen)
+        net = BlinkNet(input_dim=300, stem_width=16, block_dims=((16, 8),))
+        with pytest.raises(ShapeMismatch, match="300"):
+            BlinkServer(net, port=0)
+        with pytest.raises(ShapeMismatch, match="300"):
+            BlinkServer(net.for_inference(), port=0, window_frames=31)
 
     def test_reset_control_restarts_warmup(self):
         net = tiny_net(20, seed=4)
