@@ -19,6 +19,7 @@ from .core import (
     BlinkLabel,
     BlinkPipeError,
     CalibrationProfile,
+    DataError,
     DegenerateDirection,
     FrameValidator,
     GazeFrame,
@@ -35,7 +36,7 @@ from .fsm import (
     intersect_head_ray,
     step_blink_fsm,
 )
-from .window import HistoryBuffer, NotReady, WindowTensor
+from .window import HistoryBuffer, NotReady
 from .net import (
     BlinkNet,
     CheckpointFormatError,
@@ -87,6 +88,7 @@ __all__ = [
     "ConfusionMatrix",
     "DEFAULT_CLOSED_THRESHOLD",
     "DEFAULT_HYSTERESIS_BAND",
+    "DataError",
     "DegenerateDirection",
     "EyeState",
     "FEATURE_NAMES",
@@ -117,7 +119,6 @@ __all__ = [
     "TooFewParticipants",
     "UIPlane",
     "ValidatedFrame",
-    "WindowTensor",
     "classify",
     "dataset_stats",
     "decode",

@@ -40,27 +40,21 @@ from .core import (
     BlinkLabel,
     BlinkPipeError,
     CalibrationProfile,
+    DataError,
     DegenerateDirection,
     FrameValidator,
     HeadPose,
-    NonFiniteFeature,
-    NonMonotonicTimestamp,
-    TimestampOutOfRange,
     atomic_path,
     validate_columns,
 )
 from .segmenter import BlinkSegmenter, two_means_threshold
-from .window import DEFAULT_WINDOW_FRAMES, NotReady
+from .window import DEFAULT_WINDOW_FRAMES
 from .net import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_EPOCHS,
     DEFAULT_LR,
-    BatchTooSmallForTrainMode,
     CheckpointFormatError,
-    EmptySplit,
     InferencePlan,
-    ShapeMismatch,
-    UnknownLabel,
     classify,
     load_net,
     train as train_model,
@@ -79,17 +73,13 @@ from .dataset import (
 )
 from .eval import (
     ConfusionMatrix,
-    EmptyMatrix,
     format_metrics_table,
     metrics,
     metrics_report,
 )
 from .proto import (
     DEFAULT_PORT,
-    BadMagic,
     BlinkServer,
-    TruncatedMessage,
-    UnknownType,
     replay_over_tcp,
     validate_frames,
 )
@@ -109,25 +99,6 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_IO = 4
 EXIT_INTERNAL = 5
-
-_DATA_ERRORS = (
-    RecordingFormatError,
-    TooFewParticipants,
-    CheckpointFormatError,
-    EmptySplit,
-    UnknownLabel,
-    EmptyMatrix,
-    BadMagic,
-    TruncatedMessage,
-    UnknownType,
-    NotReady,
-    NonMonotonicTimestamp,
-    TimestampOutOfRange,
-    NonFiniteFeature,
-    DegenerateDirection,
-    ShapeMismatch,
-    BatchTooSmallForTrainMode,
-)
 
 _SMALL_BLOCK_DIMS = ((64, 64), (64, 32), (32, 32))
 
@@ -620,7 +591,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"blinkpipe: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _DATA_ERRORS as exc:
+    except DataError as exc:
         print(f"blinkpipe: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

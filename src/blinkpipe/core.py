@@ -71,19 +71,24 @@ class BlinkPipeError(Exception):
     """Base class for all typed pipeline errors."""
 
 
-class NonMonotonicTimestamp(BlinkPipeError):
+class DataError(BlinkPipeError):
+    """Base class for errors in the data a command is given (a recording, a
+    checkpoint, a wire stream, a training set); the CLI exits 3 on them."""
+
+
+class NonMonotonicTimestamp(DataError):
     """A frame timestamp did not strictly increase within its stream."""
 
 
-class TimestampOutOfRange(BlinkPipeError):
+class TimestampOutOfRange(DataError):
     """A frame timestamp does not fit a signed 64-bit integer."""
 
 
-class DegenerateDirection(BlinkPipeError):
+class DegenerateDirection(DataError):
     """A gaze direction with near-zero norm arrived on a valid frame."""
 
 
-class NonFiniteFeature(BlinkPipeError):
+class NonFiniteFeature(DataError):
     """A frame carries a NaN or infinite feature (after float32 quantization)."""
 
 

@@ -32,8 +32,8 @@ from .core import (
     BlinkEvent,
     BlinkKind,
     BlinkLabel,
-    BlinkPipeError,
     CalibrationProfile,
+    DataError,
     GazeFrame,
     TimestampOutOfRange,
     atomic_path,
@@ -44,7 +44,6 @@ from .window import (
     DEFAULT_WINDOW_FRAMES,
     HistoryBuffer,
     NotReady,
-    WindowTensor,
 )
 
 INTENT_MARGIN_NS = 200_000_000  # press within this of blink offset = voluntary
@@ -52,11 +51,11 @@ INTENT_MARGIN_NS = 200_000_000  # press within this of blink offset = voluntary
 _CSV_HEADER = "timestamp_ns,lpupil,rpupil,lopen,ropen,ldx,ldy,ldz,rdx,rdy,rdz,valid"
 
 
-class TooFewParticipants(BlinkPipeError):
+class TooFewParticipants(DataError):
     """Participant-level splitting needs at least 3 participants."""
 
 
-class RecordingFormatError(BlinkPipeError):
+class RecordingFormatError(DataError):
     """A recording file does not parse."""
 
 
@@ -72,7 +71,7 @@ class Recording:
 class LabeledBlink:
     blink: BlinkEvent
     label: BlinkLabel
-    window: Optional[WindowTensor] = None
+    window: Optional[np.ndarray] = None  # float32, see window.HistoryBuffer
     participant_id: str = ""
 
 
@@ -294,7 +293,7 @@ def _cut(ts: np.ndarray, features: np.ndarray, labeled: Sequence[LabeledBlink],
             continue
         out.append(replace(lb, window=w))
         for _ in range(augment_copies):
-            out.append(replace(lb, window=buf.augment_shift(w, rng)))
+            out.append(replace(lb, window=buf.augment_shift(lb.blink, rng)))
     return out
 
 

@@ -12,12 +12,12 @@ from typing import Dict, FrozenSet, Iterable, Sequence
 
 import numpy as np
 
-from .core import BlinkLabel, BlinkPipeError
+from .core import BlinkLabel, DataError
 
 DEFAULT_BASELINE_TRIALS = 10_000
 
 
-class EmptyMatrix(BlinkPipeError):
+class EmptyMatrix(DataError):
     """Metrics over zero evaluated blinks are undefined."""
 
 

@@ -41,8 +41,7 @@ from typing import BinaryIO, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import BlinkLabel, BlinkPipeError, atomic_path
-from .window import WindowTensor
+from .core import BlinkLabel, DataError, atomic_path
 
 INPUT_DIM = 50000
 STEM_WIDTH = 128
@@ -69,23 +68,23 @@ _TAG_LINEAR = 0x01
 _TAG_BATCHNORM = 0x02
 
 
-class ShapeMismatch(BlinkPipeError):
+class ShapeMismatch(DataError):
     """Input, label, or parameter shapes do not line up."""
 
 
-class BatchTooSmallForTrainMode(BlinkPipeError):
+class BatchTooSmallForTrainMode(DataError):
     """Train-mode batch norm needs at least 2 rows for batch statistics."""
 
 
-class EmptySplit(BlinkPipeError):
+class EmptySplit(DataError):
     """Training requires non-empty train and validation sets."""
 
 
-class UnknownLabel(BlinkPipeError):
+class UnknownLabel(DataError):
     """A training label is neither 0 (Voluntary) nor 1 (Involuntary)."""
 
 
-class CheckpointFormatError(BlinkPipeError):
+class CheckpointFormatError(DataError):
     """Checkpoint bytes do not parse as a well-formed model file."""
 
 
@@ -505,10 +504,8 @@ class BlinkNet:
 
 
 def _rows(x, input_dim: int, dtype) -> np.ndarray:
-    """`x` (a WindowTensor, one row or rows of `input_dim` values) as rows
-    in `dtype`, without a copy when it is already that."""
-    if isinstance(x, WindowTensor):
-        x = x.values
+    """`x` (one row or rows of `input_dim` values) as rows in `dtype`,
+    without a copy when it is already that."""
     x = np.asarray(x, dtype=dtype)
     if x.ndim == 1:
         x = x[None, :]
@@ -541,14 +538,14 @@ class InferencePlan:
     skip projections and the head are the net's own (W, b). After the stem
     everything is float64, through the `mish` and `softmax` training uses.
     Folding rounds otherwise than normalizing, so the answers agree with
-    the net's to rounding, not bit for bit. The plan holds no parameter,
+    the net's to rounding, not bit for bit. The plan holds only arrays, the
+    stem, each linear layer and the head as (W, b) pairs: no parameter,
     cache or train mode; it cannot train.
     """
 
     def __init__(self, net: BlinkNet):
         stem = net.stem_lin
-        self.stem_lin = LinearLayer(np.asarray(stem.weight.value, np.float32),
-                                    stem.bias.value)
+        self.stem = np.asarray(stem.weight.value, np.float32), stem.bias.value
         self.input_dim = net.input_dim
         self.stem_scale, self.stem_shift = _eval_affine(net.stem_bn)
         self.blocks = [(_folded(b.lin1, b.bn1), _folded(b.lin2, b.bn2),
@@ -562,8 +559,8 @@ class InferencePlan:
     def forward(self, x) -> np.ndarray:
         """Row-wise class probabilities of `x` (a window, one row or rows)."""
         x = _rows(x, self.input_dim, np.float32)
-        h = x @ self.stem_lin.weight.value.T + self.stem_lin.bias.value
-        h = mish(h * self.stem_scale + self.stem_shift)
+        w, b = self.stem
+        h = mish((x @ w.T + b) * self.stem_scale + self.stem_shift)
         for (w1, b1), (w2, b2), skip in self.blocks:
             s = h if skip is None else h @ skip[0].T + skip[1]
             h = mish(mish(h @ w1.T + b1) @ w2.T + b2) + s
@@ -971,8 +968,6 @@ def _as_xy(dataset, input_dim: Optional[int] = None
     xs: List[np.ndarray] = []
     ys: List[int] = []
     for features, label in dataset:
-        if isinstance(features, WindowTensor):
-            features = features.values
         v = np.asarray(features).reshape(-1)
         if input_dim is None:  # the first example sets the width
             input_dim = v.shape[0]
@@ -1013,7 +1008,7 @@ def train(
     """Adam training loop that keeps the best net by validation loss.
 
     `train_set` / `val_set` are sequences of (features, label) pairs, where
-    features is a WindowTensor or flat vector and label a BlinkLabel or int
+    features is a flat vector, such as a window, and label a BlinkLabel or int
     (0 = Voluntary). The net is built from `seed`'s generator, which then
     shuffles the batches, so everything is deterministic given `seed`.
     `checkpoint_dir` is made if missing, and `best.bnet` in it, written from
@@ -1032,6 +1027,8 @@ def train(
         raise ValueError(f"epochs must be at least 1, got {epochs}")
     if batch_size < 2:  # train-mode batch norm needs two rows
         raise ValueError(f"batch_size must be at least 2, got {batch_size}")
+    if not 0.0 < lr < math.inf:  # NaN fails it too
+        raise ValueError(f"lr must be a finite number above 0, got {lr}")
     train_pairs = list(train_set)
     val_pairs = list(val_set)
     if not train_pairs or not val_pairs:
@@ -1039,16 +1036,15 @@ def train(
     x_train, y_train = _as_xy(train_pairs)
     input_dim = x_train[0].shape[0]
     x_val, y_val = _as_xy(val_pairs, input_dim)
-
-    rng = np.random.default_rng(seed)
-    net = BlinkNet(input_dim=input_dim, stem_width=stem_width,
-                   block_dims=block_dims, rng=rng)
     n = len(x_train)
     if n < 2:
         raise BatchTooSmallForTrainMode(
             "training needs at least 2 examples for batch statistics"
         )
 
+    rng = np.random.default_rng(seed)
+    net = BlinkNet(input_dim=input_dim, stem_width=stem_width,
+                   block_dims=block_dims, rng=rng)
     optimizer = Adam(net.params(), lr=lr)
     os.makedirs(checkpoint_dir, exist_ok=True)
     best_path = os.path.join(checkpoint_dir, "best.bnet")

@@ -50,6 +50,7 @@ from .core import (
     BlinkLabel,
     BlinkPipeError,
     CalibrationProfile,
+    DataError,
     FrameValidator,
     GazeFrame,
     NUM_FEATURES,
@@ -103,15 +104,15 @@ ASSOCIATION_RETENTION_NS = 10_000_000_000  # how long the client keeps a blink e
 WARMUP_POLICIES = ("voluntary", "suppress")
 
 
-class BadMagic(BlinkPipeError):
+class BadMagic(DataError):
     """Message does not start with the protocol magic."""
 
 
-class TruncatedMessage(BlinkPipeError):
+class TruncatedMessage(DataError):
     """Fewer bytes than the fixed message size."""
 
 
-class UnknownType(BlinkPipeError):
+class UnknownType(DataError):
     """Unrecognized message type or enumeration byte."""
 
 
@@ -579,10 +580,14 @@ def replay_over_tcp(address: Tuple[str, int],
 
     speed_multiplier scales real-time pacing (1 = wall-clock cadence);
     0 sends as fast as possible (pacing is `sim.replay`). Returns
-    predictions in arrival order.
+    predictions in arrival order, once the server has closed the stream.
+    A stream that breaks, such as one with a message that does not decode,
+    raises the reader's error; one still open `timeout` seconds after the
+    last frame is sent raises TimeoutError.
     """
     paced = replay(frames, speed_multiplier)
     preds: List[PredictionMsg] = []
+    failed: List[Exception] = []
     with socket.create_connection(address, timeout=timeout) as sock:
         def reader() -> None:
             try:
@@ -592,16 +597,26 @@ def replay_over_tcp(address: Tuple[str, int],
                         return
                     if isinstance(msg, PredictionMsg):
                         preds.append(msg)
-            except (BlinkPipeError, OSError) as e:
-                _log.warning("prediction reader stopped: %s", e)
+            except Exception as e:
+                failed.append(e)
 
         t = threading.Thread(target=reader, daemon=True)
         t.start()
-        for vf in paced:
-            sock.sendall(encode(gaze_msg_from_frame(vf)))
-        last_ts = frames[-1].timestamp_ns if frames else 0
-        sock.sendall(encode(ControlMsg(last_ts, CONTROL_END)))
+        try:
+            for vf in paced:
+                sock.sendall(encode(gaze_msg_from_frame(vf)))
+            last_ts = frames[-1].timestamp_ns if frames else 0
+            sock.sendall(encode(ControlMsg(last_ts, CONTROL_END)))
+        except OSError:
+            t.join(timeout)  # a server that closes on a fault breaks the send
+            if not failed:
+                raise
         t.join(timeout)
+        if t.is_alive():
+            raise TimeoutError(
+                f"prediction stream still open {timeout} s after the last frame")
+    if failed:
+        raise failed[0]
     return preds
 
 

@@ -2,8 +2,10 @@
 
 The classifier consumes a window of the most recent `capacity` validated
 frames (default 5000, i.e. 25 s at 200 Hz) ending exactly at a blink's
-offset frame, flattened time-major into a single vector of
-capacity * NUM_FEATURES values. The buffer keeps its newest
+offset frame, flattened time-major (frame 0 first) into one float32 array
+of capacity * NUM_FEATURES values, the validated features exactly as
+stored; a `BlinkNet` widens it to float64, and an `InferencePlan`'s float32
+stem takes it as it is. The buffer keeps its newest
 `capacity + lookback` frames in one run of rows, oldest first, so every
 cut is a binary search over a view of the timestamps plus one slice copy.
 By default it keeps exactly one window, which is all serving needs: a
@@ -16,7 +18,6 @@ from rows that never move, by the same code that cuts when serving.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from .core import (
     NUM_FEATURES,
     BlinkEvent,
-    BlinkPipeError,
+    DataError,
     NonMonotonicTimestamp,
     ValidatedFrame,
 )
@@ -34,33 +35,8 @@ DEFAULT_LOOKBACK_FRAMES = 32  # materialize_windows' ignored `lookback` default
 MAX_SHIFT_FRAMES = 10
 
 
-class NotReady(BlinkPipeError):
+class NotReady(DataError):
     """Raised when fewer frames than one full window precede the requested end."""
-
-
-@dataclass(frozen=True)
-class WindowTensor:
-    """Flattened time-major feature window: frame 0 first, frame N-1 last.
-
-    `values` has shape (window_frames * NUM_FEATURES,). A cut from a
-    `HistoryBuffer` is float32, the validated features exactly as stored;
-    a `BlinkNet` widens a window to float64 before any arithmetic, and an
-    `InferencePlan`'s float32 stem takes it as it is.
-    """
-
-    values: np.ndarray
-    end_timestamp_ns: int
-
-    def __post_init__(self):
-        if self.values.ndim != 1 or self.values.size % NUM_FEATURES:
-            raise ValueError(
-                f"values shape {self.values.shape} is not whole frames"
-                f" of {NUM_FEATURES} features"
-            )
-
-    @property
-    def window_frames(self) -> int:
-        return self.values.size // NUM_FEATURES
 
 
 class HistoryBuffer:
@@ -162,7 +138,7 @@ class HistoryBuffer:
         retained = self._timestamps[oldest:self._end]
         return oldest + int(np.searchsorted(retained, timestamp_ns, side="right")) - 1
 
-    def _window(self, end_row: int) -> WindowTensor:
+    def _window(self, end_row: int) -> np.ndarray:
         """Window of `capacity` frames whose last frame is row `end_row`."""
         start = end_row - self.capacity + 1
         if start < self._oldest:
@@ -170,12 +146,9 @@ class HistoryBuffer:
                 f"{end_row - self._oldest + 1} retained frames at or before"
                 f" the window end; need {self.capacity}"
             )
-        return WindowTensor(
-            values=self._features[start:end_row + 1].flatten(),  # a copy, never a view
-            end_timestamp_ns=int(self._timestamps[end_row]),
-        )
+        return self._features[start:end_row + 1].flatten()  # a copy, never a view
 
-    def snapshot_at_blink_end(self, blink: BlinkEvent) -> WindowTensor:
+    def snapshot_at_blink_end(self, blink: BlinkEvent) -> np.ndarray:
         """Window ending at the newest frame at or before the blink offset.
 
         Raises NotReady when fewer than `capacity` retained frames exist at
@@ -183,17 +156,18 @@ class HistoryBuffer:
         """
         return self._window(self._row_at_or_before(blink.offset_ns))
 
-    def augment_shift(self, window: WindowTensor,
-                      rng: np.random.Generator) -> WindowTensor:
-        """Random +/-MAX_SHIFT_FRAMES re-cut of `window` from the buffer.
+    def augment_shift(self, blink: BlinkEvent,
+                      rng: np.random.Generator) -> np.ndarray:
+        """Random +/-MAX_SHIFT_FRAMES re-cut of the blink's window
+        (`snapshot_at_blink_end`) from the buffer.
 
         The shift is drawn uniformly from [-10, 10] and clipped to the range
         the buffer can still serve, so augmented windows near the stream
         edges degrade gracefully instead of failing.
         """
-        end = self._row_at_or_before(window.end_timestamp_ns)
+        end = self._row_at_or_before(blink.offset_ns)
         if end < self._oldest:
-            raise NotReady("window end timestamp no longer in buffer")
+            raise NotReady("no retained frame at or before the blink offset")
         shift = int(rng.integers(-MAX_SHIFT_FRAMES, MAX_SHIFT_FRAMES + 1))
         lo = self._oldest + self.capacity - 1 - end  # most negative admissible shift
         hi = self._end - 1 - end

@@ -1,8 +1,11 @@
 """Shared builders for synthetic frames and recordings."""
 from __future__ import annotations
 
+import contextlib
 import math
+import socket
 import struct
+import threading
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -272,3 +275,29 @@ def random_frame_stream(rng: np.random.Generator, n: int, odd: float) -> List[Ga
             rpupil=value(float(rng.uniform(-1.0, 8.0))),
             valid=valid))
     return frames
+
+
+@contextlib.contextmanager
+def one_connection_server(reply: bytes, then_close: bool = False):
+    """A server on 127.0.0.1 that accepts one connection, sends `reply` and
+    then closes it, or reads until the client goes; yields its (host, port)."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(30)
+
+    def serve():
+        with contextlib.suppress(OSError):
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(30)
+                conn.sendall(reply)
+                while not then_close and conn.recv(65536):
+                    pass
+
+    t = threading.Thread(target=serve, daemon=True)
+    t.start()
+    try:
+        yield listener.getsockname()
+    finally:
+        t.join(60)
+        listener.close()
+    assert not t.is_alive()

@@ -536,7 +536,7 @@ def test_c05_simulated_corpus_is_learnable(tmp_path):
     assert len(hist_full) == 1
     assert math.isfinite(hist_full[0].train_loss)
     assert math.isfinite(hist_full[0].val_loss)
-    probs = full.forward(np.stack([np.asarray(w.values) for w, _ in pairs[-4:]]))
+    probs = full.forward(np.stack([w for w, _ in pairs[-4:]]))
     assert float(np.abs(probs.sum(axis=1) - 1.0).max()) <= 1e-6
     label, conf = classify(full, pairs[0][0])
     assert label in (BlinkLabel.VOLUNTARY, BlinkLabel.INVOLUNTARY)

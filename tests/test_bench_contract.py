@@ -12,6 +12,7 @@ import dataclasses
 import importlib.util
 import inspect
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -131,3 +132,16 @@ def test_net_built_as_the_serving_workload_builds_it():
     assert model.input_dim == 300
     full = net.BlinkNet(input_dim=30 * 10, stem_width=128, block_dims=None, seed=4)
     assert full.input_dim == 300
+
+
+def test_offline_worker_pipeline_runs_and_reruns_bit_for_bit(tmp_path, monkeypatch):
+    # The offline_train workload end to end on perfbench/test_smoke.py's
+    # configuration, here because that smoke test runs outside tier-1.
+    monkeypatch.setattr(sys, "path", list(sys.path))  # it adds perfbench/
+    worker = _load("offline_worker")
+    cfg = dict(worker.DEFAULTS, participants=3, minutes=0.5, epochs=2,
+               window_frames=100, stem_width=16, block_dims=((16, 16), (16, 8)))
+    reps = [worker.pipeline(cfg, 0, str(tmp_path / f"rep{i}")) for i in range(2)]
+    assert reps[0]["digest"] == reps[1]["digest"]
+    assert reps[0]["confusion"] == reps[1]["confusion"]
+    assert reps[0]["eval_n"] >= 1

@@ -26,7 +26,7 @@ from blinkpipe.cli import (
     EXIT_USAGE,
     main,
 )
-from blinkpipe.core import BlinkPipeError
+from blinkpipe.core import BlinkPipeError, DataError
 from blinkpipe.dataset import load_recording, save_recording
 from blinkpipe.net import ModelCheckpoint
 from blinkpipe.proto import (BlinkServer, PredictionMsg, encode, gaze_msg_from_frame,
@@ -35,7 +35,8 @@ from blinkpipe.segmenter import two_means_threshold
 from blinkpipe.sim import SimConfig, generate_session
 
 from conftest import (MALFORMED_CHECKPOINTS, checkpoint_with_stem_batch_norm,
-                      malformed_checkpoint, square_blink_recording, tiny_net)
+                      malformed_checkpoint, one_connection_server,
+                      square_blink_recording, tiny_net)
 
 
 def run(*argv: str) -> int:
@@ -656,6 +657,15 @@ class TestReplayCommand:
         assert rc == EXIT_USAGE
         assert capsys.readouterr().out == ""
 
+    def test_a_broken_prediction_stream_is_a_data_error(self, tmp_path, capsys):
+        path = str(tmp_path / "rec.csv")
+        save_recording(square_blink_recording([60], n_frames=120), path)
+        with one_connection_server(b"GARBAGE" * 8) as (host, port):
+            rc = run("replay", "--in", path, "--connect", f"{host}:{port}",
+                     "--speed", "0")
+        assert rc == EXIT_DATA
+        assert "BadMagic" in capsys.readouterr().err
+
 
 # Typed errors that never reach main(), so no exit code is chosen for them.
 _ERRORS_THAT_STAY_INSIDE = {
@@ -667,8 +677,8 @@ _ERRORS_THAT_STAY_INSIDE = {
 
 
 def test_every_typed_error_has_a_chosen_exit_code():
-    # Without a place in cli._DATA_ERRORS a new error class would reach the
-    # catch-all and exit 5, as if an invariant broke.
+    # A new error class that does not subclass core.DataError would reach
+    # the catch-all and exit 5, as if an invariant broke.
     for module in pkgutil.iter_modules(blinkpipe.__path__):
         importlib.import_module(f"blinkpipe.{module.name}")
     found, todo = set(), [BlinkPipeError]
@@ -680,6 +690,6 @@ def test_every_typed_error_has_a_chosen_exit_code():
     names = {cls.__name__ for cls in found}
     assert set(_ERRORS_THAT_STAY_INSIDE) <= names
     unplaced = sorted(cls.__name__ for cls in found
-                      if not issubclass(cls, cli._DATA_ERRORS)
+                      if not issubclass(cls, DataError)
                       and cls.__name__ not in _ERRORS_THAT_STAY_INSIDE)
     assert unplaced == []

@@ -319,6 +319,14 @@ class TestLabelBlinks:
 # window materialization
 
 
+def window_ending_at(rec: Recording, end: int, window_frames: int) -> np.ndarray:
+    """The validated features of frames end - window_frames + 1 .. end,
+    flattened: the window that ends at frame `end`."""
+    validator = FrameValidator()
+    rows = [validator.validate(fr).values for fr in rec.frames[:end + 1]]
+    return np.array(rows[end - window_frames + 1:], dtype=np.float32).ravel()
+
+
 class TestMaterializeWindows:
     def test_window_attached_at_blink_offset(self):
         rec = square_blink_recording([60], n_frames=200)
@@ -327,8 +335,9 @@ class TestMaterializeWindows:
         assert len(out) == 1
         w = out[0].window
         assert w is not None
-        assert w.end_timestamp_ns == square_blink_offset_ns(60, 20)
-        assert w.values.shape == (50 * NUM_FEATURES,)
+        assert rec.frames[80].timestamp_ns == square_blink_offset_ns(60, 20)
+        np.testing.assert_array_equal(w, window_ending_at(rec, 80, 50))
+        assert w.shape == (50 * NUM_FEATURES,) and w.dtype == np.float32
         assert out[0].label is labeled[0].label
 
     def test_blink_during_warmup_is_dropped(self):
@@ -344,7 +353,8 @@ class TestMaterializeWindows:
         assert len(labeled) == 1
         out = materialize_windows(rec, labeled, window_frames=50, lookback=8)
         assert len(out) == 1
-        assert out[0].window.end_timestamp_ns == square_blink_offset_ns(130, 20)
+        assert rec.frames[150].timestamp_ns == square_blink_offset_ns(130, 20)
+        np.testing.assert_array_equal(out[0].window, window_ending_at(rec, 150, 50))
 
     def test_augment_adds_shifted_copies_sharing_label(self):
         rec = square_blink_recording([60, 120], n_frames=250,
@@ -355,14 +365,13 @@ class TestMaterializeWindows:
                                   augment_copies=3, rng=rng)
         assert len(out) == 2 * (1 + 3)
         base = out[0]
-        interval = FRAME_INTERVAL_NS
+        np.testing.assert_array_equal(base.window, window_ending_at(rec, 80, 50))
         for copy in out[1:4]:
             assert copy.label is base.label
             assert copy.participant_id == base.participant_id
-            shift = (copy.window.end_timestamp_ns
-                     - base.window.end_timestamp_ns) // interval
-            assert -10 <= shift <= 10
-            assert copy.window.values.shape == base.window.values.shape
+            shifts = [k for k in range(-20, 21) if np.array_equal(
+                copy.window, window_ending_at(rec, 80 + k, 50))]
+            assert len(shifts) == 1 and -10 <= shifts[0] <= 10
         assert out[4].label is BlinkLabel.INVOLUNTARY
         assert base.label is BlinkLabel.VOLUNTARY
 
@@ -407,8 +416,7 @@ class TestMaterializeWindows:
         assert len(got) == len(want)
         for g, (lb, end) in zip(got, want):
             assert g.blink == lb.blink and g.label is lb.label
-            assert g.window.end_timestamp_ns == ts[end]
-            np.testing.assert_array_equal(g.window.values,
+            np.testing.assert_array_equal(g.window,
                                           rows[end - window + 1:end + 1].ravel())
         assert got_rng.integers(2**62) == want_rng.integers(2**62)
 
@@ -427,16 +435,18 @@ class TestMaterializeWindows:
 
         out = materialize_windows(rec, labeled, window_frames=50,
                                   augment_copies=1, rng=MaxDraw())
-        assert [lb.window.end_timestamp_ns for lb in out] == [
-            rec.frames[69].timestamp_ns, rec.frames[79].timestamp_ns]
+        assert len(out) == 2
+        for lb, end in zip(out, (69, 79)):
+            np.testing.assert_array_equal(lb.window, window_ending_at(rec, end, 50))
 
     def test_burst_after_the_offset_evicts_nothing(self):
         rec = square_blink_recording([40], n_frames=61)
         last = rec.frames[-1].timestamp_ns
         rec.frames += [make_frame(last + k) for k in range(1, 201)]
         out = materialize_windows(rec, label_blinks(rec), window_frames=50)
-        assert [lb.window.end_timestamp_ns for lb in out] == [
-            square_blink_offset_ns(40, 20)]
+        assert rec.frames[60].timestamp_ns == square_blink_offset_ns(40, 20)
+        assert len(out) == 1
+        np.testing.assert_array_equal(out[0].window, window_ending_at(rec, 60, 50))
 
     def test_augment_without_rng_raises(self):
         rec = square_blink_recording([60])
@@ -477,7 +487,7 @@ class TestColumnarPathMatchesScalarReference:
             except NotReady:
                 continue
             out.append(replace(lb, window=w))
-            out.extend(replace(lb, window=buf.augment_shift(w, rng))
+            out.extend(replace(lb, window=buf.augment_shift(lb.blink, rng))
                        for _ in range(copies))
         return out
 
@@ -490,8 +500,8 @@ class TestColumnarPathMatchesScalarReference:
 
     @staticmethod
     def keys(blinks):
-        return [(lb.blink, lb.label, lb.participant_id, lb.window.end_timestamp_ns,
-                 lb.window.window_frames, lb.window.values.tobytes())
+        return [(lb.blink, lb.label, lb.participant_id, lb.window.shape,
+                 lb.window.tobytes())
                 for lb in blinks]
 
     @pytest.mark.parametrize("seed", range(3))
@@ -640,13 +650,12 @@ class TestSplits:
             f"P{i:02d}" for i in range(5)
         }
         assert owners == [spec.train, spec.val, spec.test]
-        assert all(lb.window.window_frames == 30 for b in buckets for lb in b)
+        assert all(lb.window.shape == (30 * NUM_FEATURES,) for b in buckets for lb in b)
         _, aug_train, aug_val, aug_test = split_by_participant(
             recs, seed=2, window_frames=30, augment_copies=2)
 
         def keys(blinks):
-            return [(lb.blink, lb.label, lb.participant_id,
-                     lb.window.end_timestamp_ns, lb.window.values.tobytes())
+            return [(lb.blink, lb.label, lb.participant_id, lb.window.tobytes())
                     for lb in blinks]
 
         assert len(aug_train) == 3 * len(train)

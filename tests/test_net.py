@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from blinkpipe import net as net_module
-from blinkpipe.core import BlinkLabel
+from blinkpipe.core import NUM_FEATURES, BlinkEvent, BlinkKind, BlinkLabel
 from blinkpipe.net import (
     ADAM_BAND_ROWS,
     ADAM_BETA1,
@@ -50,7 +50,7 @@ from blinkpipe.net import (
     softplus,
     train,
 )
-from blinkpipe.window import WindowTensor
+from blinkpipe.window import HistoryBuffer
 
 from conftest import (MALFORMED_CHECKPOINTS, checkpoint_records,
                       checkpoint_with_stem_batch_norm, malformed_checkpoint,
@@ -480,10 +480,14 @@ def test_zero_net_predicts_half_half_and_ties_go_involuntary():
 
 
 def test_classify_accepts_window_tensor():
+    # A window is the float32 array a history buffer cuts.
     net = zero_net(input_dim=20, stem_width=8, block_dims=((8, 8),))
-    w = WindowTensor(values=np.zeros(20), end_timestamp_ns=5)
+    buf = HistoryBuffer(2)
+    buf.extend(np.array([1, 2]), np.zeros((2, NUM_FEATURES), np.float32))
+    w = buf.snapshot_at_blink_end(BlinkEvent(0, 2, BlinkKind.BOTH_EYES, 0.0, 0.0))
     label, conf = classify(net, w)
     assert label is BlinkLabel.INVOLUNTARY
+    assert classify(net.for_inference(), w) == (label, conf)
 
 
 def test_shape_mismatch_raises():
@@ -585,8 +589,7 @@ def _net_arrays(net):
 
 def _plan_arrays(plan):
     """The arrays an InferencePlan holds, its stem weight first."""
-    pairs = [(plan.stem_lin.weight.value, plan.stem_lin.bias.value),
-             (plan.stem_scale, plan.stem_shift)]
+    pairs = [plan.stem, (plan.stem_scale, plan.stem_shift)]
     for lin1, lin2, skip in plan.blocks:
         pairs += [lin1, lin2] + ([] if skip is None else [skip])
     return [a for pair in pairs + [plan.head] for a in pair]
@@ -597,7 +600,7 @@ def _assert_serving_form_of(served, stored):
     rounding of the stored one, and every other array is float64 and equal
     to that of `stored.for_inference()`."""
     assert isinstance(served, InferencePlan)
-    stem = served.stem_lin.weight.value
+    stem = served.stem[0]
     assert stem.dtype == np.float32
     np.testing.assert_array_equal(stem, stored.stem_lin.weight.value.astype(np.float32))
     plan = _plan_arrays(stored.for_inference())
@@ -872,8 +875,8 @@ def test_for_inference_casts_the_stem_once_and_leaves_the_net_as_it_is():
     assert plan.blocks[1][2][0] is skip[0].weight.value
     assert plan.blocks[1][2][1] is skip[0].bias.value
     assert plan.head[0] is net.head.weight.value and plan.head[1] is net.head.bias.value
-    assert plan.stem_lin.bias.value is net.stem_lin.bias.value
-    assert not np.shares_memory(plan.stem_lin.weight.value, net.stem_lin.weight.value)
+    assert plan.stem[1] is net.stem_lin.bias.value
+    assert not np.shares_memory(plan.stem[0], net.stem_lin.weight.value)
     # A float32 window reaches the float32 stem as it is.
     x = np.random.default_rng(27).normal(size=(3, 12)).astype(np.float32)
     assert net_module._rows(x, 12, np.float32) is x
@@ -998,7 +1001,7 @@ def test_load_net_answers_from_the_stem_array_the_file_was_read_into(tmp_path,
     f32_array = net_module._Reader.f32_array
     monkeypatch.setattr(net_module._Reader, "f32_array",
                         lambda r, count: read.append(f32_array(r, count)) or read[-1])
-    stem = load_net(path).stem_lin.weight.value
+    stem = load_net(path).stem[0]
     assert len(read) == 1
     assert stem.base is read[0] and stem.shape == (8, 12)
 
@@ -1077,13 +1080,13 @@ def test_best_checkpoint_is_the_best_epochs_net(tmp_path):
 def window_pairs(n: int, seed: int, dim: int = 120):
     """`cluster_pairs` as float32 windows, the dtype a cut from a history
     buffer has."""
-    return [(WindowTensor(np.asarray(x, np.float32), 0), y)
+    return [(np.asarray(x, np.float32), y)
             for x, y in cluster_pairs(n, seed, dim)]
 
 
 def test_float32_windows_train_as_their_float64_values(tmp_path):
     tr, va = window_pairs(45, 44), window_pairs(15, 45)
-    widened = [[(w.values.astype(np.float64), y) for w, y in s] for s in (tr, va)]
+    widened = [[(w.astype(np.float64), y) for w, y in s] for s in (tr, va)]
     runs = []
     for name, pairs in (("f32", (tr, va)), ("f64", widened)):
         best, history = train(*pairs, tmp_path / name, epochs=3, seed=4, lr=1e-2,
@@ -1169,6 +1172,33 @@ def test_train_rejects_a_label_outside_0_and_1_before_building_the_net(
     for train_set, val_set in ((bad, pairs), (pairs, bad)):
         with pytest.raises(UnknownLabel, match=f"label {label}"):
             train(train_set, val_set, tmp_path / "ckpt", epochs=1)
+    assert not (tmp_path / "ckpt").exists()
+
+
+@pytest.mark.parametrize("lr", [math.nan, math.inf, 0.0, -1.0])
+def test_train_rejects_a_learning_rate_not_finite_and_above_0_before_any_work(
+        tmp_path, lr):
+    # Unchecked, NaN and inf train to a best checkpoint of NaN loss, and a
+    # negative rate ascends the loss.
+    def unread():
+        raise AssertionError("the data was read")
+        yield
+
+    ckpt = tmp_path / "ckpt"
+    with pytest.raises(ValueError, match="lr"):
+        train(unread(), unread(), ckpt, epochs=1, lr=lr)
+    assert not ckpt.exists()
+
+
+def test_train_rejects_a_single_example_before_building_the_net(tmp_path,
+                                                                monkeypatch):
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the net was built")
+
+    monkeypatch.setattr(net_module, "BlinkNet", unbuilt)
+    pairs = cluster_pairs(4, 49)
+    with pytest.raises(BatchTooSmallForTrainMode, match="at least 2 examples"):
+        train(pairs[:1], pairs, tmp_path / "ckpt", epochs=1)
     assert not (tmp_path / "ckpt").exists()
 
 

@@ -57,7 +57,8 @@ from blinkpipe.proto import (
 from blinkpipe.segmenter import BlinkSegmenter
 from blinkpipe.sim import SimConfig, generate_session
 
-from conftest import make_frame, square_blink_recording, tiny_net, zero_net
+from conftest import (make_frame, one_connection_server, square_blink_recording,
+                      tiny_net, zero_net)
 
 
 def f32(x: float) -> float:
@@ -343,7 +344,7 @@ class TestServer:
         frames = validate_frames(rec.frames)
         want = predictions_for_frames(frames, net, window_frames=500)
         served = load_net(path)
-        assert served.stem_lin.weight.value.dtype == np.float32
+        assert served.stem[0].dtype == np.float32
         with BlinkServer(served, port=0, window_frames=500) as srv:
             got = replay_over_tcp(srv.address, frames)
         assert got == want
@@ -406,6 +407,21 @@ class TestServer:
             got = replay_over_tcp(srv.address, frames)
         assert len(got) == 1
         assert any(s.error and "BadMagic" in s.error for s in srv.sessions)
+
+    @pytest.mark.parametrize("then_close", [False, True])
+    def test_replay_raises_the_error_of_a_broken_prediction_stream(self, then_close):
+        # Closed at once, the server also breaks the replay's sends.
+        rec, _ = generate_session(SimConfig(seed=1, duration_s=10.0))
+        frames = validate_frames(rec.frames)
+        with one_connection_server(b"GARBAGE" * 8, then_close) as address:
+            with pytest.raises(BadMagic):
+                replay_over_tcp(address, frames)
+
+    def test_replay_raises_timeout_when_the_stream_stays_open(self):
+        frames = validate_frames(square_blink_recording([40], n_frames=90).frames)
+        with one_connection_server(b"") as address:
+            with pytest.raises(TimeoutError):
+                replay_over_tcp(address, frames, timeout=0.3)
 
 
 def read_to_eof(sock: socket.socket) -> list:

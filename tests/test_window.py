@@ -12,25 +12,26 @@ from blinkpipe.core import (
     FrameValidator,
     NonMonotonicTimestamp,
 )
-from blinkpipe.window import (
-    MAX_SHIFT_FRAMES,
-    HistoryBuffer,
-    NotReady,
-    WindowTensor,
-)
+from blinkpipe.window import MAX_SHIFT_FRAMES, HistoryBuffer, NotReady
 
 from conftest import make_frame
 
 
 def frame_at(i: int, seed_val: float = 0.0):
-    # Distinct openness per frame makes window contents traceable.
+    # Distinct openness per frame makes window contents traceable, and the
+    # left pupil, the frame's index, makes a window's rows name its frames.
     lo = float(np.float32(((i * 13 + 7) % 97) / 97.0))
     return FrameValidator().validate(make_frame(i * FRAME_INTERVAL_NS, lopen=lo,
-                                                ropen=1.0 - lo / 2))
+                                                ropen=1.0 - lo / 2, lpupil=float(i)))
 
 
-def rows_of(w: WindowTensor) -> np.ndarray:
-    return w.values.reshape(w.window_frames, NUM_FEATURES)
+def rows_of(w: np.ndarray) -> np.ndarray:
+    return w.reshape(-1, NUM_FEATURES)
+
+
+def end_frame(w: np.ndarray) -> int:
+    """Index of the last frame of a window of `frame_at` frames."""
+    return int(rows_of(w)[-1, 0])
 
 
 def blink_ending_at(ts_ns: int) -> BlinkEvent:
@@ -52,8 +53,8 @@ def test_window_matches_bruteforce_tail():
             w = buf.snapshot_at_blink_end(blink_ending_at(vf.timestamp_ns))
             expect = np.array([f.values for f in shadow[-cap:]])
             np.testing.assert_array_equal(rows_of(w), expect)
-            assert w.end_timestamp_ns == vf.timestamp_ns
-            assert w.values.shape == (cap * NUM_FEATURES,)
+            assert end_frame(w) == i
+            assert w.shape == (cap * NUM_FEATURES,) and w.dtype == np.float32
 
 
 def test_warmup_raises_not_ready():
@@ -64,7 +65,7 @@ def test_warmup_raises_not_ready():
         buf.snapshot_at_blink_end(blink_ending_at(8 * FRAME_INTERVAL_NS))
     buf.push(frame_at(9))
     w = buf.snapshot_at_blink_end(blink_ending_at(9 * FRAME_INTERVAL_NS))
-    assert w.window_frames == 10
+    assert w.shape == (10 * NUM_FEATURES,)
 
 
 def test_snapshot_uses_newest_frame_at_or_before_offset():
@@ -75,7 +76,7 @@ def test_snapshot_uses_newest_frame_at_or_before_offset():
     # which is still within the lookback retention margin.
     off = 16 * FRAME_INTERVAL_NS + 2_000_000
     w = buf.snapshot_at_blink_end(blink_ending_at(off))
-    assert w.end_timestamp_ns == 16 * FRAME_INTERVAL_NS
+    assert end_frame(w) == 16
 
 
 def test_snapshot_too_old_is_not_ready():
@@ -102,12 +103,13 @@ def test_augment_shift_stays_in_bounds_and_hits_both_signs():
     frames = [frame_at(i) for i in range(120)]
     for vf in frames:
         buf.push(vf)
-    base = buf.snapshot_at_blink_end(blink_ending_at(100 * FRAME_INTERVAL_NS))
+    blink = blink_ending_at(100 * FRAME_INTERVAL_NS)
+    base = buf.snapshot_at_blink_end(blink)
     rng = np.random.default_rng(0)
     shifts = set()
     for _ in range(300):
-        shifted = buf.augment_shift(base, rng)
-        k = (shifted.end_timestamp_ns - base.end_timestamp_ns) // FRAME_INTERVAL_NS
+        shifted = buf.augment_shift(blink, rng)
+        k = end_frame(shifted) - end_frame(base)
         shifts.add(int(k))
         assert abs(k) <= MAX_SHIFT_FRAMES
         end_idx = 100 + int(k)
@@ -125,20 +127,13 @@ def test_augment_shift_clips_at_stream_end():
     buf = HistoryBuffer(cap, 32)
     for i in range(cap):
         buf.push(frame_at(i))
-    base = buf.snapshot_at_blink_end(blink_ending_at((cap - 1) * FRAME_INTERVAL_NS))
+    blink = blink_ending_at((cap - 1) * FRAME_INTERVAL_NS)
+    base = buf.snapshot_at_blink_end(blink)
     rng = np.random.default_rng(1)
     for _ in range(100):
-        shifted = buf.augment_shift(base, rng)
+        shifted = buf.augment_shift(blink, rng)
         # Nothing newer exists and nothing older is retained: no shift fits.
-        assert shifted.end_timestamp_ns == base.end_timestamp_ns
-        np.testing.assert_array_equal(shifted.values, base.values)
-
-
-def test_window_tensor_shape_checks():
-    with pytest.raises(ValueError):
-        WindowTensor(values=np.zeros(25), end_timestamp_ns=0)
-    w = WindowTensor(values=np.zeros(5 * NUM_FEATURES), end_timestamp_ns=0)
-    assert w.window_frames == 5
+        np.testing.assert_array_equal(shifted, base)
 
 
 def test_buffer_keeps_capacity_plus_lookback_frames():
@@ -194,19 +189,17 @@ def test_ring_reads_match_list_oracle(cap, look):
                 continue
             w = buf.snapshot_at_blink_end(blink_ending_at(q))
             np.testing.assert_array_equal(rows_of(w), want)
-            assert w.end_timestamp_ns == ts[oracle_end(q)]
             # Same seed on both sides: the buffer and the oracle draw the
             # same shift before clipping it.
             got_rng, want_rng = (np.random.default_rng(q % 997) for _ in range(2))
             for _ in range(3):
-                shifted = buf.augment_shift(w, got_rng)
-                end = oracle_end(w.end_timestamp_ns)
+                shifted = buf.augment_shift(blink_ending_at(q), got_rng)
+                end = oracle_end(q)
                 shift = int(want_rng.integers(-MAX_SHIFT_FRAMES,
                                               MAX_SHIFT_FRAMES + 1))
                 shift = max(oldest + cap - 1 - end, min(count - 1 - end, shift))
                 np.testing.assert_array_equal(rows_of(shifted),
                                               oracle_window(end + shift))
-                assert shifted.end_timestamp_ns == ts[end + shift]
 
 
 def test_window_survives_later_compactions():
@@ -216,13 +209,14 @@ def test_window_survives_later_compactions():
     buf = HistoryBuffer(cap, look)
     for i in range(cap):
         buf.push(frame_at(i))
-    w = buf.snapshot_at_blink_end(blink_ending_at((cap - 1) * FRAME_INTERVAL_NS))
-    shifted = buf.augment_shift(w, np.random.default_rng(3))
-    want, want_shifted = w.values.copy(), shifted.values.copy()
+    blink = blink_ending_at((cap - 1) * FRAME_INTERVAL_NS)
+    w = buf.snapshot_at_blink_end(blink)
+    shifted = buf.augment_shift(blink, np.random.default_rng(3))
+    want, want_shifted = w.copy(), shifted.copy()
     for i in range(cap, cap + 2 * (cap + look) + 1):
         buf.push(frame_at(i + 1000))
-    np.testing.assert_array_equal(w.values, want)
-    np.testing.assert_array_equal(shifted.values, want_shifted)
+    np.testing.assert_array_equal(w, want)
+    np.testing.assert_array_equal(shifted, want_shifted)
 
 
 def test_readiness_and_monotonicity_across_compaction():
@@ -265,8 +259,7 @@ def test_from_columns_is_pushing_every_row():
                         built.snapshot_at_blink_end(blink)
                     continue
                 got = built.snapshot_at_blink_end(blink)
-                assert got.end_timestamp_ns == want.end_timestamp_ns
-                assert got.values.tobytes() == want.values.tobytes()
+                assert got.tobytes() == want.tobytes()
 
         assert_same_cuts((1, 48, 49, 50, 129, 10**6))
         # Later frames append after the last row, as they would after pushes.
@@ -312,6 +305,5 @@ def test_extend_in_any_chunks_is_pushing_every_row():
                         extended.snapshot_at_blink_end(blink)
                     continue
                 got = extended.snapshot_at_blink_end(blink)
-                assert got.end_timestamp_ns == want.end_timestamp_ns
-                assert got.values.tobytes() == want.values.tobytes()
+                assert got.tobytes() == want.tobytes()
     assert HistoryBuffer(3).newest_timestamp_ns is None
